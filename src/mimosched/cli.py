@@ -75,7 +75,7 @@ def _cmd_run(args) -> int:
         overrides["seed"] = args.seed
     if overrides:
         cfg = replace(cfg, **overrides)
-    rows = run_experiment(cfg, workers=max(1, args.workers))
+    rows = run_experiment(cfg, workers=args.workers)
     emit_csv(rows, args.out)
     return 0
 

@@ -14,6 +14,7 @@ import ctypes
 import functools
 import itertools
 import math
+import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -115,10 +116,20 @@ class ExperimentConfig:
             raise ConfigError("heterogeneous scenario needs a large_scale model")
         if self.sweep not in ("none", "P_dB", "K_M"):
             raise ConfigError(f"unknown sweep {self.sweep!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.drops < 1:
-            raise ConfigError(f"drops must be >= 1, got {self.drops}")
+        # trial and drop indices must fit their fields of the stream id
+        if not 1 <= self.trials < 2**_TRIAL_BITS:
+            raise ConfigError(f"trials must be in [1, 2**{_TRIAL_BITS}), got {self.trials}")
+        if not 1 <= self.drops < 2**_DROP_BITS:
+            raise ConfigError(f"drops must be in [1, 2**{_DROP_BITS}), got {self.drops}")
+        if not self.delta > 0:
+            raise ConfigError(f"delta must be positive, got {self.delta}")
+        # the SUS threshold doubles until a user passes it: at <= 0 it never does
+        if not self.sus_alpha > 0:
+            raise ConfigError(f"sus_alpha must be positive, got {self.sus_alpha}")
+        k_ms = (self.K_M,) + (self.sweep_values if self.sweep == "K_M" else ())
+        for k in k_ms:
+            if isinstance(k, bool) or not isinstance(k, numbers.Real) or not float(k).is_integer():
+                raise ConfigError(f"K_M values must be integers, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -173,28 +184,46 @@ def _plan(rule, ps, p, alpha, random_plan, ls_plan):
     return ls_plan
 
 
-def _simulate_trial(p, betas, profiles, rules, alpha, seed, vi, drop, trial, ls_plans):
+@dataclass(frozen=True)
+class _TrialChunk:
+    """One work unit: trials ``lo``..``hi - 1`` of one drop at one sweep point and variant."""
+
+    p: SystemParams
+    betas: np.ndarray
+    profiles: list
+    ls_plans: dict
+    rules: tuple
+    alpha: float
+    seed: int
+    vi: int
+    drop: int
+    lo: int
+    hi: int
+
+
+def _simulate_trial(u: _TrialChunk, trial: int):
     """One paired trial: honest baseline plus every strategy, per rule.
 
     Returns (base, attack): base[rule] and attack[(rule, si)] are the
     per-user period-rate vectors.
     """
+    p, seed, vi, drop = u.p, u.seed, u.vi, u.drop
     rng = RngStream(seed, pack_stream(0, vi, drop, trial)).generator()
-    ch = draw_channels(p, betas, rng)
-    honest = strategies.honest_profile(betas)
+    ch = draw_channels(p, u.betas, rng)
+    honest = strategies.honest_profile(u.betas)
     ps_a = apply_misreport(ch, honest)
-    ps_m = [apply_misreport(ch, prof) for prof in profiles]
+    ps_m = [apply_misreport(ch, prof) for prof in u.profiles]
     random_plan = None
-    if "random" in rules:
+    if "random" in u.rules:
         plan_rng = RngStream(seed, pack_stream(1, vi, drop, trial)).generator()
         random_plan = scheduling.group_randomly(p, plan_rng)
     base = {}
     attack = {}
-    for rule in rules:
-        plan_a = _plan(rule, ps_a, p, alpha, random_plan, ls_plans.get("base"))
+    for rule in u.rules:
+        plan_a = _plan(rule, ps_a, p, u.alpha, random_plan, u.ls_plans.get("base"))
         base[rule] = run_period(ch, honest, plan_a, p).per_user_rate
-        for si, prof in enumerate(profiles):
-            plan_m = _plan(rule, ps_m[si], p, alpha, random_plan, ls_plans.get(si))
+        for si, prof in enumerate(u.profiles):
+            plan_m = _plan(rule, ps_m[si], p, u.alpha, random_plan, u.ls_plans.get(si))
             attack[(rule, si)] = run_period(ch, prof, plan_m, p).per_user_rate
     return base, attack
 
@@ -253,32 +282,40 @@ def _single_blas_thread():
         _set_blas_threads(before)
 
 
-def _run_batch(args):
-    p, betas, profiles, rules, alpha, seed, vi, drop, lo, hi, ls_plans = args
-    return [_simulate_trial(p, betas, profiles, rules, alpha, seed, vi, drop, t, ls_plans)
-            for t in range(lo, hi)]
-
-
-def _map_batches(batches, workers):
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A pool of ``workers`` BLAS-pinned processes, or None for one worker."""
     if workers <= 1:
-        for b in batches:
-            yield _run_batch(b)
+        yield None
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
-        # submission order equals reduction order; completion order is irrelevant
-        yield from pool.map(_run_batch, batches)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads)
+    try:
+        yield pool
+    finally:
+        # after an exception, chunks still queued are dropped, not run
+        pool.shutdown(cancel_futures=True)
 
 
-def _trial_results(p, betas, profiles, rules, alpha, seed, vi, drop, trials,
-                   ls_plans, workers):
-    chunk = max(1, math.ceil(trials / max(workers, 1) / 4)) if workers > 1 else trials
-    batches = [
-        (p, betas, profiles, rules, alpha, seed, vi, drop, lo, min(lo + chunk, trials), ls_plans)
-        for lo in range(0, trials, chunk)]
-    out = []
-    for res in _map_batches(batches, workers):
-        out.extend(res)
-    return out
+def _run_chunk(u: _TrialChunk) -> list:
+    return [_simulate_trial(u, t) for t in range(u.lo, u.hi)]
+
+
+def _trial_results(cfg, p, vi, drops, workers, pool):
+    """Yield the trial results of each drop, in drop order.
+
+    ``drops`` holds (betas, profiles, ls_plans) for each drop. Every
+    chunk of every drop goes out in one map, in this process when ``pool``
+    is None; submission order is reduction order, so the results do not
+    depend on the pool.
+    """
+    step = max(1, math.ceil(cfg.trials / workers / 4)) if workers > 1 else cfg.trials
+    bounds = [(lo, min(lo + step, cfg.trials)) for lo in range(0, cfg.trials, step)]
+    units = [_TrialChunk(p, betas, profiles, ls_plans, cfg.grouping_rule, cfg.sus_alpha,
+                         cfg.seed, vi, drop, lo, hi)
+             for drop, (betas, profiles, ls_plans) in enumerate(drops) for lo, hi in bounds]
+    chunks = map(_run_chunk, units) if pool is None else pool.map(_run_chunk, units)
+    for _ in drops:
+        yield [trial for chunk in itertools.islice(chunks, len(bounds)) for trial in chunk]
 
 
 def _effective_params(cfg: ExperimentConfig, variant) -> SystemParams:
@@ -333,23 +370,33 @@ def _std_ci(values: np.ndarray):
     return s, 1.96 * s / math.sqrt(n)
 
 
-def run_cell(cfg: ExperimentConfig, sweep_value, workers: int = 1) -> list:
-    """Run every variant, rule, and strategy of ``cfg`` at one sweep point."""
+def _check_workers(workers) -> None:
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+
+
+def run_cell(cfg: ExperimentConfig, sweep_value, workers: int = 1, *, pool=None) -> list:
+    """Run every variant, rule, and strategy of ``cfg`` at one sweep point.
+
+    ``pool`` is an open process pool to run the trials on; ``run_experiment``
+    passes its own. Without one, a cell with ``workers > 1`` opens and
+    closes a pool of its own.
+    """
+    _check_workers(workers)
     rows = []
-    for vi, variant in enumerate(cfg.variants):
-        p = _effective_params(cfg, variant)
-        k_m = cfg.K_M
-        if cfg.sweep == "P_dB":
-            p = validate_params(replace(p, P=db_to_linear(sweep_value)))
-        elif cfg.sweep == "K_M":
-            k_m = int(sweep_value)
-        if not (0 <= k_m <= p.K):
-            raise CountError(f"K_M={k_m} out of range for K={p.K}")
-        vsuf = _variant_suffix(cfg, variant, p)
-        if cfg.scenario == "homogeneous":
-            rows.extend(_homogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers))
-        else:
-            rows.extend(_heterogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers))
+    with (contextlib.nullcontext(pool) if pool is not None else _worker_pool(workers)) as pool:
+        for vi, variant in enumerate(cfg.variants):
+            p = _effective_params(cfg, variant)
+            k_m = cfg.K_M
+            if cfg.sweep == "P_dB":
+                p = validate_params(replace(p, P=db_to_linear(sweep_value)))
+            elif cfg.sweep == "K_M":
+                k_m = int(sweep_value)
+            if not (0 <= k_m <= p.K):
+                raise CountError(f"K_M={k_m} out of range for K={p.K}")
+            vsuf = _variant_suffix(cfg, variant, p)
+            cell = _homogeneous_cell if cfg.scenario == "homogeneous" else _heterogeneous_cell
+            rows.extend(cell(cfg, p, k_m, vi, vsuf, sweep_value, workers, pool))
     return rows
 
 
@@ -357,12 +404,10 @@ def _strategy_suffix(cfg, tag):
     return f"__{tag}" if len(cfg.strategy) > 1 else ""
 
 
-def _homogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers):
+def _homogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers, pool):
     betas = np.full(p.K, p.beta_default)
     profiles = [_build_profile(tag, p, k_m, betas, cfg) for tag in cfg.strategy]
-    results = _trial_results(
-        p, betas, profiles, cfg.grouping_rule, cfg.sus_alpha, cfg.seed, vi,
-        0, cfg.trials, {}, workers)
+    results, = _trial_results(cfg, p, vi, [(betas, profiles, {})], workers, pool)
     rows = []
     for rule in cfg.grouping_rule:
         short = RULE_SHORT[rule]
@@ -403,7 +448,7 @@ def _tracked(cfg, p):
     return users
 
 
-def _heterogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers):
+def _heterogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers, pool):
     lsm = cfg.large_scale
     rows = []
     tracked = _tracked(cfg, p)
@@ -411,6 +456,7 @@ def _heterogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers):
     per_drop_user = {}      # (rule, si) -> list over drops of per-user loss vectors
     rep_user_mean = {}      # (rule, si) -> representative-drop per-user loss
     rep_user_std = {}       # (rule, si) -> per-trial dispersion on the rep drop
+    drops = []              # (betas, profiles, ls_plans) of each drop
     for drop in range(cfg.drops):
         drop_rng = RngStream(cfg.seed, pack_stream(2, vi, drop, 0)).generator()
         betas = draw_large_scale(p, lsm, drop_rng)
@@ -420,9 +466,9 @@ def _heterogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers):
             ls_plans["base"] = scheduling.group_by_large_scale(betas, p)
             for si, prof in enumerate(profiles):
                 ls_plans[si] = scheduling.group_by_large_scale(prof.reported_beta, p)
-        results = _trial_results(
-            p, betas, profiles, cfg.grouping_rule, cfg.sus_alpha, cfg.seed, vi,
-            drop, cfg.trials, ls_plans, workers)
+        drops.append((betas, profiles, ls_plans))
+    for drop, results in enumerate(_trial_results(cfg, p, vi, drops, workers, pool)):
+        profiles = drops[drop][1]
         for rule in cfg.grouping_rule:
             base = np.stack([r[0][rule] for r in results])        # (trials, K)
             base_sum = base.sum(axis=0)
@@ -479,13 +525,16 @@ def _heterogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers):
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """Run every sweep point and return the full, deterministically ordered rows.
 
-    BLAS runs single-threaded in this process and in every pool worker; the
-    caller's thread counts are restored on return and on an exception.
+    With ``workers > 1`` one process pool serves the whole run. BLAS runs
+    single-threaded in this process and in every pool worker; the caller's
+    thread counts are restored, and the pool is shut down, on return and on
+    an exception.
     """
+    _check_workers(workers)
     rows = []
-    with _single_blas_thread():
+    with _single_blas_thread(), _worker_pool(workers) as pool:
         for v in cfg.sweep_values:
-            rows.extend(run_cell(cfg, v, workers=workers))
+            rows.extend(run_cell(cfg, v, workers, pool=pool))
     return rows
 
 
@@ -565,8 +614,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                 shadow_sigma_db=float(d.get("shadow_sigma_db", 8.0)),
             )
         delta = float(d["delta"]) if "delta" in d else db_to_linear(d.get("delta_dB", -20.0))
-        if not delta > 0:
-            raise ConfigError(f"delta must be positive, got {delta}")
         cfg = ExperimentConfig(
             params=params,
             scenario=scenario,

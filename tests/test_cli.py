@@ -135,6 +135,15 @@ def test_run_rejects_bad_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_run_rejects_bad_worker_count(tmp_path, capsys, workers):
+    out = tmp_path / "x.csv"
+    assert main(["run", "--preset", "fig2", "--trials", "2", "--workers", workers,
+                 "--out", str(out)]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_requires_source(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--out", "x.csv"])

@@ -88,10 +88,30 @@ def test_config_normalizes_scalars(p_default):
     {"sweep": "delta"},
     {"trials": 0},
     {"drops": 0},
+    {"sus_alpha": 0.0},                                 # SUS would never stop
+    {"sus_alpha": -0.3},
+    {"sweep": "K_M", "sweep_values": (1, 1.7)},         # would run as K_M = 1
+    {"K_M": 1.5},
+    {"delta": 0.0},
+    {"delta": -1.0},
+    {"trials": 2**26},                                  # past the stream id's trial field
+    {"drops": 2**26},
 ])
 def test_config_rejects(p_default, kwargs):
+    # construction only: a config that got through could hang when run
     with pytest.raises(ConfigError):
         ExperimentConfig(params=p_default, **kwargs)
+
+
+def test_config_accepts_integral_k_m_sweep_values(p_default):
+    cfg = ExperimentConfig(params=p_default, sweep="K_M", sweep_values=(0, 2.0, np.int64(3)))
+    assert cfg.sweep_values == (0, 2.0, 3)
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True])
+def test_run_experiment_rejects_bad_workers(p_nine, workers):
+    with pytest.raises(ConfigError):
+        run_experiment(ExperimentConfig(params=p_nine, trials=2), workers=workers)
 
 
 def test_config_heterogeneous_needs_cell_model(p_default):
@@ -181,6 +201,45 @@ def test_worker_count_does_not_change_results(p_nine, cell_model):
     assert a.getvalue() == b.getvalue()
 
 
+def _het_sweep(p_nine, cell_model):
+    return ExperimentConfig(
+        params=p_nine, scenario="heterogeneous", grouping_rule=("large_scale", "random"),
+        strategy=("grouping_changed_under", "none"), large_scale=cell_model,
+        sweep="K_M", sweep_values=(1, 2), variants=(None, {"T": 1, "K_B": 9}),
+        trials=4, drops=3, seed=21, track_users=(1, 9))
+
+
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """Every process pool the engine constructs while the test runs."""
+    opened = []
+
+    class CountedPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+    return opened
+
+
+def test_one_pool_serves_the_whole_run(p_nine, cell_model, opened_pools):
+    cfg = _het_sweep(p_nine, cell_model)
+    serial, pooled = io.StringIO(), io.StringIO()
+    emit_csv(run_experiment(cfg, workers=1), serial)
+    assert opened_pools == []
+    emit_csv(run_experiment(cfg, workers=2), pooled)
+    assert len(opened_pools) == 1
+    assert pooled.getvalue() == serial.getvalue()
+
+
+def test_run_cell_opens_its_own_pool(p_nine, cell_model, opened_pools):
+    cfg = _het_sweep(p_nine, cell_model)
+    assert run_cell(cfg, 2, workers=2) == run_cell(cfg, 2)
+    assert len(opened_pools) == 1
+    assert multiprocessing.active_children() == []
+
+
 def _openblas_thread_getters():
     """get_num_threads of each bundled OpenBLAS loaded in this process."""
     try:
@@ -232,6 +291,17 @@ def test_run_experiment_restores_blas_threads(p_nine, monkeypatch):
     assert all(set(counts) == {1} for counts in during)
 
 
+def test_failed_pooled_run_leaves_no_workers(p_nine):
+    before = _blas_threads()
+    cfg = ExperimentConfig(params=p_nine, K_M=1, trials=4, seed=3,
+                           sweep="K_M", sweep_values=(1, 10))
+    # the first sweep point runs on the pool, the second is out of range
+    with pytest.raises(CountError):
+        run_experiment(cfg, workers=2)
+    assert multiprocessing.active_children() == []
+    assert _blas_threads() == before
+
+
 def _worker_blas_threads(*args):
     return os.getpid(), _blas_threads()
 
@@ -239,12 +309,13 @@ def _worker_blas_threads(*args):
 @_needs_openblas
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched trial reaches pool workers only by fork")
-def test_pool_workers_run_blas_single_threaded(monkeypatch):
+def test_pool_workers_run_blas_single_threaded(p_nine, monkeypatch):
     # called below run_experiment, so the parent's own count is untouched
     # and only the pool's initializer can bring the workers to one thread
     monkeypatch.setattr(experiments, "_simulate_trial", _worker_blas_threads)
-    results = experiments._trial_results(
-        None, None, (), (), 0.3, 0, 0, 0, 8, {}, 2)
+    cfg = ExperimentConfig(params=p_nine, trials=8)
+    with experiments._worker_pool(2) as pool:
+        results, = experiments._trial_results(cfg, p_nine, 0, [(None, (), {})], 2, pool)
     assert len(results) == 8
     assert all(pid != os.getpid() for pid, _ in results)
     assert all(set(counts) == {1} for _, counts in results)

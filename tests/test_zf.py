@@ -18,7 +18,16 @@ from mimosched import (
     zf_effective_gains,
 )
 from mimosched.channel import draw_channels
+from mimosched.experiments import _single_blas_thread
 from mimosched.strategies import homogeneous_uniform, honest_profile
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _one_blas_thread():
+    # these tests call the block engine directly, outside run_experiment;
+    # threaded BLAS only spins on matrices this small
+    with _single_blas_thread():
+        yield
 
 
 def _rand_rows(rng, kb, m):
