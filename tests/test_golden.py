@@ -1,0 +1,76 @@
+"""Golden CSVs: reduced presets compared cell by cell against stored output.
+
+Each golden file holds the CSV one reduced configuration emitted when it was
+recorded. A run must reproduce every cell within a relative tolerance of
+1e-12, NaN where the golden has NaN, and every text and count field
+exactly. Rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``
+only when a change of numbers is intended.
+"""
+import csv
+import io
+import math
+import pathlib
+from dataclasses import replace
+
+import pytest
+
+from mimosched import (ExperimentConfig, LargeScaleModel, SystemParams, emit_csv, preset,
+                       run_experiment)
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+RTOL = 1e-12
+_VALUE_COLS = (2, 4, 5, 6)       # sweep_value, mean, std, ci95
+
+
+def _configs() -> dict:
+    reduced = {
+        "fig2": dict(trials=12),
+        "fig3": dict(trials=10),
+        "fig4": dict(trials=5, drops=10),
+        "fig5": dict(trials=3, drops=5),
+        "fig6": dict(trials=3, drops=5),
+        "fig7": dict(trials=2, drops=3),
+    }
+    cfgs = {name: replace(preset(name), **kw) for name, kw in reduced.items()}
+    # no preset promotes weak users under magnitude grouping
+    cfgs["het_over_cm"] = ExperimentConfig(
+        params=SystemParams(M=64, K=32, K_B=8, T=4, P=10.0),
+        scenario="heterogeneous", grouping_rule="channel_magnitude",
+        strategy="grouping_changed_over", beta_high_factor=2.0,
+        large_scale=LargeScaleModel(), sweep="K_M", sweep_values=(1, 2, 4, 8),
+        trials=5, drops=5, seed=7, track_users=(1, 16, 32), label="het_over_cm")
+    return cfgs
+
+
+CONFIGS = _configs()
+
+
+def _csv(cfg) -> str:
+    buf = io.StringIO()
+    emit_csv(run_experiment(cfg), buf)
+    return buf.getvalue()
+
+
+def _close(a: str, b: str) -> bool:
+    x, y = float(a), float(b)
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y or abs(x - y) <= RTOL * max(abs(x), abs(y))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_csv_matches_golden(name):
+    want = list(csv.reader(io.StringIO((GOLDEN / f"{name}.csv").read_text())))
+    got = list(csv.reader(io.StringIO(_csv(CONFIGS[name]))))
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    bad = [(g[3], i) for g, w in zip(got[1:], want[1:])
+           for i in range(len(w))
+           if not (_close(g[i], w[i]) if i in _VALUE_COLS else g[i] == w[i])]
+    assert not bad, f"{len(bad)} cells differ, first: {bad[:5]}"
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, cfg in CONFIGS.items():
+        (GOLDEN / f"{name}.csv").write_text(_csv(cfg))
