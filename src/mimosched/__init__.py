@@ -11,7 +11,6 @@ from .core import (
     MisreportProfile,
     QuadratureError,
     RangeError,
-    RateReport,
     RegimeError,
     ScaleError,
     SchedulePlan,
@@ -32,7 +31,6 @@ from .channel import (
     large_scale_coefficient,
 )
 from .zf import (
-    BlockOutcome,
     evaluate_block,
     maxmin_power,
     nullspace_gain_oracle,

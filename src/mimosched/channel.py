@@ -55,10 +55,6 @@ class PerceivedState:
         """The full misreported channel matrix, materialized on first use."""
         return np.sqrt(self.scale)[:, None] * self.channels.gains
 
-    def false_rows(self, members: np.ndarray) -> np.ndarray:
-        """Misreported rows for one block without building the full matrix."""
-        return np.sqrt(self.scale[members])[:, None] * self.channels.gains[members]
-
 
 def draw_channels(p: SystemParams, betas: np.ndarray, rng: np.random.Generator) -> ChannelSet:
     r"""Draw one small-scale realization for all K users.

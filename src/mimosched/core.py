@@ -8,7 +8,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -259,57 +258,6 @@ class SchedulePlan:
         Within-block order is presentation only and is ignored here.
         """
         return self.block_sets() == other.block_sets()
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Per-user and per-block rates for one round-robin period.
-
-    per_user_rate is on the period scale: each user is served in exactly one
-    of the T blocks, so its period rate is its single-block rate divided by T.
-    per_block_rate[t] is the common rate the power control equalizes in block
-    t, which every honest member of that block actually receives.
-
-    The loss fields are populated only by ``paired_with``; they compare this
-    report against an honest baseline on the same channel realization.
-    """
-
-    per_user_rate: np.ndarray     # (K,) period-scale rates
-    per_block_rate: np.ndarray    # (T,) single-block common rates
-    honest_avg_rate: float        # mean period rate over honest users
-    misreporter_avg_rate: float   # mean over misreporters, NaN if none
-    per_user_loss: Optional[np.ndarray] = None
-    avg_honest_loss: Optional[float] = None
-    theta: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_user_rate",
-                           _readonly(np.asarray(self.per_user_rate, dtype=np.float64)))
-        object.__setattr__(self, "per_block_rate",
-                           _readonly(np.asarray(self.per_block_rate, dtype=np.float64)))
-
-    def paired_with(self, baseline: "RateReport", honest: np.ndarray) -> "RateReport":
-        """Attach fractional losses of this report against ``baseline``.
-
-        per_user_loss[k] = 1 - rate_k / baseline_rate_k; avg_honest_loss
-        compares the honest users' average against the same users in the
-        baseline; theta compares it against the baseline average over all
-        users (the convention for homogeneous loss curves).
-        """
-        base = baseline.per_user_rate
-        loss = 1.0 - self.per_user_rate / base
-        honest = np.asarray(honest, dtype=bool)
-        avg_honest = float(1.0 - self.per_user_rate[honest].mean() / base[honest].mean())
-        theta = float(1.0 - self.per_user_rate[honest].mean() / base.mean())
-        return RateReport(
-            per_user_rate=self.per_user_rate,
-            per_block_rate=self.per_block_rate,
-            honest_avg_rate=self.honest_avg_rate,
-            misreporter_avg_rate=self.misreporter_avg_rate,
-            per_user_loss=loss,
-            avg_honest_loss=avg_honest,
-            theta=theta,
-        )
 
 
 def db_to_linear(x_db: float) -> float:

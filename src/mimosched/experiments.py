@@ -28,8 +28,8 @@ from .core import (
     GROUPING_RULES,
     LargeScaleModel,
     MisreportProfile,
-    RateReport,
     SchedulePlan,
+    SingularMatrixError,
     STRATEGY_TAGS,
     SystemParams,
     db_to_linear,
@@ -153,25 +153,16 @@ class ResultRow:
     seed: int
 
 
-def run_period(ch, mp: MisreportProfile, plan: SchedulePlan, p: SystemParams) -> RateReport:
+def run_period(ch, mp: MisreportProfile, plan: SchedulePlan, p: SystemParams) -> np.ndarray:
     """Serve all T blocks of one round-robin period on one realization.
 
-    Each user appears in exactly one block, so its period rate is the block
-    rate divided by T.
+    Returns the (K,) period rates. Each user appears in exactly one block,
+    so its period rate is its block rate divided by T.
     """
-    ps = apply_misreport(ch, mp)
-    per_user = np.zeros(ch.K)
-    per_block = np.zeros(plan.T)
-    for t, members in enumerate(plan.groups):
-        out = evaluate_block(ch, ps, np.asarray(members, dtype=np.intp), p)
-        per_block[t] = np.log2(1.0 + out.snr_bs)
-        per_user[out.member_ids] = out.rate_actual / p.T
-    honest = mp.honest_mask()
-    honest_avg = float(per_user[honest].mean()) if honest.any() else float("nan")
-    mis_avg = float(per_user[~honest].mean()) if (~honest).any() else float("nan")
-    return RateReport(
-        per_user_rate=per_user, per_block_rate=per_block,
-        honest_avg_rate=honest_avg, misreporter_avg_rate=mis_avg)
+    members = np.asarray(plan.groups, dtype=np.intp)          # (T, K_B)
+    rates = np.zeros(ch.K)
+    rates[members] = evaluate_block(ch, mp.scale, members, p) / p.T
+    return rates
 
 
 def _plan(rule, ps, p, alpha, random_plan, ls_plan):
@@ -219,17 +210,22 @@ def _simulate_trial(u: _TrialChunk, trial: int):
         random_plan = scheduling.group_randomly(p, plan_rng)
     base = {}
     attack = {}
-    for rule in u.rules:
-        plan_a = _plan(rule, ps_a, p, u.alpha, random_plan, u.ls_plans.get("base"))
-        base[rule] = run_period(ch, honest, plan_a, p).per_user_rate
-        for si, prof in enumerate(u.profiles):
-            plan_m = _plan(rule, ps_m[si], p, u.alpha, random_plan, u.ls_plans.get(si))
-            attack[(rule, si)] = run_period(ch, prof, plan_m, p).per_user_rate
+    try:
+        for rule in u.rules:
+            plan_a = _plan(rule, ps_a, p, u.alpha, random_plan, u.ls_plans.get("base"))
+            base[rule] = run_period(ch, honest, plan_a, p)
+            for si, prof in enumerate(u.profiles):
+                plan_m = _plan(rule, ps_m[si], p, u.alpha, random_plan, u.ls_plans.get(si))
+                attack[(rule, si)] = run_period(ch, prof, plan_m, p)
+    except SingularMatrixError as e:
+        # the same object, re-raised: a failure is still counted once
+        e.args += (f"variant {vi}, drop {drop}, trial {trial}",)
+        raise
     return base, attack
 
 
 # extension modules linked against the OpenBLAS builds the engine calls into:
-# numpy's (matmul) and scipy's (factorizations) bundle one each
+# numpy's (matmul and the ZF factorizations) and scipy's bundle one each
 _BLAS_MODULES = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath",
                  "scipy.linalg._fblas")
 

@@ -1,50 +1,61 @@
-"""Zero-forcing precoding and max-min power control for one resource block.
+"""Zero-forcing precoding and max-min power control for stacks of resource blocks.
 
 For a block channel matrix G (K_B x M rows g_k), the precoder is
 W = G^H (G G^H)^{-1} with columns w_k normalized implicitly by the power
 control. The effective gain of user k is d_k^2 = 1 / ||w_k||^2, which equals
 1 / [(G G^H)^{-1}]_{kk}; max-min power control then equalizes every member's
-SNR at P / (noise * sum_j 1/d_j^2).
+SNR at P / (noise * sum_j 1/d_j^2). Every function here takes one block or a
+stack of blocks along leading axes and works on the whole stack at once.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .core import (
+    ChannelSet,
     DimensionError,
     DomainError,
     SingularMatrixError,
     SystemParams,
 )
-from .channel import ChannelSet, PerceivedState
 
 COND_LIMIT = 1e10
 
 
-def _gram_inverse_diag(rows: np.ndarray) -> np.ndarray:
-    """diag((rows rows^H)^{-1}) via a Hermitian solve, with a conditioning guard."""
-    gram = rows @ rows.conj().T
+def _check_conditioning(gram: np.ndarray) -> None:
+    """Raise SingularMatrixError naming the first block whose Gram matrix is ill-conditioned."""
     w = np.linalg.eigvalsh(gram)
-    if w[0] <= 0 or w[-1] / w[0] > COND_LIMIT:
+    lo, hi = w[..., 0], w[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(lo > 0, hi / lo, np.inf)
+    bad = np.flatnonzero(~(cond <= COND_LIMIT))
+    if bad.size:
+        b = int(bad[0])
         raise SingularMatrixError(
-            f"block Gram matrix condition number exceeds {COND_LIMIT:g}")
-    c, low = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    inv = scipy.linalg.cho_solve((c, low), np.eye(rows.shape[0]), check_finite=False)
-    return np.diag(inv).real
+            f"block {b}: Gram matrix condition number {cond.flat[b]:.3g} "
+            f"exceeds {COND_LIMIT:g}")
+
+
+def _gram_inverse_diag(rows: np.ndarray) -> np.ndarray:
+    """diag((rows rows^H)^{-1}) of each block via Cholesky, with a conditioning guard."""
+    gram = rows @ rows.conj().swapaxes(-1, -2)
+    _check_conditioning(gram)
+    # G^{-1} = L^{-H} L^{-1}, so [G^{-1}]_kk is the squared norm of column k of L^{-1}
+    inv_chol = np.linalg.inv(np.linalg.cholesky(gram))
+    return np.einsum("...jk,...jk->...k", inv_chol, inv_chol.conj()).real
 
 
 def zf_effective_gains(rows: np.ndarray) -> np.ndarray:
     """Effective zero-forcing gains d_k^2 for the given block rows.
 
-    rows: (K_B, M) complex channel matrix with K_B <= M.
+    rows: (..., K_B, M) complex channel matrices with K_B <= M; returns
+    (..., K_B).
     """
     rows = np.asarray(rows, dtype=np.complex128)
-    if rows.ndim != 2:
-        raise DimensionError(f"rows must be 2-D, got shape {rows.shape}")
-    kb, m = rows.shape
+    if rows.ndim < 2:
+        raise DimensionError(f"rows must be at least 2-D, got shape {rows.shape}")
+    kb, m = rows.shape[-2:]
     if kb < 1 or kb > m:
         raise DimensionError(f"need 1 <= K_B <= M, got K_B={kb}, M={m}")
     return 1.0 / _gram_inverse_diag(rows)
@@ -62,11 +73,7 @@ def nullspace_gain_oracle(rows: np.ndarray, k: int) -> float:
     if not 0 <= k < kb:
         raise DomainError(f"row index {k} out of range for K_B={kb}")
     # same degeneracy guard as the production path
-    gram = rows @ rows.conj().T
-    w = np.linalg.eigvalsh(gram)
-    if w[0] <= 0 or w[-1] / w[0] > COND_LIMIT:
-        raise SingularMatrixError(
-            f"block Gram matrix condition number exceeds {COND_LIMIT:g}")
+    _check_conditioning(rows @ rows.conj().T)
     if kb == 1:
         return float(np.vdot(rows[0], rows[0]).real)
     others = np.delete(rows, k, axis=0)
@@ -78,8 +85,9 @@ def nullspace_gain_oracle(rows: np.ndarray, k: int) -> float:
 def maxmin_power(eff_gain: np.ndarray, P: float, noise_var: float):
     """Split power P so every member's SNR is equal, using all of P.
 
-    Returns (powers, snr): P_k = P * (1/d_k^2) / sum_j (1/d_j^2) and the
-    common snr = P / (noise_var * sum_j 1/d_j^2).
+    eff_gain: (..., K_B). Returns (powers, snr): P_k = P * (1/d_k^2) /
+    sum_j (1/d_j^2), shape (..., K_B), and each block's common
+    snr = P / (noise_var * sum_j 1/d_j^2), shape (...).
     """
     eff_gain = np.asarray(eff_gain, dtype=np.float64)
     if not np.all(eff_gain > 0):
@@ -87,55 +95,36 @@ def maxmin_power(eff_gain: np.ndarray, P: float, noise_var: float):
     if not (P > 0 and noise_var > 0):
         raise DomainError("P and noise_var must be positive")
     inv = 1.0 / eff_gain
-    total = inv.sum()
-    powers = P * inv / total
+    total = inv.sum(axis=-1)
+    powers = P * inv / total[..., None]
     snr = P / (noise_var * total)
     return powers, snr
 
 
-@dataclass(frozen=True)
-class BlockOutcome:
-    """Everything the simulator records about one served block."""
+def evaluate_block(ch: ChannelSet, scale, members, p: SystemParams) -> np.ndarray:
+    """Serve blocks with power allocated from the reported CSI; return actual rates.
 
-    member_ids: np.ndarray     # (K_B,) user indices in served order
-    eff_gain_true: np.ndarray  # (K_B,) d_k^2 from the true rows
-    eff_gain_bs: np.ndarray    # (K_B,) d_k^2 the base station computes from F
-    power: np.ndarray          # (K_B,) allocated powers, sums to P
-    snr_bs: float              # the equalized SNR the base station believes
-    snr_actual: np.ndarray     # (K_B,) what each member really receives
-    rate_actual: np.ndarray    # (K_B,) log2(1 + snr_actual)
+    members: (K_B,) user indices of one block, or (T, K_B) for a stack of
+    blocks; scale: (K,) misreport multipliers. Returns each member's
+    single-block rate log2(1 + snr), shaped like ``members``.
 
-
-def evaluate_block(ch: ChannelSet, ps: PerceivedState, members, p: SystemParams) -> BlockOutcome:
-    """Serve one block: precode and allocate power from the reported CSI.
-
-    The base station beamforms and splits power using the misreported rows;
-    because misreporting rescales magnitudes only, the direction part of the
-    precoder is unchanged and user k's actual SNR is snr_bs / scale_k: honest
-    members get exactly the SNR the base station intended, misreporters get
-    it divided by their own scale factor.
+    The base station beamforms and splits power using the misreported rows
+    sqrt(scale_k) g_k. Misreporting rescales magnitudes only, so the
+    direction part of the precoder is unchanged: the base station's gain of
+    member k is scale_k * d_k^2, with d_k^2 from one factorization of the
+    true rows, and member k's actual SNR is snr_bs / scale_k. Honest members
+    get exactly the SNR the base station intended, misreporters get it
+    divided by their own scale factor.
     """
     members = np.asarray(members, dtype=np.intp)
-    if members.shape != (p.K_B,):
+    if members.ndim not in (1, 2) or members.shape[-1] != p.K_B:
         raise DimensionError(
-            f"block must have exactly K_B={p.K_B} members, got {members.shape}")
+            f"blocks must have exactly K_B={p.K_B} members, got shape {members.shape}")
     if p.K_B > p.M:
         raise DimensionError(f"need K_B <= M, got K_B={p.K_B}, M={p.M}")
-    true_rows = ch.gains[members]
-    scale = ps.scale[members]
-    eff_true = zf_effective_gains(true_rows)
-    if np.all(scale == 1.0):
-        eff_bs = eff_true
-    else:
-        eff_bs = zf_effective_gains(ps.false_rows(members))
-    power, snr_bs = maxmin_power(eff_bs, p.P, p.noise_var)
-    snr_actual = snr_bs / scale
-    return BlockOutcome(
-        member_ids=members,
-        eff_gain_true=eff_true,
-        eff_gain_bs=eff_bs,
-        power=power,
-        snr_bs=float(snr_bs),
-        snr_actual=snr_actual,
-        rate_actual=np.log2(1.0 + snr_actual),
-    )
+    scale = np.asarray(scale, dtype=np.float64)
+    if scale.shape != (ch.K,):
+        raise DimensionError(f"scale must have shape ({ch.K},), got {scale.shape}")
+    scale = scale[members]
+    _, snr_bs = maxmin_power(scale * zf_effective_gains(ch.gains[members]), p.P, p.noise_var)
+    return np.log2(1.0 + snr_bs[..., None] / scale)

@@ -8,6 +8,7 @@ import subprocess
 import pytest
 
 from mimosched import (
+    ChannelSet,
     SingularMatrixError,
     config_from_dict,
     emit_csv,
@@ -16,6 +17,7 @@ from mimosched import (
     loss_upper_bound,
     run_experiment,
 )
+from mimosched import experiments
 from mimosched.cli import main
 
 
@@ -156,6 +158,36 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     code, _, err = _run(capsys, "analytic", "--formula", "eq17")
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_guard_trip_names_drop_and_trial(tmp_path, capsys, monkeypatch):
+    # the channel of drop 1, trial 1 gives its two strongest users one row,
+    # so the honest large-scale plan's first block has a singular Gram matrix
+    calls = iter(range(100))
+    draw = experiments.draw_channels
+
+    def degenerate_at_drop1_trial1(p, betas, rng):
+        ch = draw(p, betas, rng)
+        if next(calls) != 4:          # draws run drop by drop, 3 trials each
+            return ch
+        gains = ch.gains.copy()
+        gains[1] = gains[0]
+        return ChannelSet(gains=gains, large_scale=ch.large_scale)
+
+    monkeypatch.setattr(experiments, "draw_channels", degenerate_at_drop1_trial1)
+    d = {"scenario": "heterogeneous", "M": 16, "T": 3, "K_B": 3,
+         "grouping_rule": "large_scale", "K_M": 1, "trials": 3, "drops": 2}
+    with pytest.raises(SingularMatrixError) as err:
+        run_experiment(config_from_dict(d))
+    assert err.value.args[0].startswith("block 0: Gram matrix condition number")
+    assert err.value.args[-1] == "variant 0, drop 1, trial 1"
+    calls = iter(range(100))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(d))
+    code, _, msg = _run(capsys, "run", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "x.csv"))
+    assert code == 3
+    assert "numerical failure" in msg and "variant 0, drop 1, trial 1" in msg
 
 
 @pytest.mark.skipif(shutil.which("mimosched") is None,

@@ -9,7 +9,6 @@ from mimosched import (
     DomainError,
     LargeScaleModel,
     MisreportProfile,
-    RateReport,
     SchedulePlan,
     SystemParams,
     db_to_linear,
@@ -151,29 +150,3 @@ def test_schedule_plan_same_grouping_ignores_member_order():
     c = SchedulePlan(groups=((1, 3), (2, 0)), grouping_rule="random")
     assert a.same_grouping(b)
     assert not a.same_grouping(c)  # blocks swapped, different schedule
-
-
-def test_rate_report_pairing():
-    base = RateReport(per_user_rate=np.array([4.0, 2.0, 2.0]),
-                      per_block_rate=np.array([4.0]),
-                      honest_avg_rate=8 / 3, misreporter_avg_rate=float("nan"))
-    att = RateReport(per_user_rate=np.array([4.0, 1.0, 1.0]),
-                     per_block_rate=np.array([3.0]),
-                     honest_avg_rate=1.0, misreporter_avg_rate=4.0)
-    honest = np.array([False, True, True])
-    paired = att.paired_with(base, honest)
-    assert np.allclose(paired.per_user_loss, [0.0, 0.5, 0.5])
-    # honest users' average rate halves against their own baseline
-    assert paired.avg_honest_loss == pytest.approx(0.5, rel=1e-12)
-    # against the all-user baseline average of 8/3
-    assert paired.theta == pytest.approx(1.0 - 1.0 / (8 / 3), rel=1e-12)
-
-
-def test_rate_report_zero_loss_when_identical():
-    r = RateReport(per_user_rate=np.array([1.0, 2.0]),
-                   per_block_rate=np.array([2.0, 4.0]),
-                   honest_avg_rate=1.5, misreporter_avg_rate=float("nan"))
-    paired = r.paired_with(r, np.array([True, True]))
-    assert np.all(paired.per_user_loss == 0.0)
-    assert paired.avg_honest_loss == 0.0
-    assert paired.theta == 0.0

@@ -22,15 +22,18 @@ from mimosched import (
     config_from_dict,
     draw_channels,
     emit_csv,
+    evaluate_block,
     group_by_large_scale,
     group_randomly,
+    maxmin_power,
     preset,
     preset_names,
     run_cell,
     run_experiment,
     run_period,
+    zf_effective_gains,
 )
-from mimosched import experiments
+from mimosched import experiments, zf
 from mimosched.experiments import CSV_HEADER, pack_stream
 from mimosched.strategies import grouping_changed_under, honest_profile
 
@@ -122,26 +125,48 @@ def test_config_heterogeneous_needs_cell_model(p_default):
 
 
 def test_run_period_block_consistency(p_nine):
+    # honest members of a block share its equalized rate, scaled by 1/T
     rng = RngStream(11, 0).generator()
     ch = draw_channels(p_nine, np.ones(9), rng)
     plan = group_randomly(p_nine, rng)
-    rep = run_period(ch, honest_profile(np.ones(9)), plan, p_nine)
-    for u in range(9):
-        assert rep.per_user_rate[u] * p_nine.T == pytest.approx(
-            rep.per_block_rate[plan.block_of(u)], rel=1e-12)
-    assert rep.honest_avg_rate == pytest.approx(rep.per_user_rate.mean(), rel=1e-12)
-    assert np.isnan(rep.misreporter_avg_rate)
+    rates = run_period(ch, honest_profile(np.ones(9)), plan, p_nine)
+    assert rates.shape == (9,)
+    for members in plan.groups:
+        members = list(members)
+        _, snr = maxmin_power(zf_effective_gains(ch.gains[members]), p_nine.P, p_nine.noise_var)
+        np.testing.assert_allclose(rates[members] * p_nine.T, np.log2(1.0 + snr), rtol=1e-12)
 
 
 def test_run_period_split_averages(p_nine):
+    # misreporters get the block SNR divided by their own scale, honest users
+    # the block SNR itself, each in the block the plan puts them in
     rng = RngStream(12, 0).generator()
     betas = np.linspace(2.0, 1.0, 9)
     ch = draw_channels(p_nine, betas, rng)
     mp = grouping_changed_under(betas, 2)
     plan = group_by_large_scale(mp.reported_beta, p_nine)
-    rep = run_period(ch, mp, plan, p_nine)
-    assert rep.honest_avg_rate == pytest.approx(rep.per_user_rate[2:].mean(), rel=1e-12)
-    assert rep.misreporter_avg_rate == pytest.approx(rep.per_user_rate[:2].mean(), rel=1e-12)
+    rates = run_period(ch, mp, plan, p_nine)
+    for members in plan.groups:
+        members = list(members)
+        np.testing.assert_allclose(rates[members] * p_nine.T,
+                                   evaluate_block(ch, mp.scale, members, p_nine), rtol=1e-12)
+    honest = mp.honest_mask()
+    assert not honest[:2].any() and honest[2:].all()
+    assert np.all(rates[:2] > rates[[u for u in plan.groups[-1] if honest[u]]])
+
+
+def test_run_period_factorizes_each_period_once(p_nine, monkeypatch):
+    # misreports rescale magnitudes only, so the attacked period needs no
+    # factorization of the misreported rows: one stacked call per period
+    shapes = []
+    gains = zf.zf_effective_gains
+    monkeypatch.setattr(zf, "zf_effective_gains",
+                        lambda rows: shapes.append(rows.shape) or gains(rows))
+    betas = np.linspace(2.0, 1.0, 9)
+    ch = draw_channels(p_nine, betas, RngStream(12, 0).generator())
+    mp = grouping_changed_under(betas, 2)
+    run_period(ch, mp, group_by_large_scale(mp.reported_beta, p_nine), p_nine)
+    assert shapes == [(3, 3, 16)]
 
 
 def test_strategy_none_gives_exact_zero_theta(p_default):

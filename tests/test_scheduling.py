@@ -132,11 +132,10 @@ def test_sus_single_member_block_picks_strongest(state_factory):
 
 
 def _mean_block_rate(ch, ps, plan, p):
-    rates = []
-    for members in plan.groups:
-        out = evaluate_block(ch, ps, np.asarray(members, dtype=np.intp), p)
-        rates.append(np.log2(1.0 + out.snr_bs))
-    return float(np.mean(rates))
+    # every member of an honest block gets the block's equalized rate
+    rates = evaluate_block(ch, ps.scale, plan.groups, p)
+    assert np.all(rates == rates[:, :1])
+    return float(rates[:, 0].mean())
 
 
 def test_rule_rate_equivalences_honest():

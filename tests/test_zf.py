@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mimosched import (
     ChannelSet,
@@ -11,7 +12,6 @@ from mimosched import (
     RngStream,
     SingularMatrixError,
     SystemParams,
-    apply_misreport,
     evaluate_block,
     maxmin_power,
     nullspace_gain_oracle,
@@ -19,7 +19,6 @@ from mimosched import (
 )
 from mimosched.channel import draw_channels
 from mimosched.experiments import _single_blas_thread
-from mimosched.strategies import homogeneous_uniform, honest_profile
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -69,10 +68,22 @@ def test_degenerate_rows_raise():
     rng = np.random.default_rng(2)
     rows = _rand_rows(rng, 3, 8)
     rows[1] = rows[0]
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match="block 0"):
         zf_effective_gains(rows)
     with pytest.raises(SingularMatrixError):
         nullspace_gain_oracle(rows, 2)
+
+
+def test_guard_names_the_block_and_its_condition_number():
+    rng = np.random.default_rng(2)
+    stack = _rand_rows(rng, 3, 8)[None].repeat(4, axis=0)
+    stack[2, 1] = stack[2, 0] * (1 + 1e-7)
+    with pytest.raises(SingularMatrixError) as err:
+        zf_effective_gains(stack)
+    msg = str(err.value)
+    assert msg.startswith("block 2: ")
+    cond = float(msg.split("condition number ")[1].split()[0])
+    assert cond > 1e10
 
 
 def test_gain_shape_errors():
@@ -80,6 +91,8 @@ def test_gain_shape_errors():
         zf_effective_gains(np.ones(8, dtype=np.complex128))
     with pytest.raises(DimensionError):
         zf_effective_gains(np.ones((9, 8), dtype=np.complex128))
+    with pytest.raises(DimensionError):
+        zf_effective_gains(np.ones((2, 9, 8), dtype=np.complex128))
     with pytest.raises(DomainError):
         nullspace_gain_oracle(np.ones((1, 4), dtype=np.complex128), 1)
 
@@ -136,6 +149,10 @@ def test_maxmin_power_rejects_bad_inputs():
         maxmin_power(np.array([1.0, 0.0]), 10.0, 1.0)
     with pytest.raises(DomainError):
         maxmin_power(np.array([1.0, 1.0]), 0.0, 1.0)
+    with pytest.raises(DomainError):
+        maxmin_power(np.array([[1.0, 1.0], [1.0, -1.0]]), 10.0, 1.0)
+    with pytest.raises(DomainError):
+        maxmin_power(np.ones((2, 2)), 10.0, 0.0)
 
 
 def test_maxmin_equalizes_and_conserves_power():
@@ -150,79 +167,132 @@ def test_maxmin_equalizes_and_conserves_power():
         assert snr == pytest.approx(per_user[0], rel=1e-9)
 
 
+def _rand_stack(seed, t, kb, m):
+    rng = np.random.default_rng(seed)
+    return _rand_rows(rng, t * kb, m).reshape(t, kb, m)
+
+
+def _well_conditioned(rows):
+    # the float error of the identities below grows like cond(G) * eps; the
+    # guard admits cond(G) up to 1e10, the tolerances here need it small
+    return np.linalg.cond(rows @ rows.conj().swapaxes(-1, -2)).max() <= 1e3
+
+
+@settings(max_examples=60, deadline=None)
+@given(kb=st.integers(1, 8), extra=st.integers(0, 24), seed=st.integers(0, 2**32 - 1),
+       log_s=st.floats(-3.0, 3.0))
+def test_scaling_rows_scales_gains(kb, extra, seed, log_s):
+    # misreporting rescales magnitudes only: gains of sqrt(s) g_k are s d_k^2
+    rows = _rand_stack(seed, 1, kb, kb + extra)[0]
+    assume(_well_conditioned(rows))
+    s = 10.0 ** (log_s * np.random.default_rng(seed).uniform(-1.0, 1.0, kb))
+    np.testing.assert_allclose(zf_effective_gains(np.sqrt(s)[:, None] * rows),
+                               s * zf_effective_gains(rows), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.integers(1, 6), kb=st.integers(1, 8), extra=st.integers(0, 24),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_call_equals_per_block_calls(t, kb, extra, seed):
+    stack = _rand_stack(seed, t, kb, kb + extra)
+    assume(_well_conditioned(stack))
+    gains = zf_effective_gains(stack)
+    assert gains.shape == (t, kb)
+    np.testing.assert_allclose(gains, [zf_effective_gains(b) for b in stack],
+                               rtol=1e-12, atol=0)
+    powers, snr = maxmin_power(gains, 10.0, 1.0)
+    assert powers.shape == (t, kb) and snr.shape == (t,)
+    for i, g in enumerate(gains):
+        pw, sn = maxmin_power(g, 10.0, 1.0)
+        np.testing.assert_allclose(powers[i], pw, rtol=1e-12)
+        assert snr[i] == pytest.approx(sn, rel=1e-12)
+
+
 def _channel_from_rows(rows):
     return ChannelSet(gains=rows, large_scale=np.ones(rows.shape[0]))
 
 
+def _orthonormal_channel():
+    rows = np.zeros((2, 4), dtype=np.complex128)
+    rows[0, 0] = 1.0
+    rows[1, 1] = 1.0
+    return _channel_from_rows(rows)
+
+
 def test_evaluate_block_all_honest_reference():
     p = SystemParams(M=4, K=2, K_B=2, T=1, P=10.0)
-    rows = np.zeros((2, 4), dtype=np.complex128)
-    rows[0, 0] = 1.0
-    rows[1, 1] = 1.0
-    ch = _channel_from_rows(rows)
-    ps = apply_misreport(ch, honest_profile(np.ones(2)))
-    out = evaluate_block(ch, ps, np.array([0, 1]), p)
-    assert np.allclose(out.rate_actual, math.log2(6.0), rtol=1e-12)
-    assert np.allclose(out.snr_actual, out.snr_bs)
-    assert out.power.sum() == pytest.approx(10.0, rel=1e-12)
+    rates = evaluate_block(_orthonormal_channel(), np.ones(2), np.array([0, 1]), p)
+    assert np.allclose(rates, math.log2(6.0), rtol=1e-12)
 
 
-def test_evaluate_block_misreporter_hand_case(profile_factory):
-    # orthonormal rows, one member claiming half its true magnitude
+def test_evaluate_block_misreporter_hand_case():
+    # orthonormal rows, one member claiming half its true magnitude: the base
+    # station sees gains [0.5, 1] and equalizes both at SNR 10/3
     p = SystemParams(M=4, K=2, K_B=2, T=1, P=10.0)
-    rows = np.zeros((2, 4), dtype=np.complex128)
-    rows[0, 0] = 1.0
-    rows[1, 1] = 1.0
-    ch = _channel_from_rows(rows)
-    ps = apply_misreport(ch, profile_factory([0.5, 1.0]))
-    out = evaluate_block(ch, ps, np.array([0, 1]), p)
-    assert np.allclose(out.eff_gain_bs, [0.5, 1.0], rtol=1e-12)
-    assert np.allclose(out.eff_gain_true, [1.0, 1.0], rtol=1e-12)
-    assert out.snr_bs == pytest.approx(10.0 / 3.0, rel=1e-12)
-    assert out.snr_actual[0] == pytest.approx(20.0 / 3.0, rel=1e-12)  # the liar gains
-    assert out.snr_actual[1] == pytest.approx(10.0 / 3.0, rel=1e-12)  # honest pays
+    rates = evaluate_block(_orthonormal_channel(), np.array([0.5, 1.0]), np.array([0, 1]), p)
+    assert rates[0] == pytest.approx(math.log2(1.0 + 20.0 / 3.0), rel=1e-12)  # the liar gains
+    assert rates[1] == pytest.approx(math.log2(1.0 + 10.0 / 3.0), rel=1e-12)  # honest pays
 
 
-def test_evaluate_block_true_gains_ignore_misreport(profile_factory):
+def test_evaluate_block_true_gains_ignore_misreport():
+    # the base station's gains come from the true rows, scaled: the rates
+    # equal those of a second factorization of the misreported rows
     p = SystemParams(M=16, K=4, K_B=4, T=1, P=10.0)
     ch = draw_channels(p, np.ones(4), RngStream(13, 0).generator())
-    members = np.arange(4)
-    honest = evaluate_block(ch, apply_misreport(ch, honest_profile(np.ones(4))),
-                            members, p)
-    lied = evaluate_block(ch, apply_misreport(ch, profile_factory([0.01, 1, 0.3, 1])),
-                          members, p)
-    assert np.array_equal(honest.eff_gain_true, lied.eff_gain_true)
+    scale = np.array([0.01, 1.0, 0.3, 1.0])
+    rates = evaluate_block(ch, scale, np.arange(4), p)
+    _, snr_bs = maxmin_power(zf_effective_gains(np.sqrt(scale)[:, None] * ch.gains),
+                             p.P, p.noise_var)
+    np.testing.assert_allclose(rates, np.log2(1.0 + snr_bs / scale), rtol=1e-12)
+    assert rates[1] == rates[3]           # every honest member gets the common rate
+
+
+def test_evaluate_block_stack_equals_single_blocks():
+    p = SystemParams(M=16, K=12, K_B=4, T=3, P=10.0)
+    ch = draw_channels(p, np.ones(12), RngStream(13, 2).generator())
+    scale = np.r_[0.1, np.ones(5), 3.0, np.ones(5)]
+    members = np.array([[5, 0, 9, 2], [1, 6, 3, 11], [4, 10, 7, 8]])
+    rates = evaluate_block(ch, scale, members, p)
+    assert rates.shape == (3, 4)
+    for t in range(3):
+        np.testing.assert_allclose(rates[t], evaluate_block(ch, scale, members[t], p),
+                                   rtol=1e-12)
+        honest = scale[members[t]] == 1.0
+        assert np.ptp(rates[t][honest]) == 0.0
 
 
 def test_evaluate_block_member_count_enforced():
     p = SystemParams(M=16, K=4, K_B=4, T=1)
     ch = draw_channels(p, np.ones(4), RngStream(13, 1).generator())
-    ps = apply_misreport(ch, honest_profile(np.ones(4)))
     with pytest.raises(DimensionError):
-        evaluate_block(ch, ps, np.array([0, 1]), p)
+        evaluate_block(ch, np.ones(4), np.array([0, 1]), p)
+    with pytest.raises(DimensionError):
+        evaluate_block(ch, np.ones(4), np.array([[0, 1], [2, 3]]), p)
+    with pytest.raises(DimensionError):
+        evaluate_block(ch, np.ones(4), np.arange(4).reshape(1, 1, 4), p)
+    with pytest.raises(DimensionError):
+        evaluate_block(ch, np.ones(5), np.arange(4), p)
 
 
 def test_power_conservation_across_random_blocks():
     p = SystemParams(M=64, K=8, K_B=8, T=1, P=10.0)
-    for t in range(40):
-        ch = draw_channels(p, np.ones(8), RngStream(19, t).generator())
-        ps = apply_misreport(ch, honest_profile(np.ones(8)))
-        out = evaluate_block(ch, ps, np.arange(8), p)
-        assert abs(out.power.sum() - p.P) / p.P <= 1e-9
+    stack = np.stack([draw_channels(p, np.ones(8), RngStream(19, t).generator()).gains
+                      for t in range(40)])
+    powers, _ = maxmin_power(zf_effective_gains(stack), p.P, p.noise_var)
+    assert np.max(np.abs(powers.sum(axis=-1) - p.P)) / p.P <= 1e-9
 
 
-def test_single_block_rate_matches_hardened_prediction(profile_factory):
+def test_single_block_rate_matches_hardened_prediction():
     # one underreporter in a full-cell block: the honest-member mean rate over
     # many draws approaches log2(1 + 320/131) = 1.7836
     p = SystemParams(M=64, K=32, K_B=32, T=1, P=10.0)
-    mp = profile_factory(np.r_[0.01, np.ones(31)])
+    scale = np.r_[0.01, np.ones(31)]
     members = np.arange(32)
     acc = 0.0
     n = 5000
     for t in range(n):
         ch = draw_channels(p, np.ones(32), RngStream(23, t).generator())
-        out = evaluate_block(ch, apply_misreport(ch, mp), members, p)
-        acc += out.rate_actual[1:].mean()
+        acc += evaluate_block(ch, scale, members, p)[1:].mean()
     assert abs(acc / n - math.log2(1.0 + 320.0 / 131.0)) < 0.05
 
 
@@ -232,9 +302,7 @@ def test_honest_block_rate_beats_hardened_lower_bound():
     rates = []
     for t in range(2000):
         ch = draw_channels(p, np.ones(8), RngStream(29, t).generator())
-        out = evaluate_block(ch, apply_misreport(ch, honest_profile(np.ones(8))),
-                             np.arange(8), p)
-        rates.append(out.rate_actual.mean())
+        rates.append(evaluate_block(ch, np.ones(8), np.arange(8), p).mean())
     rates = np.asarray(rates)
     bound = math.log2(1.0 + 10.0 * (64 - 8) / 8)
     sigma = rates.std(ddof=1) / np.sqrt(rates.size)
