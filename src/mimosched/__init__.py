@@ -33,7 +33,6 @@ from .channel import (
 from .zf import (
     evaluate_block,
     maxmin_power,
-    nullspace_gain_oracle,
     zf_effective_gains,
 )
 from .scheduling import (

@@ -8,7 +8,6 @@ never on execution order or worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -50,9 +49,9 @@ class PerceivedState:
     reported_magnitudes: np.ndarray  # (K,)
     reported_beta: np.ndarray        # (K,)
 
-    @cached_property
+    @property
     def false_matrix(self) -> np.ndarray:
-        """The full misreported channel matrix, materialized on first use."""
+        """The full misreported channel matrix, computed on each use."""
         return np.sqrt(self.scale)[:, None] * self.channels.gains
 
 

@@ -165,16 +165,6 @@ def run_period(ch, mp: MisreportProfile, plan: SchedulePlan, p: SystemParams) ->
     return rates
 
 
-def _plan(rule, ps, p, alpha, random_plan, ls_plan):
-    if rule == "channel_magnitude":
-        return scheduling.group_by_magnitude(ps, p)
-    if rule == "sus":
-        return scheduling.group_by_sus(ps, p, alpha)
-    if rule == "random":
-        return random_plan
-    return ls_plan
-
-
 @dataclass(frozen=True)
 class _TrialChunk:
     """One work unit: trials ``lo``..``hi - 1`` of one drop at one sweep point and variant."""
@@ -182,7 +172,7 @@ class _TrialChunk:
     p: SystemParams
     betas: np.ndarray
     profiles: list
-    ls_plans: dict
+    ls_plans: tuple        # large-scale plans: honest, then one per profile; or ()
     rules: tuple
     alpha: float
     seed: int
@@ -190,38 +180,6 @@ class _TrialChunk:
     drop: int
     lo: int
     hi: int
-
-
-def _simulate_trial(u: _TrialChunk, trial: int):
-    """One paired trial: honest baseline plus every strategy, per rule.
-
-    Returns (base, attack): base[rule] and attack[(rule, si)] are the
-    per-user period-rate vectors.
-    """
-    p, seed, vi, drop = u.p, u.seed, u.vi, u.drop
-    rng = RngStream(seed, pack_stream(0, vi, drop, trial)).generator()
-    ch = draw_channels(p, u.betas, rng)
-    honest = strategies.honest_profile(u.betas)
-    ps_a = apply_misreport(ch, honest)
-    ps_m = [apply_misreport(ch, prof) for prof in u.profiles]
-    random_plan = None
-    if "random" in u.rules:
-        plan_rng = RngStream(seed, pack_stream(1, vi, drop, trial)).generator()
-        random_plan = scheduling.group_randomly(p, plan_rng)
-    base = {}
-    attack = {}
-    try:
-        for rule in u.rules:
-            plan_a = _plan(rule, ps_a, p, u.alpha, random_plan, u.ls_plans.get("base"))
-            base[rule] = run_period(ch, honest, plan_a, p)
-            for si, prof in enumerate(u.profiles):
-                plan_m = _plan(rule, ps_m[si], p, u.alpha, random_plan, u.ls_plans.get(si))
-                attack[(rule, si)] = run_period(ch, prof, plan_m, p)
-    except SingularMatrixError as e:
-        # the same object, re-raised: a failure is still counted once
-        e.args += (f"variant {vi}, drop {drop}, trial {trial}",)
-        raise
-    return base, attack
 
 
 # extension modules linked against the OpenBLAS builds the engine calls into:
@@ -292,8 +250,47 @@ def _worker_pool(workers: int):
         pool.shutdown(cancel_futures=True)
 
 
+# trials whose SUS plans come from one batched call: holding all 50 trials of
+# a fig2 chunk at once raised peak RSS by 11 MB, slices of 8 by under 1 MB
+_SUS_SLICE = 8
+
+
 def _run_chunk(u: _TrialChunk) -> list:
-    return [_simulate_trial(u, t) for t in range(u.lo, u.hi)]
+    """Paired trials: the honest baseline plus every strategy, per rule.
+
+    Returns one dict per trial: rates[(rule, i)] is the per-user period-rate
+    vector under the honest profile (i = 0) or under strategy i - 1.
+    """
+    p = u.p
+    profiles = (strategies.honest_profile(u.betas), *u.profiles)
+    results = []
+    for lo in range(u.lo, u.hi, _SUS_SLICE):
+        trials = range(lo, min(lo + _SUS_SLICE, u.hi))
+        channels, states = [], []
+        for trial in trials:
+            rng = RngStream(u.seed, pack_stream(0, u.vi, u.drop, trial)).generator()
+            channels.append(draw_channels(p, u.betas, rng))
+            states.append([apply_misreport(channels[-1], prof) for prof in profiles])
+        # plans[rule][n][i]: the plan of the slice's trial n under profile i
+        plans = {"large_scale": [u.ls_plans] * len(trials)}
+        if "channel_magnitude" in u.rules:
+            plans["channel_magnitude"] = [[scheduling.group_by_magnitude(ps, p) for ps in row]
+                                          for row in states]
+        if "sus" in u.rules:
+            flat = scheduling.group_by_sus([ps for row in states for ps in row], p, u.alpha)
+            plans["sus"] = [flat[k:k + len(profiles)] for k in range(0, len(flat), len(profiles))]
+        if "random" in u.rules:
+            rngs = (RngStream(u.seed, pack_stream(1, u.vi, u.drop, t)).generator() for t in trials)
+            plans["random"] = [[scheduling.group_randomly(p, rng)] * len(profiles) for rng in rngs]
+        for n, trial in enumerate(trials):
+            try:
+                results.append({(rule, i): run_period(channels[n], prof, plans[rule][n][i], p)
+                                for rule in u.rules for i, prof in enumerate(profiles)})
+            except SingularMatrixError as e:
+                # the same object, re-raised: a failure is still counted once
+                e.args += (f"variant {u.vi}, drop {u.drop}, trial {trial}",)
+                raise
+    return results
 
 
 def _trial_results(cfg, p, vi, drops, workers, pool):
@@ -392,7 +389,11 @@ def run_cell(cfg: ExperimentConfig, sweep_value, workers: int = 1, *, pool=None)
                 raise CountError(f"K_M={k_m} out of range for K={p.K}")
             vsuf = _variant_suffix(cfg, variant, p)
             cell = _homogeneous_cell if cfg.scenario == "homogeneous" else _heterogeneous_cell
-            rows.extend(cell(cfg, p, k_m, vi, vsuf, sweep_value, workers, pool))
+            try:
+                rows.extend(cell(cfg, p, k_m, vi, vsuf, sweep_value, workers, pool))
+            except SingularMatrixError as e:
+                e.args += (f"sweep point {sweep_value}",)
+                raise
     return rows
 
 
@@ -403,16 +404,16 @@ def _strategy_suffix(cfg, tag):
 def _homogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers, pool):
     betas = np.full(p.K, p.beta_default)
     profiles = [_build_profile(tag, p, k_m, betas, cfg) for tag in cfg.strategy]
-    results, = _trial_results(cfg, p, vi, [(betas, profiles, {})], workers, pool)
+    results, = _trial_results(cfg, p, vi, [(betas, profiles, ())], workers, pool)
     rows = []
     for rule in cfg.grouping_rule:
         short = RULE_SHORT[rule]
-        base = np.stack([r[0][rule] for r in results])            # (trials, K)
+        base = np.stack([r[rule, 0] for r in results])            # (trials, K)
         base_mean = base.mean(axis=1)                             # per-trial all-user mean
         for si, tag in enumerate(cfg.strategy):
             ssuf = _strategy_suffix(cfg, tag)
             honest = profiles[si].honest_mask()
-            att = np.stack([r[1][(rule, si)] for r in results])
+            att = np.stack([r[rule, si + 1] for r in results])
             att_honest = _mean_or_nan(att, honest, axis=0)        # per-trial honest mean
             theta_trials = 1.0 - att_honest / base_mean
             theta_ratio = float(1.0 - np.mean(att_honest) / np.mean(base_mean))
@@ -457,19 +458,18 @@ def _heterogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers, pool):
         drop_rng = RngStream(cfg.seed, pack_stream(2, vi, drop, 0)).generator()
         betas = draw_large_scale(p, lsm, drop_rng)
         profiles = [_build_profile(tag, p, k_m, betas, cfg) for tag in cfg.strategy]
-        ls_plans = {}
+        ls_plans = ()
         if "large_scale" in cfg.grouping_rule:
-            ls_plans["base"] = scheduling.group_by_large_scale(betas, p)
-            for si, prof in enumerate(profiles):
-                ls_plans[si] = scheduling.group_by_large_scale(prof.reported_beta, p)
+            ls_plans = tuple(scheduling.group_by_large_scale(b, p)
+                             for b in (betas, *(prof.reported_beta for prof in profiles)))
         drops.append((betas, profiles, ls_plans))
     for drop, results in enumerate(_trial_results(cfg, p, vi, drops, workers, pool)):
         profiles = drops[drop][1]
         for rule in cfg.grouping_rule:
-            base = np.stack([r[0][rule] for r in results])        # (trials, K)
+            base = np.stack([r[rule, 0] for r in results])        # (trials, K)
             base_sum = base.sum(axis=0)
             for si, tag in enumerate(cfg.strategy):
-                att = np.stack([r[1][(rule, si)] for r in results])
+                att = np.stack([r[rule, si + 1] for r in results])
                 att_sum = att.sum(axis=0)
                 user_loss = 1.0 - att_sum / base_sum              # (K,)
                 honest = profiles[si].honest_mask()

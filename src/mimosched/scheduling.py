@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DimensionError, SchedulePlan, SystemParams
+from .core import DimensionError, DomainError, SchedulePlan, SystemParams
 from .channel import PerceivedState
 
 
@@ -22,12 +22,16 @@ def _sorted_desc(values: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(values.shape[0]), -values))
 
 
-def group_by_magnitude(ps: PerceivedState, p: SystemParams) -> SchedulePlan:
-    """Strongest reported instantaneous magnitudes first, blocks of K_B."""
+def _magnitudes(ps: PerceivedState, p: SystemParams) -> np.ndarray:
     mags = ps.reported_magnitudes
     if mags.shape != (p.K,):
         raise DimensionError(f"state covers {mags.shape[0]} users, params say K={p.K}")
-    return _chunk(_sorted_desc(mags), p, "channel_magnitude")
+    return mags
+
+
+def group_by_magnitude(ps: PerceivedState, p: SystemParams) -> SchedulePlan:
+    """Strongest reported instantaneous magnitudes first, blocks of K_B."""
+    return _chunk(_sorted_desc(_magnitudes(ps, p)), p, "channel_magnitude")
 
 
 def group_by_large_scale(reported_beta: np.ndarray, p: SystemParams) -> SchedulePlan:
@@ -43,7 +47,12 @@ def group_randomly(p: SystemParams, rng: np.random.Generator) -> SchedulePlan:
     return _chunk(rng.permutation(p.K), p, "random")
 
 
-def group_by_sus(ps: PerceivedState, p: SystemParams, alpha: float = 0.3) -> SchedulePlan:
+def _norm(rows: np.ndarray) -> np.ndarray:
+    # np.linalg.norm of each complex row, computed as it computes one row
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+
+
+def group_by_sus(states, p: SystemParams, alpha: float = 0.3):
     """Greedy semi-orthogonal selection on the reported channel rows.
 
     Each block is seeded with the strongest remaining reported magnitude,
@@ -51,47 +60,61 @@ def group_by_sus(ps: PerceivedState, p: SystemParams, alpha: float = 0.3) -> Sch
     to the span of the current members, restricted to candidates whose
     normalized projection onto that span stays below alpha. When no candidate
     qualifies before the block is full, alpha is doubled and the filter is
-    retried. Deterministic; block order follows selection order.
+    retried. Ties go to the lower user index. Deterministic; block order
+    follows selection order.
+
+    ``states`` is one PerceivedState, for which one SchedulePlan is
+    returned, or a sequence of them, for which a tuple of plans is returned;
+    the states of a sequence are grouped together, each on its own.
     """
-    if ps.reported_magnitudes.shape != (p.K,):
-        raise DimensionError(
-            f"state covers {ps.reported_magnitudes.shape[0]} users, params say K={p.K}")
-    rows = ps.false_matrix
-    mags = ps.reported_magnitudes
-    remaining = list(range(p.K))
-    groups = []
-    for _ in range(p.T):
-        thresh = alpha
+    single = isinstance(states, PerceivedState)
+    states = (states,) if single else tuple(states)
+    mags = np.stack([_magnitudes(ps, p) for ps in states])           # (n, K)
+    if not alpha > 0:
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    rows = np.stack([ps.false_matrix for ps in states])              # (n, K, M)
+    n = len(states)
+    # every value is rounded as a one-row loop rounds it (vecdot is vdot per row,
+    # float_power(hypot(c), 2) is a scalar's abs(c) ** 2, _norm is linalg.norm)
+    # and summed in the same order, so rank-deficient near-ties resolve alike
+    f2 = np.vecdot(rows, rows).real
+    free = np.ones((n, p.K), dtype=bool)
+    groups = np.empty((n, p.T, p.K_B), dtype=np.intp)
+    for t in range(p.T):
+        # basis[:, j] is member j's unit residual, or zero where the member
+        # added no direction: a zero row adds exactly 0 to every sum below.
+        # proj2 sums each row's squared projections on the basis.
+        basis = np.zeros((n, p.K_B, p.M), dtype=np.complex128)
+        proj2 = np.zeros((n, p.K))
+        size = np.zeros(n, dtype=np.intp)
+        thresh = np.full(n, float(alpha))
         # seed with the strongest reported magnitude still unscheduled
-        seed = min(remaining, key=lambda u: (-mags[u], u))
-        selected = [seed]
-        remaining.remove(seed)
-        basis = []
-        nrm = np.linalg.norm(rows[seed])
-        if nrm > 0:
-            basis.append(rows[seed] / nrm)
-        while len(selected) < p.K_B:
-            best = None
-            best_orth = -1.0
-            for u in remaining:
-                f = rows[u]
-                f2 = np.vdot(f, f).real
-                proj2 = 0.0
-                for q in basis:
-                    proj2 += abs(np.vdot(q, f)) ** 2
-                orth2 = max(f2 - proj2, 0.0)
-                frac = np.sqrt(proj2 / f2) if f2 > 0 else 0.0
-                if frac < thresh and orth2 > best_orth:
-                    best = u
-                    best_orth = orth2
-            if best is None:
-                thresh *= 2.0
-                continue
-            selected.append(best)
-            remaining.remove(best)
-            resid = rows[best] - sum(np.vdot(q, rows[best]) * q for q in basis)
-            rn = np.linalg.norm(resid)
-            if rn > 1e-12 * np.linalg.norm(rows[best]):
-                basis.append(resid / rn)
-        groups.append(tuple(selected))
-    return SchedulePlan(groups=tuple(groups), grouping_rule="sus")
+        s = np.arange(n)
+        chosen = np.argmax(np.where(free, mags, -np.inf), axis=1)
+        while True:
+            k = size[s]
+            free[s, chosen] = False
+            groups[s, t, k] = chosen
+            size[s] += 1
+            growing = size < p.K_B
+            if not growing.any():
+                break
+            f, qs = rows[s, chosen], basis[s]
+            cs = np.vecdot(qs, f[:, None])
+            resid = f - sum(cs[:, j, None] * qs[:, j] for j in range(k.max(initial=0)))
+            rn = _norm(resid)
+            keep = rn > 1e-12 * _norm(f)
+            unit = resid / np.where(keep, rn, 1.0)[:, None]
+            q = np.zeros((n, p.M), dtype=np.complex128)
+            q[s] = basis[s, k] = np.where(keep[:, None], unit, 0)
+            c = np.vecdot(q[:, None, :], rows)
+            proj2 += np.float_power(np.hypot(c.real, c.imag), 2)
+            frac = np.sqrt(np.divide(proj2, f2, out=np.zeros_like(f2), where=f2 > 0))
+            score = np.where(free & (frac < thresh[:, None]), np.maximum(f2 - proj2, 0.0), -1.0)
+            best = np.argmax(score, axis=1)
+            found = score.max(axis=1) >= 0.0
+            thresh[growing & ~found] *= 2.0
+            s = np.flatnonzero(growing & found)
+            chosen = best[s]
+    plans = tuple(SchedulePlan(groups=g.tolist(), grouping_rule="sus") for g in groups)
+    return plans[0] if single else plans

@@ -10,7 +10,6 @@ stack of blocks along leading axes and works on the whole stack at once.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     ChannelSet,
@@ -59,27 +58,6 @@ def zf_effective_gains(rows: np.ndarray) -> np.ndarray:
     if kb < 1 or kb > m:
         raise DimensionError(f"need 1 <= K_B <= M, got K_B={kb}, M={m}")
     return 1.0 / _gram_inverse_diag(rows)
-
-
-def nullspace_gain_oracle(rows: np.ndarray, k: int) -> float:
-    """Independent route to d_k^2: project g_k on the co-users' null space.
-
-    Builds an orthonormal basis V of the orthogonal complement of the other
-    K_B - 1 rows and returns ||g_k V||^2. Agrees with zf_effective_gains for
-    well-conditioned inputs; kept separate as a cross-check, not merged.
-    """
-    rows = np.asarray(rows, dtype=np.complex128)
-    kb, m = rows.shape
-    if not 0 <= k < kb:
-        raise DomainError(f"row index {k} out of range for K_B={kb}")
-    # same degeneracy guard as the production path
-    _check_conditioning(rows @ rows.conj().T)
-    if kb == 1:
-        return float(np.vdot(rows[0], rows[0]).real)
-    others = np.delete(rows, k, axis=0)
-    basis = scipy.linalg.null_space(others)
-    proj = rows[k] @ basis
-    return float(np.vdot(proj, proj).real)
 
 
 def maxmin_power(eff_gain: np.ndarray, P: float, noise_var: float):

@@ -1,6 +1,7 @@
 """Shared fixtures: canonical parameter sets and small state factories."""
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mimosched import (
     ChannelSet,
@@ -9,6 +10,11 @@ from mimosched import (
     PerceivedState,
     SystemParams,
 )
+
+# one profile for every property test: example run times follow the load on
+# the machine, so a per-example deadline would fail slow runs, not slow code
+settings.register_profile("mimosched", deadline=None)
+settings.load_profile("mimosched")
 
 
 @pytest.fixture

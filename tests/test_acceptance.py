@@ -37,7 +37,6 @@ from mimosched import (
     inverse_moment_integral,
     loss_single_block,
     maxmin_power,
-    nullspace_gain_oracle,
     orderstat_pdf,
     preset,
     run_experiment,
@@ -45,6 +44,7 @@ from mimosched import (
 )
 from mimosched.core import LargeScaleModel
 from mimosched.strategies import grouping_unchanged_under
+from oracles import nullspace_gain_oracle
 from scipy import integrate
 from scipy.stats import gamma as gamma_dist
 

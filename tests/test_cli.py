@@ -180,7 +180,7 @@ def test_guard_trip_names_drop_and_trial(tmp_path, capsys, monkeypatch):
     with pytest.raises(SingularMatrixError) as err:
         run_experiment(config_from_dict(d))
     assert err.value.args[0].startswith("block 0: Gram matrix condition number")
-    assert err.value.args[-1] == "variant 0, drop 1, trial 1"
+    assert err.value.args[1:] == ("variant 0, drop 1, trial 1", "sweep point 0.0")
     calls = iter(range(100))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(d))
@@ -188,6 +188,7 @@ def test_guard_trip_names_drop_and_trial(tmp_path, capsys, monkeypatch):
                         "--out", str(tmp_path / "x.csv"))
     assert code == 3
     assert "numerical failure" in msg and "variant 0, drop 1, trial 1" in msg
+    assert "sweep point 0.0" in msg
 
 
 @pytest.mark.skipif(shutil.which("mimosched") is None,

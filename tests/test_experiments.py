@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mimosched import (
     ConfigError,
@@ -62,6 +63,17 @@ def test_pack_stream_collision_free():
     grid = list(itertools.product(range(3), range(4), range(5), range(6)))
     ids = {pack_stream(*c) for c in grid}
     assert len(ids) == len(grid)
+
+
+@settings(max_examples=200)
+@given(coords=st.tuples(st.integers(0, 3), st.integers(0, 2**10 - 1),
+                        st.integers(0, 2**26 - 1), st.integers(0, 2**26 - 1)))
+def test_pack_stream_is_injective(coords):
+    # the id decodes back to its (purpose, variant, drop, trial), so no two
+    # in-range coordinates share one
+    sid = pack_stream(*coords)
+    assert 0 <= sid < 2**64
+    assert (sid >> 62, sid >> 52 & 2**10 - 1, sid >> 26 & 2**26 - 1, sid & 2**26 - 1) == coords
 
 
 @pytest.mark.parametrize("coords", [
@@ -327,20 +339,20 @@ def test_failed_pooled_run_leaves_no_workers(p_nine):
     assert _blas_threads() == before
 
 
-def _worker_blas_threads(*args):
-    return os.getpid(), _blas_threads()
+def _worker_blas_threads(u):
+    return [(os.getpid(), _blas_threads())] * (u.hi - u.lo)
 
 
 @_needs_openblas
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched trial reaches pool workers only by fork")
+                    reason="the patched chunk reaches pool workers only by fork")
 def test_pool_workers_run_blas_single_threaded(p_nine, monkeypatch):
     # called below run_experiment, so the parent's own count is untouched
     # and only the pool's initializer can bring the workers to one thread
-    monkeypatch.setattr(experiments, "_simulate_trial", _worker_blas_threads)
+    monkeypatch.setattr(experiments, "_run_chunk", _worker_blas_threads)
     cfg = ExperimentConfig(params=p_nine, trials=8)
     with experiments._worker_pool(2) as pool:
-        results, = experiments._trial_results(cfg, p_nine, 0, [(None, (), {})], 2, pool)
+        results, = experiments._trial_results(cfg, p_nine, 0, [(None, (), ())], 2, pool)
     assert len(results) == 8
     assert all(pid != os.getpid() for pid, _ in results)
     assert all(set(counts) == {1} for _, counts in results)

@@ -1,9 +1,12 @@
 """Grouping rules: ordering, determinism, and rate equivalences."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mimosched import (
     ChannelSet,
+    DomainError,
+    MisreportProfile,
     RngStream,
     SystemParams,
     apply_misreport,
@@ -15,6 +18,7 @@ from mimosched import (
 )
 from mimosched.channel import draw_channels
 from mimosched.strategies import honest_profile
+from oracles import sus_oracle
 
 
 def test_magnitude_grouping_sorts_descending(state_factory):
@@ -129,6 +133,71 @@ def test_sus_single_member_block_picks_strongest(state_factory):
     ps = apply_misreport(ch, honest_profile(np.ones(3)))
     plan = group_by_sus(ps, p)
     assert plan.groups[0][0] == int(np.argmax(ps.reported_magnitudes))
+
+
+def _sus_rows(layout, k, m, rng):
+    """(k, m) reported rows: Gaussian, or with the structure that makes ties."""
+    if layout == "orthogonal":
+        # scaled axes; with more users than antennas, axes repeat as parallel rows
+        rows = np.zeros((k, m), dtype=np.complex128)
+        rows[np.arange(k), np.arange(k) % m] = rng.integers(1, 4, k)
+        return rows
+    rows = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+    if layout == "duplicate":
+        # copies of a few rows: rank-deficient, exact ties in every projection
+        rows = rows[rng.integers(0, rng.integers(1, k + 1), k)]
+    elif layout == "zero":
+        rows[rng.random(k) < 0.4] = 0.0
+    return rows
+
+
+def _sus_state(rows, scale):
+    ch = ChannelSet(gains=rows, large_scale=np.ones(rows.shape[0]))
+    return apply_misreport(ch, MisreportProfile(scale=scale, reported_beta=scale))
+
+
+@settings(max_examples=150)
+@given(t=st.integers(1, 4), kb=st.integers(1, 6), extra=st.integers(0, 6),
+       n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["gaussian", "duplicate", "zero", "orthogonal"]),
+       alpha=st.one_of(st.sampled_from([0.3, 0.5, 1e-3]), st.floats(1e-4, 2.0)))
+# a rank-deficient draw whose last picks tie on rounding noise: abs(c) ** 2
+# in place of the loop's rounding picks another user here
+@example(t=3, kb=4, extra=5, n=1, seed=0, layout="duplicate", alpha=0.3)
+def test_batched_sus_matches_loop_oracle(t, kb, extra, n, seed, layout, alpha):
+    # alpha = 1e-3 admits no candidate at first, so every block doubles it;
+    # 0.5 doubles to exactly 1.0, where a duplicate row's projection ties
+    p = SystemParams(M=max(kb + extra, 2), K=t * kb, K_B=kb, T=t)
+    rng = np.random.default_rng(seed)
+    states = [_sus_state(_sus_rows(layout, p.K, p.M, rng),
+                         np.where(rng.random(p.K) < 0.3, 0.01, 1.0))
+              for _ in range(n)]
+    plans = group_by_sus(states, p, alpha)
+    assert [plan.groups for plan in plans] == [
+        sus_oracle(ps, p, alpha).groups for ps in states]
+
+
+def test_sus_sequence_call_equals_per_state_calls():
+    p = SystemParams(M=64, K=32, K_B=8, T=4)
+    scale = np.ones(32)
+    scale[5] = 0.01
+    states = []
+    for trial in range(6):
+        ch = draw_channels(p, np.ones(32), RngStream(47, trial).generator())
+        states += [apply_misreport(ch, honest_profile(np.ones(32))),
+                   apply_misreport(ch, MisreportProfile(scale=scale, reported_beta=scale))]
+    plans = group_by_sus(states, p)
+    assert isinstance(plans, tuple) and len(plans) == len(states)
+    assert plans == tuple(group_by_sus(ps, p) for ps in states)
+    assert group_by_sus(states[:1], p) == plans[:1]
+
+
+def test_sus_rejects_nonpositive_alpha(state_factory):
+    p = SystemParams(M=8, K=4, K_B=2, T=2)
+    ps = state_factory([4.0, 3.0, 2.0, 1.0])
+    for alpha in (0.0, -0.3, float("nan")):
+        with pytest.raises(DomainError):
+            group_by_sus(ps, p, alpha)
 
 
 def _mean_block_rate(ch, ps, plan, p):
