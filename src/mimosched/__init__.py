@@ -19,7 +19,6 @@ from .core import (
     SystemParams,
     UnknownPresetError,
     db_to_linear,
-    linear_to_db,
     validate_params,
 )
 from .channel import (

@@ -156,10 +156,6 @@ class ChannelSet:
     def K(self) -> int:
         return self.gains.shape[0]
 
-    @property
-    def M(self) -> int:
-        return self.gains.shape[1]
-
     def magnitudes(self) -> np.ndarray:
         """True squared channel norms ||g_k||^2, shape (K,)."""
         return np.einsum("km,km->k", self.gains, self.gains.conj()).real
@@ -193,10 +189,6 @@ class MisreportProfile:
 
     def honest_mask(self) -> np.ndarray:
         return self.scale == 1.0
-
-    def misreporters(self) -> np.ndarray:
-        """Indices of users whose scale differs from 1, ascending."""
-        return np.flatnonzero(self.scale != 1.0)
 
 
 STRATEGY_TAGS = frozenset({
@@ -234,20 +226,6 @@ class SchedulePlan:
         if flat != list(range(len(flat))):
             raise DimensionError("groups must partition the user set 0..K-1")
 
-    @property
-    def T(self) -> int:
-        return len(self.groups)
-
-    @property
-    def K_B(self) -> int:
-        return len(self.groups[0])
-
-    def block_of(self, user: int) -> int:
-        for t, g in enumerate(self.groups):
-            if user in g:
-                return t
-        raise DomainError(f"user {user} not in plan")
-
     def block_sets(self) -> tuple:
         """Per-block membership as frozensets, in block order."""
         return tuple(frozenset(g) for g in self.groups)
@@ -263,11 +241,3 @@ class SchedulePlan:
 def db_to_linear(x_db: float) -> float:
     """Convert a dB value to linear scale."""
     return float(10.0 ** (float(x_db) / 10.0))
-
-
-def linear_to_db(x: float) -> float:
-    """Convert a positive linear value to dB. Raises DomainError for x <= 0."""
-    x = float(x)
-    if not x > 0:
-        raise DomainError(f"linear value must be positive, got {x}")
-    return float(10.0 * np.log10(x))

@@ -24,11 +24,10 @@ import numpy as np
 from .core import (
     ConfigError,
     CountError,
+    DimensionError,
     DomainError,
     GROUPING_RULES,
     LargeScaleModel,
-    MisreportProfile,
-    SchedulePlan,
     SingularMatrixError,
     STRATEGY_TAGS,
     SystemParams,
@@ -153,16 +152,37 @@ class ResultRow:
     seed: int
 
 
-def run_period(ch, mp: MisreportProfile, plan: SchedulePlan, p: SystemParams) -> np.ndarray:
-    """Serve all T blocks of one round-robin period on one realization.
+def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams) -> np.ndarray:
+    """Serve E round-robin periods in one stacked call; return their (E, K) period rates.
 
-    Returns the (K,) period rates. Each user appears in exactly one block,
-    so its period rate is its block rate divided by T.
+    Period e runs on rows gains[trial[e]] (K, M) with plan members[e] (T, K_B)
+    and misreport multipliers scale[e] (K,); a user's period rate is its block
+    rate over T. Each distinct (trial, plan) pair is factorized once, in order
+    of first appearance; a guard trip's ``index`` becomes (trial, block).
     """
-    members = np.asarray(plan.groups, dtype=np.intp)          # (T, K_B)
-    rates = np.zeros(ch.K)
-    rates[members] = evaluate_block(ch, mp.scale, members, p) / p.T
-    return rates
+    trial = np.asarray(trial, dtype=np.intp)
+    members = np.asarray(members, dtype=np.intp)
+    scale = np.asarray(scale, dtype=np.float64)
+    e = trial.shape[0]
+    if members.shape != (e, p.T, p.K_B) or scale.shape != (e, p.K):
+        raise DimensionError(f"{e} periods need ({e}, {p.T}, {p.K_B}) members and ({e}, {p.K}) "
+                             f"scales, got {members.shape} and {scale.shape}")
+    # ids count up in order of first appearance, so return_index gives each plan's first period
+    ids = {}
+    plan_of = np.array([ids.setdefault((n, m.tobytes()), len(ids))
+                        for n, m in zip(trial.tolist(), members)], dtype=np.intp)
+    first = np.unique(plan_of, return_index=True)[1]
+    at = np.arange(e)[:, None, None]
+    try:
+        rates = evaluate_block(gains[trial[first][:, None, None], members[first]],
+                               scale[at, members], plan_of, p)
+    except SingularMatrixError as err:
+        if hasattr(err, "index"):
+            err.index = (int(trial[first[err.index[0]]]), *err.index[1:])
+        raise
+    out = np.zeros(scale.shape)
+    out[at, members] = rates / p.T
+    return out
 
 
 @dataclass(frozen=True)
@@ -250,9 +270,9 @@ def _worker_pool(workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-# trials whose SUS plans come from one batched call: holding all 50 trials of
-# a fig2 chunk at once raised peak RSS by 11 MB, slices of 8 by under 1 MB
-_SUS_SLICE = 8
+# trials per batched SUS call and stacked factorization: a whole 50-trial fig2
+# chunk at once raised peak RSS by 11 MB, slices of 8 by under 1 MB
+_SLICE = 8
 
 
 def _run_chunk(u: _TrialChunk) -> list:
@@ -263,14 +283,15 @@ def _run_chunk(u: _TrialChunk) -> list:
     """
     p = u.p
     profiles = (strategies.honest_profile(u.betas), *u.profiles)
+    keys = [(rule, i) for rule in u.rules for i in range(len(profiles))]
     results = []
-    for lo in range(u.lo, u.hi, _SUS_SLICE):
-        trials = range(lo, min(lo + _SUS_SLICE, u.hi))
-        channels, states = [], []
-        for trial in trials:
-            rng = RngStream(u.seed, pack_stream(0, u.vi, u.drop, trial)).generator()
-            channels.append(draw_channels(p, u.betas, rng))
-            states.append([apply_misreport(channels[-1], prof) for prof in profiles])
+    for lo in range(u.lo, u.hi, _SLICE):
+        trials = range(lo, min(lo + _SLICE, u.hi))
+        rngs = (RngStream(u.seed, pack_stream(0, u.vi, u.drop, t)).generator() for t in trials)
+        channels = [draw_channels(p, u.betas, rng) for rng in rngs]
+        # only magnitude and SUS grouping read the perceived states
+        states = ([[apply_misreport(ch, prof) for prof in profiles] for ch in channels]
+                  if {"channel_magnitude", "sus"} & set(u.rules) else [])
         # plans[rule][n][i]: the plan of the slice's trial n under profile i
         plans = {"large_scale": [u.ls_plans] * len(trials)}
         if "channel_magnitude" in u.rules:
@@ -282,14 +303,18 @@ def _run_chunk(u: _TrialChunk) -> list:
         if "random" in u.rules:
             rngs = (RngStream(u.seed, pack_stream(1, u.vi, u.drop, t)).generator() for t in trials)
             plans["random"] = [[scheduling.group_randomly(p, rng)] * len(profiles) for rng in rngs]
-        for n, trial in enumerate(trials):
-            try:
-                results.append({(rule, i): run_period(channels[n], prof, plans[rule][n][i], p)
-                                for rule in u.rules for i, prof in enumerate(profiles)})
-            except SingularMatrixError as e:
-                # the same object, re-raised: a failure is still counted once
-                e.args += (f"variant {u.vi}, drop {u.drop}, trial {trial}",)
-                raise
+        trial, members, scale = zip(*[(n, plans[rule][n][i].groups, profiles[i].scale)
+                                      for n in range(len(trials)) for rule, i in keys])
+        try:
+            rates = run_period(np.stack([ch.gains for ch in channels]), trial, members, scale, p)
+        except SingularMatrixError as e:
+            # the same object, re-raised: a failure is still counted once. One
+            # raised outside the guard carries no index, so name the slice
+            where = (f"trial {trials[e.index[0]]}" if hasattr(e, "index")
+                     else f"trials {lo}-{trials[-1]}")
+            e.args += (f"variant {u.vi}, drop {u.drop}, {where}",)
+            raise
+        results.extend(dict(zip(keys, r)) for r in rates.reshape(len(trials), len(keys), -1))
     return results
 
 
@@ -344,15 +369,13 @@ def _build_profile(tag, p, k_m, betas, cfg):
     return strategies.grouping_unchanged_under(betas, p, k_m, cfg.beta_low_factor * betas[-1])
 
 
-def _mean_or_nan(a: np.ndarray, mask: np.ndarray, axis=None):
-    if mask.sum() == 0:
-        shape = () if axis is None else (a.shape[0],)
-        return np.full(shape, np.nan) if shape else float("nan")
-    if mask.all():
-        # skip the masked copy; also keeps the reduction order identical to
-        # an unmasked mean, so an attack-free pairing differences to exact 0
-        return a.mean(axis=-1) if axis is not None else float(a.mean())
-    return a[..., mask].mean(axis=-1) if axis is not None else float(a[mask].mean())
+def _mean_or_nan(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mean of each row of ``a`` over the masked columns; NaN where no column is."""
+    if not mask.any():
+        return np.full(a.shape[0], np.nan)
+    # skip the masked copy; also keeps the reduction order identical to an
+    # unmasked mean, so an attack-free pairing differences to exact 0
+    return a.mean(axis=-1) if mask.all() else a[..., mask].mean(axis=-1)
 
 
 def _std_ci(values: np.ndarray):
@@ -414,7 +437,7 @@ def _homogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers, pool):
             ssuf = _strategy_suffix(cfg, tag)
             honest = profiles[si].honest_mask()
             att = np.stack([r[rule, si + 1] for r in results])
-            att_honest = _mean_or_nan(att, honest, axis=0)        # per-trial honest mean
+            att_honest = _mean_or_nan(att, honest)        # per-trial honest mean
             theta_trials = 1.0 - att_honest / base_mean
             theta_ratio = float(1.0 - np.mean(att_honest) / np.mean(base_mean))
             std, ci = _std_ci(theta_trials)

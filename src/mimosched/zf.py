@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    ChannelSet,
     DimensionError,
     DomainError,
     SingularMatrixError,
@@ -23,26 +22,41 @@ COND_LIMIT = 1e10
 
 
 def _check_conditioning(gram: np.ndarray) -> None:
-    """Raise SingularMatrixError naming the first block whose Gram matrix is ill-conditioned."""
+    """Raise SingularMatrixError naming the first block whose Gram matrix is ill-conditioned.
+
+    The message gives its block within the period (last axis); ``index`` its full stack index.
+    """
     w = np.linalg.eigvalsh(gram)
     lo, hi = w[..., 0], w[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(lo > 0, hi / lo, np.inf)
+        cond = np.atleast_1d(np.where(lo > 0, hi / lo, np.inf))
     bad = np.flatnonzero(~(cond <= COND_LIMIT))
     if bad.size:
-        b = int(bad[0])
-        raise SingularMatrixError(
-            f"block {b}: Gram matrix condition number {cond.flat[b]:.3g} "
-            f"exceeds {COND_LIMIT:g}")
+        index = tuple(int(i) for i in np.unravel_index(bad[0], cond.shape))
+        err = SingularMatrixError(f"block {index[-1]}: Gram matrix condition number "
+                                  f"{cond[index]:.3g} exceeds {COND_LIMIT:g}")
+        err.index = index
+        raise err
 
 
 def _gram_inverse_diag(rows: np.ndarray) -> np.ndarray:
     """diag((rows rows^H)^{-1}) of each block via Cholesky, with a conditioning guard."""
     gram = rows @ rows.conj().swapaxes(-1, -2)
-    _check_conditioning(gram)
+    # the eigenvalue check runs only where Cholesky fails (far past the limit)
+    # or where cond(G) <= tr G * tr G^-1 is large. Near the limit both sides
+    # carry rounding of about cond * eps = 1e-6, more than the bound's lead of
+    # 2 / cond at K_B = 2, so the gate sits at half the limit
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        _check_conditioning(gram)
+        raise
     # G^{-1} = L^{-H} L^{-1}, so [G^{-1}]_kk is the squared norm of column k of L^{-1}
-    inv_chol = np.linalg.inv(np.linalg.cholesky(gram))
-    return np.einsum("...jk,...jk->...k", inv_chol, inv_chol.conj()).real
+    inv_chol = np.linalg.inv(chol)
+    diag = np.einsum("...jk,...jk->...k", inv_chol, inv_chol.conj()).real
+    if not np.all(np.einsum("...kk->...", gram).real * diag.sum(axis=-1) <= COND_LIMIT / 2):
+        _check_conditioning(gram)
+    return diag
 
 
 def zf_effective_gains(rows: np.ndarray) -> np.ndarray:
@@ -79,12 +93,12 @@ def maxmin_power(eff_gain: np.ndarray, P: float, noise_var: float):
     return powers, snr
 
 
-def evaluate_block(ch: ChannelSet, scale, members, p: SystemParams) -> np.ndarray:
-    """Serve blocks with power allocated from the reported CSI; return actual rates.
+def evaluate_block(rows: np.ndarray, scale: np.ndarray, plan_of, p: SystemParams) -> np.ndarray:
+    """Serve stacked blocks with power allocated from the reported CSI; return actual rates.
 
-    members: (K_B,) user indices of one block, or (T, K_B) for a stack of
-    blocks; scale: (K,) misreport multipliers. Returns each member's
-    single-block rate log2(1 + snr), shaped like ``members``.
+    rows: (U, ..., K_B, M) true rows of U plans, each factorized once; entry e
+    runs on plan plan_of[e] with its members' (..., K_B) misreport multipliers
+    scale[e]. Returns each member's block rate, shaped like scale.
 
     The base station beamforms and splits power using the misreported rows
     sqrt(scale_k) g_k. Misreporting rescales magnitudes only, so the
@@ -94,15 +108,9 @@ def evaluate_block(ch: ChannelSet, scale, members, p: SystemParams) -> np.ndarra
     get exactly the SNR the base station intended, misreporters get it
     divided by their own scale factor.
     """
-    members = np.asarray(members, dtype=np.intp)
-    if members.ndim not in (1, 2) or members.shape[-1] != p.K_B:
-        raise DimensionError(
-            f"blocks must have exactly K_B={p.K_B} members, got shape {members.shape}")
-    if p.K_B > p.M:
-        raise DimensionError(f"need K_B <= M, got K_B={p.K_B}, M={p.M}")
     scale = np.asarray(scale, dtype=np.float64)
-    if scale.shape != (ch.K,):
-        raise DimensionError(f"scale must have shape ({ch.K},), got {scale.shape}")
-    scale = scale[members]
-    _, snr_bs = maxmin_power(scale * zf_effective_gains(ch.gains[members]), p.P, p.noise_var)
+    if rows.shape[-2] != p.K_B or scale.shape != (len(plan_of),) + rows.shape[1:-1]:
+        raise DimensionError(f"rows {rows.shape} (K_B={p.K_B}) do not match scales {scale.shape}")
+    gains = zf_effective_gains(rows)[plan_of]
+    _, snr_bs = maxmin_power(scale * gains, p.P, p.noise_var)
     return np.log2(1.0 + snr_bs[..., None] / scale)

@@ -1,12 +1,12 @@
 """Slow, independent reference implementations the tests compare against.
 
-Neither is part of the package: each recomputes a production result by a
-different or plainer route, one block or one state at a time.
+None is part of the package: each recomputes a production result by a
+different or plainer route, one block, one state or one period at a time.
 """
 import numpy as np
 import scipy.linalg
 
-from mimosched import DomainError, SchedulePlan
+from mimosched import DomainError, SchedulePlan, maxmin_power, zf_effective_gains
 from mimosched.zf import _check_conditioning
 
 
@@ -29,6 +29,23 @@ def nullspace_gain_oracle(rows: np.ndarray, k: int) -> float:
     basis = scipy.linalg.null_space(others)
     proj = rows[k] @ basis
     return float(np.vdot(proj, proj).real)
+
+
+def period_rates_oracle(gains: np.ndarray, scale: np.ndarray, members, p) -> np.ndarray:
+    """(K,) period rates of one period on one realization, served on its own.
+
+    gains: (K, M) channel rows; scale: (K,) misreport multipliers; members:
+    the (T, K_B) plan. The path the stacked engine replaced: one
+    factorization of this period's T blocks, then max-min power on the base
+    station's gains scale_k * d_k^2, and each member's actual rate
+    log2(1 + snr_bs / scale_k) divided by T.
+    """
+    members = np.asarray(members, dtype=np.intp)
+    s = np.asarray(scale, dtype=np.float64)[members]
+    _, snr_bs = maxmin_power(s * zf_effective_gains(gains[members]), p.P, p.noise_var)
+    rates = np.zeros(gains.shape[0])
+    rates[members] = np.log2(1.0 + snr_bs[..., None] / s) / p.T
+    return rates
 
 
 def sus_oracle(ps, p, alpha: float = 0.3) -> SchedulePlan:

@@ -34,9 +34,10 @@ from mimosched import (
     run_period,
     zf_effective_gains,
 )
-from mimosched import experiments, zf
+from mimosched import SingularMatrixError, experiments, zf
 from mimosched.experiments import CSV_HEADER, pack_stream
-from mimosched.strategies import grouping_changed_under, honest_profile
+from mimosched.strategies import grouping_changed_under
+from oracles import period_rates_oracle
 
 
 def _rows_by_metric(rows, name, sweep_value=None):
@@ -141,12 +142,12 @@ def test_run_period_block_consistency(p_nine):
     rng = RngStream(11, 0).generator()
     ch = draw_channels(p_nine, np.ones(9), rng)
     plan = group_randomly(p_nine, rng)
-    rates = run_period(ch, honest_profile(np.ones(9)), plan, p_nine)
-    assert rates.shape == (9,)
+    rates = run_period(ch.gains[None], [0], [plan.groups], np.ones((1, 9)), p_nine)
+    assert rates.shape == (1, 9)
     for members in plan.groups:
         members = list(members)
         _, snr = maxmin_power(zf_effective_gains(ch.gains[members]), p_nine.P, p_nine.noise_var)
-        np.testing.assert_allclose(rates[members] * p_nine.T, np.log2(1.0 + snr), rtol=1e-12)
+        np.testing.assert_allclose(rates[0, members] * p_nine.T, np.log2(1.0 + snr), rtol=1e-12)
 
 
 def test_run_period_split_averages(p_nine):
@@ -157,28 +158,90 @@ def test_run_period_split_averages(p_nine):
     ch = draw_channels(p_nine, betas, rng)
     mp = grouping_changed_under(betas, 2)
     plan = group_by_large_scale(mp.reported_beta, p_nine)
-    rates = run_period(ch, mp, plan, p_nine)
+    rates = run_period(ch.gains[None], [0], [plan.groups], mp.scale[None], p_nine)[0]
     for members in plan.groups:
         members = list(members)
-        np.testing.assert_allclose(rates[members] * p_nine.T,
-                                   evaluate_block(ch, mp.scale, members, p_nine), rtol=1e-12)
+        block = evaluate_block(ch.gains[members][None], mp.scale[members][None], [0], p_nine)
+        np.testing.assert_allclose(rates[members] * p_nine.T, block[0], rtol=1e-12)
     honest = mp.honest_mask()
     assert not honest[:2].any() and honest[2:].all()
     assert np.all(rates[:2] > rates[[u for u in plan.groups[-1] if honest[u]]])
 
 
-def test_run_period_factorizes_each_period_once(p_nine, monkeypatch):
-    # misreports rescale magnitudes only, so the attacked period needs no
-    # factorization of the misreported rows: one stacked call per period
-    shapes = []
+def test_zf_gains_called_once_per_slice(monkeypatch):
+    # fig6 shape: honest, grouping-preserving and demoting profiles under
+    # large-scale and random grouping, 6 periods per trial. Random grouping
+    # shares one plan across profiles; the grouping-preserving plan has the
+    # honest blocks in another within-block order, so it is a plan of its
+    # own: 4 distinct (trial, plan) pairs per trial, in one call per slice
+    shapes, kernels = [], []
     gains = zf.zf_effective_gains
     monkeypatch.setattr(zf, "zf_effective_gains",
                         lambda rows: shapes.append(rows.shape) or gains(rows))
-    betas = np.linspace(2.0, 1.0, 9)
-    ch = draw_channels(p_nine, betas, RngStream(12, 0).generator())
-    mp = grouping_changed_under(betas, 2)
-    run_period(ch, mp, group_by_large_scale(mp.reported_beta, p_nine), p_nine)
-    assert shapes == [(3, 3, 16)]
+    block = experiments.evaluate_block
+    monkeypatch.setattr(experiments, "evaluate_block",
+                        lambda *a: kernels.append(a[2].shape) or block(*a))
+    cfg = replace(preset("fig6"), trials=10, drops=1, sweep_values=(2,))
+    run_experiment(cfg)
+    assert shapes == [(32, 4, 8, 64), (8, 4, 8, 64)]
+    assert kernels == [(48,), (12,)]
+
+
+def test_run_period_guard_names_the_first_bad_period(p_nine):
+    # realization 2 (served first) repeats a row inside block 1 of the plan,
+    # realization 1 (served second) inside block 0: the trip names the block
+    # of the period served first, and its realization
+    gains = np.stack([draw_channels(p_nine, np.ones(9), RngStream(5, n).generator()).gains
+                      for n in range(3)])
+    gains[2, 4] = gains[2, 3]
+    gains[1, 1] = gains[1, 0]
+    members = np.arange(9).reshape(1, 3, 3).repeat(3, axis=0)
+    with pytest.raises(SingularMatrixError) as err:
+        run_period(gains, [0, 2, 1], members, np.ones((3, 9)), p_nine)
+    assert err.value.index == (2, 1)
+    assert err.value.args[0].startswith("block 1: Gram matrix condition number")
+
+
+def _slice(layout, n, e, p, rng):
+    """(trial, members) of e periods on n realizations.
+
+    "duplicate": every period is the same (realization, plan) pair;
+    "distinct": each period has a realization of its own (n = e); "mixed":
+    random realizations and one of two plans.
+    """
+    perms = [rng.permutation(p.K).reshape(p.T, p.K_B) for _ in range(max(e, 2))]
+    if layout == "duplicate":
+        return np.zeros(e, dtype=np.intp), np.stack([perms[0]] * e)
+    if layout == "distinct":
+        return np.arange(e), np.stack(perms[:e])
+    return rng.integers(0, n, e), np.stack([perms[i] for i in rng.integers(0, 2, e)])
+
+
+@settings(max_examples=120)
+@given(t=st.integers(1, 4), kb=st.integers(1, 6), extra=st.integers(0, 12),
+       n=st.integers(1, 4), e=st.integers(1, 8),
+       layout=st.sampled_from(["duplicate", "distinct", "mixed"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_periods_equal_the_per_period_oracle(t, kb, extra, n, e, layout, seed):
+    # every period of a slice, served in one stacked call with each distinct
+    # (realization, plan) pair factorized once, gets exactly the rates it
+    # gets served on its own
+    p = SystemParams(M=max(2, kb + extra), K=t * kb, K_B=kb, T=t, P=10.0)
+    rng = np.random.default_rng(seed)
+    if layout == "distinct":
+        n = e
+    betas = 10.0 ** rng.uniform(-2.0, 1.0, p.K)
+    gains = np.stack([draw_channels(p, betas, rng).gains for _ in range(n)])
+    trial, members = _slice(layout, n, e, p, rng)
+    # random profiles: a random set of misreporters with random scales
+    scale = np.where(rng.random((e, p.K)) < 0.3, 10.0 ** rng.uniform(-2.0, 1.0, (e, p.K)), 1.0)
+    try:
+        want = [period_rates_oracle(gains[trial[i]], scale[i], members[i], p) for i in range(e)]
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            run_period(gains, trial, members, scale, p)
+        return
+    np.testing.assert_array_equal(run_period(gains, trial, members, scale, p), want)
 
 
 def test_strategy_none_gives_exact_zero_theta(p_default):

@@ -202,7 +202,8 @@ def test_sus_rejects_nonpositive_alpha(state_factory):
 
 def _mean_block_rate(ch, ps, plan, p):
     # every member of an honest block gets the block's equalized rate
-    rates = evaluate_block(ch, ps.scale, plan.groups, p)
+    members = np.asarray(plan.groups)
+    rates = evaluate_block(ch.gains[members][None], ps.scale[members][None], [0], p)[0]
     assert np.all(rates == rates[:, :1])
     return float(rates[:, 0].mean())
 

@@ -1,13 +1,16 @@
 """Misreport profile constructors and their grouping consequences."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mimosched import (
     CountError,
     DomainError,
+    LargeScaleModel,
     RangeError,
     RngStream,
     ScaleError,
+    SystemParams,
     group_by_large_scale,
 )
 from mimosched.channel import draw_large_scale
@@ -29,14 +32,14 @@ def test_honest_profile_is_all_ones():
     assert np.all(mp.scale == 1.0)
     assert np.array_equal(mp.reported_beta, [2.0, 1.0])
     assert mp.strategy_tag == "none"
-    assert mp.misreporters().size == 0
+    assert np.flatnonzero(mp.scale != 1.0).size == 0
 
 
 def test_homogeneous_uniform_counts(p_default):
     mp0 = homogeneous_uniform(p_default, 0, 0.01)
     assert np.all(mp0.scale == 1.0)
     mp1 = homogeneous_uniform(p_default, 1, 0.01)
-    assert list(mp1.misreporters()) == [0]
+    assert list(np.flatnonzero(mp1.scale != 1.0)) == [0]
     assert mp1.scale[0] == 0.01
     assert np.all(mp1.scale[1:] == 1.0)
     assert np.allclose(mp1.reported_beta, mp1.scale * p_default.beta_default)
@@ -132,11 +135,11 @@ def test_under_and_over_partition_match_larger_layout(p_default, cell_model):
 def test_misreport_direction_of_reports(p_default, cell_model):
     betas = draw_large_scale(p_default, cell_model, RngStream(51, 1).generator())
     under = grouping_changed_under(betas, 4)
-    m = under.misreporters()
+    m = np.flatnonzero(under.scale != 1.0)
     assert np.all(under.reported_beta[m] < betas[m])
     assert np.all(under.reported_beta > 0)
     over = grouping_changed_over(betas, 4)
-    m = over.misreporters()
+    m = np.flatnonzero(over.scale != 1.0)
     assert np.all(over.reported_beta[m] > betas[m])
     keep = np.setdiff1d(np.arange(32), m)
     assert np.all(over.scale[keep] == 1.0)
@@ -145,7 +148,7 @@ def test_misreport_direction_of_reports(p_default, cell_model):
 def test_unchanged_under_first_recruit_midpoint(p_nine):
     betas = _betas9()
     mp = grouping_unchanged_under(betas, p_nine, 1)
-    assert list(mp.misreporters()) == [0]
+    assert list(np.flatnonzero(mp.scale != 1.0)) == [0]
     assert mp.reported_beta[0] == pytest.approx((betas[2] + betas[3]) / 2.0, rel=1e-14)
 
 
@@ -154,7 +157,7 @@ def test_unchanged_under_chain_layout(p_nine):
     # true gain, the last reports the floor value
     betas = _betas9()
     mp = grouping_unchanged_under(betas, p_nine, 3)
-    assert list(mp.misreporters()) == [0, 3, 6]
+    assert list(np.flatnonzero(mp.scale != 1.0)) == [0, 3, 6]
     assert mp.reported_beta[0] == pytest.approx(betas[3], rel=1e-14)
     assert mp.reported_beta[3] == pytest.approx(betas[6], rel=1e-14)
     assert mp.reported_beta[6] == pytest.approx(betas[-1] / 2.0, rel=1e-14)
@@ -168,7 +171,7 @@ def test_unchanged_under_preserves_plan_small(p_nine, cell_model):
             mp = grouping_unchanged_under(betas, p_nine, k_m)
             plan = group_by_large_scale(mp.reported_beta, p_nine)
             assert honest_plan.same_grouping(plan)
-            m = mp.misreporters()
+            m = np.flatnonzero(mp.scale != 1.0)
             assert m.size == k_m
             assert np.all(mp.reported_beta[m] < betas[m])
 
@@ -181,6 +184,29 @@ def test_unchanged_under_preserves_plan_reference_layout(p_default, cell_model):
             mp = grouping_unchanged_under(betas, p_default, k_m)
             assert honest_plan.same_grouping(
                 group_by_large_scale(mp.reported_beta, p_default))
+
+
+@settings(max_examples=150)
+@given(t=st.integers(1, 6), kb=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_unchanged_under_plan_is_the_honest_plan_with_liars_last(t, kb, seed, data):
+    # over random layouts and attacker counts the large-scale plan keeps
+    # every honest block, in block order. It is not the honest plan array
+    # for array: each block's misreporters report below its honest members,
+    # so they sort to the block's end, ascending. The two plans are equal
+    # arrays exactly when no block mixes honest users and misreporters.
+    p = SystemParams(M=max(2, kb), K=t * kb, K_B=kb, T=t)
+    betas = draw_large_scale(p, LargeScaleModel(), RngStream(seed, 0).generator())
+    k_m = data.draw(st.integers(1, p.K))
+    mp = grouping_unchanged_under(betas, p, k_m)
+    honest = group_by_large_scale(betas, p)
+    plan = group_by_large_scale(mp.reported_beta, p)
+    assert plan.same_grouping(honest)
+    liar = mp.scale != 1.0
+    assert plan.groups == tuple(tuple(sorted(g, key=lambda u: (liar[u], u)))
+                                for g in honest.groups)
+    mixed = any(0 < liar[list(g)].sum() < kb for g in honest.groups)
+    assert (plan.groups == honest.groups) == (not mixed)
 
 
 def test_unchanged_under_rejects_bad_args(p_nine):

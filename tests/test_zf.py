@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mimosched import (
-    ChannelSet,
     DimensionError,
     DomainError,
     RngStream,
@@ -14,10 +13,12 @@ from mimosched import (
     SystemParams,
     evaluate_block,
     maxmin_power,
+    run_period,
     zf_effective_gains,
 )
 from mimosched.channel import draw_channels
 from mimosched.experiments import _single_blas_thread
+from mimosched.zf import _check_conditioning
 from oracles import nullspace_gain_oracle
 
 
@@ -84,6 +85,57 @@ def test_guard_names_the_block_and_its_condition_number():
     assert msg.startswith("block 2: ")
     cond = float(msg.split("condition number ")[1].split()[0])
     assert cond > 1e10
+
+
+@settings(max_examples=150)
+@given(u=st.integers(1, 4), t=st.integers(1, 4), kb=st.integers(1, 6), extra=st.integers(0, 8),
+       seed=st.integers(0, 2**32 - 1),
+       plants=st.lists(st.tuples(st.integers(0, 15), st.sampled_from(["near", "equal", "zero"]),
+                                 st.floats(-6.0, -4.0)), min_size=1, max_size=3))
+def test_bound_gated_guard_trips_like_the_eigenvalue_check(u, t, kb, extra, seed, plants):
+    # near-singular (a row plus a perturbation of 1e-6..1e-4, condition
+    # numbers of about 1e8..1e12 around the limit), exactly singular (a
+    # repeated row) and zero rows planted at random stack positions: the
+    # guard, which reads eigenvalues only where tr G * tr G^-1 is large or
+    # Cholesky fails, trips exactly when the eigenvalue check run on every
+    # block does, on the same block, with the same message
+    rng = np.random.default_rng(seed)
+    rows = _rand_rows(rng, u * t * kb, kb + extra).reshape(u, t, kb, kb + extra)
+    for pos, kind, log_eps in plants:
+        i, j = divmod(pos % (u * t), t)
+        if kind == "zero":
+            rows[i, j, -1] = 0.0
+        elif kb > 1:
+            rows[i, j, 1] = rows[i, j, 0]
+            if kind == "near":
+                rows[i, j, 1] += 10.0 ** log_eps * _rand_rows(rng, 1, kb + extra)[0]
+    try:
+        _check_conditioning(rows @ rows.conj().swapaxes(-1, -2))
+        expected = None
+    except SingularMatrixError as e:
+        expected = e
+    if expected is None:
+        assert zf_effective_gains(rows).shape == (u, t, kb)
+        return
+    with pytest.raises(SingularMatrixError) as err:
+        zf_effective_gains(rows)
+    assert err.value.args == expected.args
+    assert err.value.index == expected.index
+    assert err.value.args[0].startswith(f"block {expected.index[-1]}: Gram matrix condition")
+
+
+def test_rank_deficient_gram_is_a_singular_matrix_error():
+    # Cholesky of an exactly singular Gram raises LinAlgError; the engine
+    # turns that into the guard's error naming the block, never LinAlgError
+    rows = np.zeros((2, 3, 8), dtype=np.complex128)
+    rows[:, :, :3] = np.eye(3)
+    rows[1, 2] = rows[1, 0]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(rows @ rows.conj().swapaxes(-1, -2))
+    with pytest.raises(SingularMatrixError) as err:
+        zf_effective_gains(rows)
+    assert err.value.index == (1,)
+    assert err.value.args[0].startswith("block 1: Gram matrix condition number")
 
 
 def test_gain_shape_errors():
@@ -213,20 +265,17 @@ def test_stacked_call_equals_per_block_calls(t, kb, extra, seed):
         assert snr[i] == pytest.approx(sn, rel=1e-12)
 
 
-def _channel_from_rows(rows):
-    return ChannelSet(gains=rows, large_scale=np.ones(rows.shape[0]))
-
-
-def _orthonormal_channel():
+def _orthonormal_rows():
     rows = np.zeros((2, 4), dtype=np.complex128)
     rows[0, 0] = 1.0
     rows[1, 1] = 1.0
-    return _channel_from_rows(rows)
+    return rows
 
 
 def test_evaluate_block_all_honest_reference():
     p = SystemParams(M=4, K=2, K_B=2, T=1, P=10.0)
-    rates = evaluate_block(_orthonormal_channel(), np.ones(2), np.array([0, 1]), p)
+    rates = evaluate_block(_orthonormal_rows()[None], np.ones((1, 2)), [0], p)
+    assert rates.shape == (1, 2)
     assert np.allclose(rates, math.log2(6.0), rtol=1e-12)
 
 
@@ -234,7 +283,7 @@ def test_evaluate_block_misreporter_hand_case():
     # orthonormal rows, one member claiming half its true magnitude: the base
     # station sees gains [0.5, 1] and equalizes both at SNR 10/3
     p = SystemParams(M=4, K=2, K_B=2, T=1, P=10.0)
-    rates = evaluate_block(_orthonormal_channel(), np.array([0.5, 1.0]), np.array([0, 1]), p)
+    rates = evaluate_block(_orthonormal_rows()[None], np.array([[0.5, 1.0]]), [0], p)[0]
     assert rates[0] == pytest.approx(math.log2(1.0 + 20.0 / 3.0), rel=1e-12)  # the liar gains
     assert rates[1] == pytest.approx(math.log2(1.0 + 10.0 / 3.0), rel=1e-12)  # honest pays
 
@@ -245,7 +294,7 @@ def test_evaluate_block_true_gains_ignore_misreport():
     p = SystemParams(M=16, K=4, K_B=4, T=1, P=10.0)
     ch = draw_channels(p, np.ones(4), RngStream(13, 0).generator())
     scale = np.array([0.01, 1.0, 0.3, 1.0])
-    rates = evaluate_block(ch, scale, np.arange(4), p)
+    rates = evaluate_block(ch.gains[None], scale[None], [0], p)[0]
     _, snr_bs = maxmin_power(zf_effective_gains(np.sqrt(scale)[:, None] * ch.gains),
                              p.P, p.noise_var)
     np.testing.assert_allclose(rates, np.log2(1.0 + snr_bs / scale), rtol=1e-12)
@@ -257,26 +306,33 @@ def test_evaluate_block_stack_equals_single_blocks():
     ch = draw_channels(p, np.ones(12), RngStream(13, 2).generator())
     scale = np.r_[0.1, np.ones(5), 3.0, np.ones(5)]
     members = np.array([[5, 0, 9, 2], [1, 6, 3, 11], [4, 10, 7, 8]])
-    rates = evaluate_block(ch, scale, members, p)
-    assert rates.shape == (3, 4)
+    # two entries share the one plan: the second one is honest
+    both = np.stack([scale[members], np.ones((3, 4))])
+    rates = evaluate_block(ch.gains[members][None], both, [0, 0], p)
+    assert rates.shape == (2, 3, 4)
     for t in range(3):
-        np.testing.assert_allclose(rates[t], evaluate_block(ch, scale, members[t], p),
-                                   rtol=1e-12)
+        single = evaluate_block(ch.gains[members[t]][None], both[:, t], [0, 0], p)
+        np.testing.assert_allclose(rates[:, t], single, rtol=1e-12)
         honest = scale[members[t]] == 1.0
-        assert np.ptp(rates[t][honest]) == 0.0
+        assert np.ptp(rates[0, t][honest]) == 0.0
+        assert np.ptp(rates[1, t]) == 0.0
 
 
 def test_evaluate_block_member_count_enforced():
     p = SystemParams(M=16, K=4, K_B=4, T=1)
     ch = draw_channels(p, np.ones(4), RngStream(13, 1).generator())
     with pytest.raises(DimensionError):
-        evaluate_block(ch, np.ones(4), np.array([0, 1]), p)
+        run_period(ch.gains[None], [0], np.array([[[0, 1]]]), np.ones((1, 4)), p)
     with pytest.raises(DimensionError):
-        evaluate_block(ch, np.ones(4), np.array([[0, 1], [2, 3]]), p)
+        run_period(ch.gains[None], [0], np.array([[[0, 1], [2, 3]]]), np.ones((1, 4)), p)
     with pytest.raises(DimensionError):
-        evaluate_block(ch, np.ones(4), np.arange(4).reshape(1, 1, 4), p)
+        run_period(ch.gains[None], [0], np.arange(4).reshape(1, 1, 1, 4), np.ones((1, 4)), p)
     with pytest.raises(DimensionError):
-        evaluate_block(ch, np.ones(5), np.arange(4), p)
+        run_period(ch.gains[None], [0], np.arange(4).reshape(1, 1, 4), np.ones((1, 5)), p)
+    with pytest.raises(DimensionError):
+        evaluate_block(ch.gains[None, :2], np.ones((1, 2)), [0], p)
+    with pytest.raises(DimensionError):
+        evaluate_block(ch.gains[None], np.ones((2, 4)), [0], p)
 
 
 def test_power_conservation_across_random_blocks():
@@ -297,7 +353,7 @@ def test_single_block_rate_matches_hardened_prediction():
     n = 5000
     for t in range(n):
         ch = draw_channels(p, np.ones(32), RngStream(23, t).generator())
-        acc += evaluate_block(ch, scale, members, p)[1:].mean()
+        acc += evaluate_block(ch.gains[members][None], scale[None], [0], p)[0, 1:].mean()
     assert abs(acc / n - math.log2(1.0 + 320.0 / 131.0)) < 0.05
 
 
@@ -307,7 +363,7 @@ def test_honest_block_rate_beats_hardened_lower_bound():
     rates = []
     for t in range(2000):
         ch = draw_channels(p, np.ones(8), RngStream(29, t).generator())
-        rates.append(evaluate_block(ch, np.ones(8), np.arange(8), p).mean())
+        rates.append(evaluate_block(ch.gains[None], np.ones((1, 8)), [0], p).mean())
     rates = np.asarray(rates)
     bound = math.log2(1.0 + 10.0 * (64 - 8) / 8)
     sigma = rates.std(ddof=1) / np.sqrt(rates.size)
