@@ -17,21 +17,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln, xlogy
 from scipy.stats import gamma as gamma_dist
 
-from .core import (
-    CountError,
-    DomainError,
-    QuadratureError,
-    RegimeError,
-    SystemParams,
-)
+from .core import CountError, DomainError, QuadratureError, RegimeError, SystemParams
 
 _TAIL = 1e-12          # quantile mass ignored on each side of the integral
-_QUAD_TOL = 1e-8       # relative accuracy target for the quadrature
-_QUAD_FAIL = 1e-6      # error estimate above this raises QuadratureError
+_QUAD_ORDERS = (128, 192, 384, 768, 1536)  # Gauss-Legendre order ladder
+_QUAD_TOL = 1e-8       # two successive orders this close (relative) end the ladder
+_QUAD_FAIL = 1e-6      # a top-order difference above this raises QuadratureError
 
 
 def _check_rate_args(M: int, K: int, snr: float, beta: float) -> None:
@@ -114,53 +108,71 @@ class OrderStatSpec:
                 f"rank must lie in [1, {self.sample_size}], got {self.rank}")
 
 
-def orderstat_pdf(spec: OrderStatSpec, x):
-    """Density of the order statistic, evaluated in the log domain.
+def _log_orderstat_pdf(shape: int, scale: float, n: int, ranks: np.ndarray,
+                       x: np.ndarray) -> np.ndarray:
+    """(ranks, x) log densities of the k-th smallest of n gamma draws, x > 0.
 
-    f_(k)(x) = C(n,k) * F(x)^(k-1) * (1-F(x))^(n-k) * f(x) with the
-    combinatorial factor n! / ((k-1)! (n-k)!); F and f are the parent gamma
-    CDF and PDF. Zero for x <= 0.
+    log f_(k) = log(n! / ((k-1)! (n-k)!)) + (k-1) log F + (n-k) log(1-F) + log f
+    with F and f the parent gamma CDF and PDF, evaluated once per x.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n, k, a, s = spec.sample_size, spec.rank, spec.shape, spec.scale
-    out = np.zeros_like(x)
-    pos = x > 0
-    if not np.any(pos):
-        return out if out.ndim else float(out)
-    xp = x[pos] / s
+    k, xs = ranks[:, None], x / scale
     log_comb = gammaln(n + 1) - gammaln(k) - gammaln(n - k + 1)
-    log_parent = (a - 1) * np.log(xp) - xp - gammaln(a) - np.log(s)
-    logpdf = log_comb + log_parent
-    if k > 1:
-        with np.errstate(divide="ignore"):
-            logpdf = logpdf + (k - 1) * np.log(gammainc(a, xp))
-    if n > k:
-        with np.errstate(divide="ignore"):
-            logpdf = logpdf + (n - k) * np.log(gammaincc(a, xp))
-    out[pos] = np.exp(logpdf)
+    log_parent = (shape - 1) * np.log(xs) - xs - gammaln(shape) - np.log(scale)
+    return (log_comb + log_parent + xlogy(k - 1, gammainc(shape, xs))
+            + xlogy(n - k, gammaincc(shape, xs)))
+
+
+def orderstat_pdf(spec: OrderStatSpec, x):
+    """Density of the order statistic, evaluated in the log domain; 0 for x <= 0."""
+    x = np.asarray(x, dtype=np.float64)
+    out, pos = np.zeros_like(x), x > 0
+    out[pos] = np.exp(_log_orderstat_pdf(
+        spec.shape, spec.scale, spec.sample_size, np.array([spec.rank]), x[pos])[0])
     return out if out.ndim else float(out)
 
 
 @lru_cache(maxsize=None)
-def inverse_moment_integral(spec: OrderStatSpec) -> float:
-    """E[1/X] for the order statistic, by adaptive quadrature.
+def _gauss_legendre(order: int) -> tuple:
+    """Nodes and weights on [-1, 1]; pure constants, so kept per order."""
+    return np.polynomial.legendre.leggauss(order)
 
-    Integrates f_(k)(x)/x over the parent quantile range covering all but
-    1e-12 mass on each side; needs shape >= 2 so the integrand stays bounded
-    near zero. For n = k = 1 this reproduces 1 / ((shape-1) * scale).
+
+def _orderstat_moments(shape: int, scale: float, n: int, ranks: np.ndarray,
+                       power: int = -1) -> np.ndarray:
+    """E[X_(k)^power] for each k in ranks, by Gauss-Legendre on the parent range.
+
+    The range holds all but _TAIL parent mass on each side; shape >= 2 keeps
+    1/x integrable. Orders climb _QUAD_ORDERS, one (ranks, nodes) array each,
+    until two agree within _QUAD_TOL on every rank; the finer is returned.
+    QuadratureError on a value that is not finite and positive, or on a
+    top-order difference above _QUAD_FAIL.
     """
-    if spec.shape < 2:
+    if shape < 2:
         raise DomainError("inverse moment needs shape >= 2 for integrability near 0")
-    lo = gamma_dist.ppf(_TAIL, spec.shape, scale=spec.scale)
-    hi = gamma_dist.ppf(1.0 - _TAIL, spec.shape, scale=spec.scale)
-    value, err = integrate.quad(
-        lambda x: orderstat_pdf(spec, x) / x, lo, hi,
-        epsabs=0.0, epsrel=_QUAD_TOL, limit=200)
-    if not np.isfinite(value) or (value > 0 and err / value > _QUAD_FAIL):
-        raise QuadratureError(
-            f"inverse-moment quadrature error estimate {err:g} exceeds target "
-            f"for {spec}")
-    return float(value)
+    lo, hi = gamma_dist.ppf([_TAIL, 1.0 - _TAIL], shape, scale=scale)
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    where = f"for shape={shape}, scale={scale}, n={n}"
+    prev = np.inf
+    for order in _QUAD_ORDERS:
+        t, w = _gauss_legendre(order)
+        x = half * t + mid
+        vals = np.exp(_log_orderstat_pdf(shape, scale, n, ranks, x)) @ (half * w * x**power)
+        if not np.all(np.isfinite(vals) & (vals > 0)):
+            raise QuadratureError(f"order-{order} quadrature not finite and positive {where}")
+        rel = np.max(np.abs(vals - prev) / vals, initial=0.0)
+        if rel <= _QUAD_TOL:
+            return vals
+        prev = vals
+    if rel > _QUAD_FAIL:
+        raise QuadratureError(f"order-statistic quadrature differs by {rel:g} (relative) "
+                              f"between orders {_QUAD_ORDERS[-2]} and {order} {where}")
+    return vals
+
+
+def inverse_moment_integral(spec: OrderStatSpec) -> float:
+    """E[1/X] for the order statistic; for n = k = 1, 1 / ((shape-1) * scale)."""
+    return float(_orderstat_moments(
+        spec.shape, spec.scale, spec.sample_size, np.array([spec.rank]))[0])
 
 
 def prop3_terms(p: SystemParams, K_M: int, delta: float, beta: float = 1.0) -> dict:
@@ -180,25 +192,14 @@ def prop3_terms(p: SystemParams, K_M: int, delta: float, beta: float = 1.0) -> d
     _check_rate_args(p.M, p.K_B, p.snr, beta)
     if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta}")
-    M, K, K_B = p.M, p.K, p.K_B
-    snr = p.snr
-
-    a_t_a = sum(
-        inverse_moment_integral(OrderStatSpec(M, beta, K, k))
-        for k in range(1, K_B + 1))
-    a_t_m = K_M / (delta * beta * (M - 1)) + sum(
-        inverse_moment_integral(OrderStatSpec(M, beta, K - K_M, k))
-        for k in range(1, K_B - K_M + 1))
-    r_rand = float(np.log2(1.0 + snr * beta * (M - K_B) / K_B))
-    r_a_t = float(np.log2(1.0 + snr * (M - K_B) / ((M - 1) * a_t_a)))
-    r_m_t = float(np.log2(1.0 + snr * (M - K_B) / ((M - 1) * a_t_m)))
-    return {
-        "R_a_rand": r_rand,
-        "R_aCM_T": r_a_t,
-        "R_mCM_T": r_m_t,
-        "A_T_a": float(a_t_a),
-        "A_T_m": float(a_t_m),
-    }
+    M, K, K_B, snr = p.M, p.K, p.K_B, p.snr
+    a_t_a = _orderstat_moments(M, beta, K, np.arange(1, K_B + 1)).sum()
+    a_t_m = K_M / (delta * beta * (M - 1)) + _orderstat_moments(
+        M, beta, K - K_M, np.arange(1, K_B - K_M + 1)).sum()
+    r_a_t, r_m_t = (np.log2(1.0 + snr * (M - K_B) / ((M - 1) * a)) for a in (a_t_a, a_t_m))
+    return {"R_a_rand": float(np.log2(1.0 + snr * beta * (M - K_B) / K_B)),
+            "R_aCM_T": float(r_a_t), "R_mCM_T": float(r_m_t),
+            "A_T_a": float(a_t_a), "A_T_m": float(a_t_m)}
 
 
 def loss_rr_cm(p: SystemParams, K_M: int, delta: float, beta: float = 1.0) -> float:

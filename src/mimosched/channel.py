@@ -47,7 +47,6 @@ class PerceivedState:
     channels: ChannelSet
     scale: np.ndarray                # (K,) misreport multipliers
     reported_magnitudes: np.ndarray  # (K,)
-    reported_beta: np.ndarray        # (K,)
 
     @property
     def false_matrix(self) -> np.ndarray:
@@ -102,5 +101,4 @@ def apply_misreport(ch: ChannelSet, mp: MisreportProfile) -> PerceivedState:
         channels=ch,
         scale=mp.scale,
         reported_magnitudes=mp.scale * ch.magnitudes(),
-        reported_beta=mp.reported_beta,
     )

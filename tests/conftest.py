@@ -42,7 +42,7 @@ def state_factory():
     The grouping rules consume only the reported numbers, so tests can skip
     channel generation when they exercise scheduling alone.
     """
-    def make(mags, reported_beta=None, K_B=None):
+    def make(mags, K_B=None):
         mags = np.asarray(mags, dtype=np.float64)
         k = mags.shape[0]
         ch = ChannelSet(gains=np.ones((k, max(k, 2)), dtype=np.complex128),
@@ -51,9 +51,6 @@ def state_factory():
             channels=ch,
             scale=np.ones(k),
             reported_magnitudes=mags,
-            reported_beta=np.asarray(
-                reported_beta if reported_beta is not None else np.ones(k),
-                dtype=np.float64),
         )
     return make
 

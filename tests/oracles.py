@@ -3,8 +3,10 @@
 None is part of the package: each recomputes a production result by a
 different or plainer route, one block, one state or one period at a time.
 """
+import mpmath
 import numpy as np
 import scipy.linalg
+from scipy.stats import gamma as gamma_dist
 
 from mimosched import DomainError, SchedulePlan, maxmin_power, zf_effective_gains
 from mimosched.zf import _check_conditioning
@@ -29,6 +31,30 @@ def nullspace_gain_oracle(rows: np.ndarray, k: int) -> float:
     basis = scipy.linalg.null_space(others)
     proj = rows[k] @ basis
     return float(np.vdot(proj, proj).real)
+
+
+def inverse_moment_oracle(shape: int, scale: float, n: int, k: int,
+                          panels: int = 8, dps: int = 30) -> float:
+    """E[1/X_(k)] of n i.i.d. Gamma(shape, scale) draws, by mpmath at ``dps`` digits.
+
+    Integrates C(n,k) F^(k-1) (1-F)^(n-k) f(x) / x with mpmath's tanh-sinh
+    rule over ``panels`` equal panels of the same truncated range as the
+    production kernel: the parent quantiles at 1e-12 and 1 - 1e-12.
+    """
+    lo, hi = gamma_dist.ppf([1e-12, 1.0 - 1e-12], shape, scale=scale)
+    with mpmath.workdps(dps):
+        a, s = mpmath.mpf(shape), mpmath.mpf(scale)
+        log_c = (mpmath.loggamma(n + 1) - mpmath.loggamma(k) - mpmath.loggamma(n - k + 1)
+                 - mpmath.loggamma(a) - mpmath.log(s))
+
+        def integrand(x):
+            xs = x / s
+            cdf = mpmath.gammainc(a, 0, xs, regularized=True)
+            return (mpmath.exp(log_c + (a - 1) * mpmath.log(xs) - xs)
+                    * cdf ** (k - 1) * (1 - cdf) ** (n - k) / x)
+
+        edges = mpmath.linspace(mpmath.mpf(float(lo)), mpmath.mpf(float(hi)), panels + 1)
+        return float(mpmath.quad(integrand, edges))
 
 
 def period_rates_oracle(gains: np.ndarray, scale: np.ndarray, members, p) -> np.ndarray:

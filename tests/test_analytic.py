@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.stats import gamma as gamma_dist
 
@@ -25,6 +26,8 @@ from mimosched import (
     rate_misreport_single_block,
     run_experiment,
 )
+from mimosched.analytic import _orderstat_moments
+from oracles import inverse_moment_oracle
 
 # golden inverse moments of the k-th smallest of 32 Gamma(64, 1) draws,
 # k = 1..8, from a dedicated 2e7-sample Monte Carlo run
@@ -196,6 +199,49 @@ def test_inverse_moment_sum_pinned():
 def test_inverse_moment_needs_integrable_pole():
     with pytest.raises(DomainError):
         inverse_moment_integral(OrderStatSpec(1, 1.0, 4, 1))
+
+
+@pytest.mark.parametrize("shape,n,k", [
+    (64, 32, 1), (64, 32, 8), (64, 32, 32), (128, 64, 1),
+    (512, 128, 64), (256, 256, 64), (3, 2, 2), (2, 1, 1)])
+def test_inverse_moment_matches_mpmath_oracle(shape, n, k):
+    # (512, 128, 64) and (256, 256, 64) climb the order ladder to 768 nodes
+    v = inverse_moment_integral(OrderStatSpec(shape, 1.0, n, k))
+    assert v == pytest.approx(inverse_moment_oracle(shape, 1.0, n, k), rel=1e-12)
+
+
+@settings(max_examples=60)
+@given(shape=st.integers(2, 512), scale=st.floats(0.05, 20.0), n=st.integers(1, 64))
+def test_rank_densities_have_unit_mass_under_the_production_rule(shape, scale, n):
+    # the tails cut at 1e-12 parent mass hold at most 2e-12 * n of any rank
+    mass = _orderstat_moments(shape, scale, n, np.arange(1, n + 1), power=0)
+    assert np.all(np.abs(mass - 1.0) <= 1e-9), mass
+
+
+@settings(max_examples=60)
+@given(shape=st.integers(6, 512), scale=st.floats(0.05, 20.0), n=st.integers(1, 64))
+def test_rank_inverse_moments_sum_to_the_parent_moment(shape, scale, n):
+    # the n rank densities add up to n parent densities, so their inverse
+    # moments add up to n / ((shape - 1) * scale). Cutting the lower tail at
+    # 1e-12 mass drops about shape * 1e-12 / (lo / scale) of that, relative:
+    # 1.4e-6 at shape 2, 2e-10 at shape 6, less above
+    total = _orderstat_moments(shape, scale, n, np.arange(1, n + 1)).sum()
+    assert total == pytest.approx(n / ((shape - 1) * scale), rel=1e-9)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), m=st.integers(12, 512), delta=st.floats(1e-4, 0.5),
+       p_db=st.floats(-20.0, 40.0))
+def test_rr_cm_loss_is_the_bound_in_a_single_block(data, m, delta, p_db):
+    # at T = 1 and K = K_B the rank inverse moments sum to the parent's, so
+    # eq17 collapses to eq21 in closed form. What is left is the truncated
+    # lower tail (larger at small M) divided by the loss (smaller as delta
+    # nears 1); M >= 12 and delta <= 0.5 keep it below 1e-10
+    k_b = data.draw(st.integers(2, min(32, m - 1)))
+    k_m = data.draw(st.integers(1, k_b - 1))
+    p = SystemParams(M=m, K=k_b, K_B=k_b, T=1, P=10.0 ** (p_db / 10.0))
+    assert loss_rr_cm(p, k_m, delta) == pytest.approx(
+        loss_upper_bound(p, k_m, delta), rel=1e-10)
 
 
 def test_prop3_terms_reference(p_default):

@@ -9,9 +9,12 @@ import pytest
 
 from mimosched import (
     ChannelSet,
+    OrderStatSpec,
+    QuadratureError,
     SingularMatrixError,
     config_from_dict,
     emit_csv,
+    inverse_moment_integral,
     loss_rr_cm,
     loss_single_block,
     loss_upper_bound,
@@ -158,6 +161,17 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     code, _, err = _run(capsys, "analytic", "--formula", "eq17")
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_unresolvable_quadrature_exits_3(capsys):
+    # the smallest of 1e12 draws sits on the 1e-12 quantile where the range
+    # is cut: a spike the ladder's 1536 nodes cannot resolve (12 kB arrays)
+    with pytest.raises(QuadratureError, match="between orders 768 and 1536"):
+        inverse_moment_integral(OrderStatSpec(64, 1.0, 10**12, 1))
+    code, out, err = _run(capsys, "analytic", "--formula", "eq17", "--M", "64",
+                          "--K", str(10**12), "--K_B", "1", "--K_M", "0")
+    assert code == 3 and out == ""
+    assert "numerical failure: order-statistic quadrature differs" in err
 
 
 def test_guard_trip_names_drop_and_trial(tmp_path, capsys, monkeypatch):
