@@ -8,6 +8,7 @@ for any worker count and across runs.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import ctypes
@@ -192,10 +193,11 @@ class _TrialChunk:
     p: SystemParams
     betas: np.ndarray
     profiles: list
-    ls_plans: tuple        # large-scale plans: honest, then one per profile; or ()
+    ls_plans: np.ndarray | None   # (1 + strategies, T, K_B) large-scale plans, honest first
     rules: tuple
     alpha: float
     seed: int
+    sweep_value: object
     vi: int
     drop: int
     lo: int
@@ -275,16 +277,17 @@ def _worker_pool(workers: int):
 _SLICE = 8
 
 
-def _run_chunk(u: _TrialChunk) -> list:
+def _run_chunk(u: _TrialChunk) -> np.ndarray:
     """Paired trials: the honest baseline plus every strategy, per rule.
 
-    Returns one dict per trial: rates[(rule, i)] is the per-user period-rate
-    vector under the honest profile (i = 0) or under strategy i - 1.
+    Returns the (trials, rules x profiles, K) per-user period rates; column
+    r * (1 + strategies) + i holds rule r under the honest profile (i = 0)
+    or under strategy i - 1.
     """
     p = u.p
     profiles = (strategies.honest_profile(u.betas), *u.profiles)
-    keys = [(rule, i) for rule in u.rules for i in range(len(profiles))]
-    results = []
+    scales = np.tile(np.stack([prof.scale for prof in profiles]), (len(u.rules), 1))
+    out = np.empty((u.hi - u.lo, len(scales), p.K))
     for lo in range(u.lo, u.hi, _SLICE):
         trials = range(lo, min(lo + _SLICE, u.hi))
         rngs = (RngStream(u.seed, pack_stream(0, u.vi, u.drop, t)).generator() for t in trials)
@@ -292,48 +295,37 @@ def _run_chunk(u: _TrialChunk) -> list:
         # only magnitude and SUS grouping read the perceived states
         states = ([[apply_misreport(ch, prof) for prof in profiles] for ch in channels]
                   if {"channel_magnitude", "sus"} & set(u.rules) else [])
-        # plans[rule][n][i]: the plan of the slice's trial n under profile i
-        plans = {"large_scale": [u.ls_plans] * len(trials)}
+        # plans[rule][n][i]: the plan of the slice's trial n under profile i; the
+        # large-scale plans are fixed per drop and broadcast over the trials
+        plans = {"large_scale": u.ls_plans}
         if "channel_magnitude" in u.rules:
-            plans["channel_magnitude"] = [[scheduling.group_by_magnitude(ps, p) for ps in row]
-                                          for row in states]
+            plans["channel_magnitude"] = [[scheduling.group_by_magnitude(ps, p).groups
+                                           for ps in row] for row in states]
         if "sus" in u.rules:
-            flat = scheduling.group_by_sus([ps for row in states for ps in row], p, u.alpha)
+            flat = [plan.groups for plan in
+                    scheduling.group_by_sus([ps for row in states for ps in row], p, u.alpha)]
             plans["sus"] = [flat[k:k + len(profiles)] for k in range(0, len(flat), len(profiles))]
         if "random" in u.rules:
             rngs = (RngStream(u.seed, pack_stream(1, u.vi, u.drop, t)).generator() for t in trials)
-            plans["random"] = [[scheduling.group_randomly(p, rng)] * len(profiles) for rng in rngs]
-        trial, members, scale = zip(*[(n, plans[rule][n][i].groups, profiles[i].scale)
-                                      for n in range(len(trials)) for rule, i in keys])
+            plans["random"] = [[scheduling.group_randomly(p, rng).groups] * len(profiles)
+                               for rng in rngs]
+        # periods run trial by trial, then rule by rule, then profile by profile
+        members = np.empty((len(trials), len(u.rules), len(profiles), p.T, p.K_B), dtype=np.intp)
+        for r, rule in enumerate(u.rules):
+            members[:, r] = plans[rule]
         try:
-            rates = run_period(np.stack([ch.gains for ch in channels]), trial, members, scale, p)
+            rates = run_period(np.stack([ch.gains for ch in channels]),
+                               np.repeat(np.arange(len(trials)), len(scales)),
+                               members.reshape(-1, p.T, p.K_B), np.tile(scales, (len(trials), 1)), p)
         except SingularMatrixError as e:
             # the same object, re-raised: a failure is still counted once. One
             # raised outside the guard carries no index, so name the slice
             where = (f"trial {trials[e.index[0]]}" if hasattr(e, "index")
                      else f"trials {lo}-{trials[-1]}")
-            e.args += (f"variant {u.vi}, drop {u.drop}, {where}",)
+            e.args += (f"variant {u.vi}, drop {u.drop}, {where}", f"sweep point {u.sweep_value}")
             raise
-        results.extend(dict(zip(keys, r)) for r in rates.reshape(len(trials), len(keys), -1))
-    return results
-
-
-def _trial_results(cfg, p, vi, drops, workers, pool):
-    """Yield the trial results of each drop, in drop order.
-
-    ``drops`` holds (betas, profiles, ls_plans) for each drop. Every
-    chunk of every drop goes out in one map, in this process when ``pool``
-    is None; submission order is reduction order, so the results do not
-    depend on the pool.
-    """
-    step = max(1, math.ceil(cfg.trials / workers / 4)) if workers > 1 else cfg.trials
-    bounds = [(lo, min(lo + step, cfg.trials)) for lo in range(0, cfg.trials, step)]
-    units = [_TrialChunk(p, betas, profiles, ls_plans, cfg.grouping_rule, cfg.sus_alpha,
-                         cfg.seed, vi, drop, lo, hi)
-             for drop, (betas, profiles, ls_plans) in enumerate(drops) for lo, hi in bounds]
-    chunks = map(_run_chunk, units) if pool is None else pool.map(_run_chunk, units)
-    for _ in drops:
-        yield [trial for chunk in itertools.islice(chunks, len(bounds)) for trial in chunk]
+        out[lo - u.lo:trials[-1] + 1 - u.lo] = rates.reshape(len(trials), len(scales), -1)
+    return out
 
 
 def _effective_params(cfg: ExperimentConfig, variant) -> SystemParams:
@@ -386,57 +378,102 @@ def _std_ci(values: np.ndarray):
     return s, 1.96 * s / math.sqrt(n)
 
 
-def _check_workers(workers) -> None:
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+def run_cell(cfg: ExperimentConfig, sweep_value, workers: int = 1) -> list:
+    """Run every variant, rule, and strategy of ``cfg`` at one sweep point, as ``run_experiment``."""
+    return run_experiment(replace(cfg, sweep_values=(sweep_value,)), workers)
 
 
-def run_cell(cfg: ExperimentConfig, sweep_value, workers: int = 1, *, pool=None) -> list:
-    """Run every variant, rule, and strategy of ``cfg`` at one sweep point.
+def _cells(cfg: ExperimentConfig) -> list:
+    """(sweep value, variant index, params, K_M, suffix) of each (sweep point, variant) cell.
 
-    ``pool`` is an open process pool to run the trials on; ``run_experiment``
-    passes its own. Without one, a cell with ``workers > 1`` opens and
-    closes a pool of its own.
+    Every cell is checked here, so a bad one fails before any trial runs.
     """
-    _check_workers(workers)
-    rows = []
-    with (contextlib.nullcontext(pool) if pool is not None else _worker_pool(workers)) as pool:
+    cells = []
+    for v in cfg.sweep_values:
         for vi, variant in enumerate(cfg.variants):
             p = _effective_params(cfg, variant)
             k_m = cfg.K_M
             if cfg.sweep == "P_dB":
-                p = validate_params(replace(p, P=db_to_linear(sweep_value)))
+                p = validate_params(replace(p, P=db_to_linear(v)))
             elif cfg.sweep == "K_M":
-                k_m = int(sweep_value)
+                k_m = int(v)
             if not (0 <= k_m <= p.K):
                 raise CountError(f"K_M={k_m} out of range for K={p.K}")
-            vsuf = _variant_suffix(cfg, variant, p)
-            cell = _homogeneous_cell if cfg.scenario == "homogeneous" else _heterogeneous_cell
-            try:
-                rows.extend(cell(cfg, p, k_m, vi, vsuf, sweep_value, workers, pool))
-            except SingularMatrixError as e:
-                e.args += (f"sweep point {sweep_value}",)
-                raise
+            cells.append((v, vi, p, k_m, _variant_suffix(cfg, variant, p)))
+    return cells
+
+
+def _drops(cfg, vi, p, k_m) -> list:
+    """(betas, profiles, large-scale plans or None) of each drop of one cell."""
+    if cfg.scenario == "homogeneous":
+        betas = np.full(p.K, p.beta_default)
+        return [(betas, [_build_profile(tag, p, k_m, betas, cfg) for tag in cfg.strategy], None)]
+    drops = []
+    for drop in range(cfg.drops):
+        drop_rng = RngStream(cfg.seed, pack_stream(2, vi, drop, 0)).generator()
+        betas = draw_large_scale(p, cfg.large_scale, drop_rng)
+        profiles = [_build_profile(tag, p, k_m, betas, cfg) for tag in cfg.strategy]
+        ls_plans = None
+        if "large_scale" in cfg.grouping_rule:
+            ls_plans = np.array([scheduling.group_by_large_scale(b, p).groups
+                                 for b in (betas, *(prof.reported_beta for prof in profiles))],
+                                dtype=np.intp)
+        drops.append((betas, profiles, ls_plans))
+    return drops
+
+
+def _run(cfg, cells, workers, pool) -> list:
+    """The rows of ``cells``: one map over every trial chunk of every cell.
+
+    Units are made cell by cell as the map reaches them, so on a pool the
+    workers start on the first cells while later ones are set up. Results
+    are reduced cell by cell in submission order, in this process when
+    ``pool`` is None, so they do not depend on the pool.
+    """
+    if not cells:
+        return []
+    per_cell = cfg.drops if cfg.scenario == "heterogeneous" else 1
+    n_drops = len(cells) * per_cell
+    # one unit per drop; a run of fewer than 4 drops per worker splits the drops
+    pieces = 1 if pool is None else -(-4 * workers // n_drops)
+    step = -(-cfg.trials // pieces)
+    bounds = [(lo, min(lo + step, cfg.trials)) for lo in range(0, cfg.trials, step)]
+    setups = collections.deque()        # the drops of each cell reached, until reduced
+
+    def units():
+        for v, vi, p, k_m, _ in cells:
+            setups.append(_drops(cfg, vi, p, k_m))
+            for drop, (betas, profiles, ls_plans) in enumerate(setups[-1]):
+                for lo, hi in bounds:
+                    yield _TrialChunk(p, betas, profiles, ls_plans, cfg.grouping_rule,
+                                      cfg.sus_alpha, cfg.seed, v, vi, drop, lo, hi)
+
+    if pool is None:
+        chunks = map(_run_chunk, units())
+    else:
+        # about 4 submissions per worker for the whole run
+        chunks = pool.map(_run_chunk, units(),
+                          chunksize=-(-n_drops * len(bounds) // (4 * workers)))
+    cell = _homogeneous_cell if cfg.scenario == "homogeneous" else _heterogeneous_cell
+    rows = []
+    for v, _, p, k_m, vsuf in cells:
+        results = [np.concatenate([next(chunks) for _ in bounds]) for _ in range(per_cell)]
+        rows.extend(cell(cfg, p, k_m, vsuf, v, setups.popleft(), results))
     return rows
 
 
-def _strategy_suffix(cfg, tag):
-    return f"__{tag}" if len(cfg.strategy) > 1 else ""
-
-
-def _homogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers, pool):
-    betas = np.full(p.K, p.beta_default)
-    profiles = [_build_profile(tag, p, k_m, betas, cfg) for tag in cfg.strategy]
-    results, = _trial_results(cfg, p, vi, [(betas, profiles, ())], workers, pool)
+def _homogeneous_cell(cfg, p, k_m, vsuf, sweep_value, drops, results):
+    profiles, res = drops[0][1], results[0]                      # res: (trials, rules x profiles, K)
+    col = 1 + len(cfg.strategy)                                   # columns per rule
     rows = []
-    for rule in cfg.grouping_rule:
+    for ri, rule in enumerate(cfg.grouping_rule):
         short = RULE_SHORT[rule]
-        base = np.stack([r[rule, 0] for r in results])            # (trials, K)
+        base = res[:, ri * col]                                   # (trials, K)
         base_mean = base.mean(axis=1)                             # per-trial all-user mean
         for si, tag in enumerate(cfg.strategy):
-            ssuf = _strategy_suffix(cfg, tag)
+            ssuf = f"__{tag}" if len(cfg.strategy) > 1 else ""
             honest = profiles[si].honest_mask()
-            att = np.stack([r[rule, si + 1] for r in results])
+            att = res[:, ri * col + si + 1]
             att_honest = _mean_or_nan(att, honest)        # per-trial honest mean
             theta_trials = 1.0 - att_honest / base_mean
             theta_ratio = float(1.0 - np.mean(att_honest) / np.mean(base_mean))
@@ -449,94 +486,58 @@ def _homogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers, pool):
                                   float(np.mean(theta_trials)) if np.all(np.isfinite(theta_trials)) else float("nan"),
                                   std, ci, cfg.trials, 1, cfg.seed))
     if "homogeneous_uniform" in cfg.strategy:
-        snr_beta = p.beta_default
         if 0 <= k_m <= p.K_B:
-            val = analytic.loss_rr_cm(p, k_m, cfg.delta, snr_beta)
+            val = analytic.loss_rr_cm(p, k_m, cfg.delta, p.beta_default)
             rows.append(ResultRow(cfg.label, cfg.sweep, float(sweep_value),
                                   f"analytic_eq17{vsuf}", val, 0.0, 0.0, 0, 1, cfg.seed))
         if 1 <= k_m <= p.K_B:
-            val = analytic.loss_upper_bound(p, k_m, cfg.delta, snr_beta)
+            val = analytic.loss_upper_bound(p, k_m, cfg.delta, p.beta_default)
             rows.append(ResultRow(cfg.label, cfg.sweep, float(sweep_value),
                                   f"upper_bound_eq21{vsuf}", val, 0.0, 0.0, 0, 1, cfg.seed))
     return rows
 
 
-def _tracked(cfg, p):
-    if cfg.track_users is None:
-        return list(range(1, p.K + 1))
-    users = [u for u in cfg.track_users if 1 <= u <= p.K]
-    return users
-
-
-def _heterogeneous_cell(cfg, p, k_m, vi, vsuf, sweep_value, workers, pool):
-    lsm = cfg.large_scale
+def _heterogeneous_cell(cfg, p, k_m, vsuf, sweep_value, drops, results):
+    tracked = (range(1, p.K + 1) if cfg.track_users is None
+               else [u for u in cfg.track_users if 1 <= u <= p.K])
+    res = np.stack(results)                               # (drops, trials, rules x profiles, K)
+    col = 1 + len(cfg.strategy)                           # columns per rule
     rows = []
-    tracked = _tracked(cfg, p)
-    per_drop_avg = {}       # (rule, si) -> list over drops of avg honest loss
-    per_drop_user = {}      # (rule, si) -> list over drops of per-user loss vectors
-    rep_user_mean = {}      # (rule, si) -> representative-drop per-user loss
-    rep_user_std = {}       # (rule, si) -> per-trial dispersion on the rep drop
-    drops = []              # (betas, profiles, ls_plans) of each drop
-    for drop in range(cfg.drops):
-        drop_rng = RngStream(cfg.seed, pack_stream(2, vi, drop, 0)).generator()
-        betas = draw_large_scale(p, lsm, drop_rng)
-        profiles = [_build_profile(tag, p, k_m, betas, cfg) for tag in cfg.strategy]
-        ls_plans = ()
-        if "large_scale" in cfg.grouping_rule:
-            ls_plans = tuple(scheduling.group_by_large_scale(b, p)
-                             for b in (betas, *(prof.reported_beta for prof in profiles)))
-        drops.append((betas, profiles, ls_plans))
-    for drop, results in enumerate(_trial_results(cfg, p, vi, drops, workers, pool)):
-        profiles = drops[drop][1]
-        for rule in cfg.grouping_rule:
-            base = np.stack([r[rule, 0] for r in results])        # (trials, K)
-            base_sum = base.sum(axis=0)
-            for si, tag in enumerate(cfg.strategy):
-                att = np.stack([r[rule, si + 1] for r in results])
-                att_sum = att.sum(axis=0)
-                user_loss = 1.0 - att_sum / base_sum              # (K,)
-                honest = profiles[si].honest_mask()
-                key = (rule, si)
-                # loss of the honest users' average rate, not the average of
-                # per-user loss ratios: strong users carry their rate weight
-                if honest.any():
-                    agg = 1.0 - att_sum[honest].sum() / base_sum[honest].sum()
-                else:
-                    agg = float("nan")
-                per_drop_avg.setdefault(key, []).append(agg)
-                per_drop_user.setdefault(key, []).append(user_loss)
-                if drop == 0:
-                    rep_user_mean[key] = user_loss
-                    rep_user_std[key] = (1.0 - att / base).std(axis=0, ddof=1) \
-                        if cfg.trials > 1 else np.zeros(p.K)
-    for rule in cfg.grouping_rule:
+    for ri, rule in enumerate(cfg.grouping_rule):
         short = RULE_SHORT[rule]
+        base = res[:, :, ri * col]                        # (drops, trials, K)
+        base_sum = base.sum(axis=1)
         for si, tag in enumerate(cfg.strategy):
-            key = (rule, si)
-            ssuf = _strategy_suffix(cfg, tag)
-            avg = np.asarray(per_drop_avg[key])
+            ssuf = f"__{tag}" if len(cfg.strategy) > 1 else ""
+            att = res[:, :, ri * col + si + 1]
+            att_sum = att.sum(axis=1)
+            user_loss = 1.0 - att_sum / base_sum          # (drops, K)
+            # loss of the honest users' average rate, not the average of
+            # per-user loss ratios: strong users carry their rate weight
+            honest = [profiles[si].honest_mask() for _, profiles, _ in drops]
+            avg = np.array([1.0 - a[h].sum() / b[h].sum() if h.any() else np.nan
+                            for a, b, h in zip(att_sum, base_sum, honest)])
             std, ci = _std_ci(avg)
             rows.append(ResultRow(
                 cfg.label, cfg.sweep, float(sweep_value),
                 f"avg_honest_loss_{short}{ssuf}{vsuf}",
                 float(avg.mean()), std, ci, cfg.trials, cfg.drops, cfg.seed))
-            if not tracked:
-                continue
-            stacked = np.stack(per_drop_user[key])                # (drops, K)
-            tstd = rep_user_std[key]
+            # per-user rows: drop 0 is the representative drop for the per-trial spread
+            tstd = ((1.0 - att[0] / base[0]).std(axis=0, ddof=1) if cfg.trials > 1
+                    else np.zeros(p.K))
             tci = 1.96 * tstd / math.sqrt(cfg.trials) if cfg.trials > 1 else tstd
             for u in tracked:
                 i = u - 1
                 rows.append(ResultRow(
                     cfg.label, cfg.sweep, float(sweep_value),
                     f"per_user_loss_{short}{ssuf}{vsuf}[{u}]",
-                    float(rep_user_mean[key][i]), float(tstd[i]), float(tci[i]),
+                    float(user_loss[0, i]), float(tstd[i]), float(tci[i]),
                     cfg.trials, 1, cfg.seed))
-                dstd, dci = _std_ci(stacked[:, i])
+                dstd, dci = _std_ci(user_loss[:, i])
                 rows.append(ResultRow(
                     cfg.label, cfg.sweep, float(sweep_value),
                     f"per_user_loss_{short}{ssuf}{vsuf}_drops[{u}]",
-                    float(stacked[:, i].mean()), dstd, dci,
+                    float(user_loss[:, i].mean()), dstd, dci,
                     cfg.trials, cfg.drops, cfg.seed))
     return rows
 
@@ -549,12 +550,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     thread counts are restored, and the pool is shut down, on return and on
     an exception.
     """
-    _check_workers(workers)
-    rows = []
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    cells = _cells(cfg)
     with _single_blas_thread(), _worker_pool(workers) as pool:
-        for v in cfg.sweep_values:
-            rows.extend(run_cell(cfg, v, workers, pool=pool))
-    return rows
+        return _run(cfg, cells, workers, pool)
 
 
 def _fmt(x: float) -> str:

@@ -2,15 +2,18 @@
 import io
 import json
 import math
+import multiprocessing
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from mimosched import (
     ChannelSet,
     OrderStatSpec,
     QuadratureError,
+    RngStream,
     SingularMatrixError,
     config_from_dict,
     emit_csv,
@@ -20,7 +23,8 @@ from mimosched import (
     loss_upper_bound,
     run_experiment,
 )
-from mimosched import experiments
+from mimosched import db_to_linear, experiments
+from mimosched.experiments import pack_stream
 from mimosched.cli import main
 
 
@@ -203,6 +207,40 @@ def test_guard_trip_names_drop_and_trial(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "numerical failure" in msg and "variant 0, drop 1, trial 1" in msg
     assert "sweep point 0.0" in msg
+
+
+@pytest.mark.parametrize("workers", [
+    1, pytest.param(2, marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched draw reaches pool workers only by fork"))])
+def test_guard_trip_keeps_its_context_in_a_multi_cell_run(workers, monkeypatch):
+    # two sweep points x two layouts x five drops; only sweep point 10.0,
+    # variant 0, drop 1, trial 1 draws two equal rows for its two strongest
+    # users, which share block 0 of the honest large-scale plan. At 2
+    # workers the 20 units go out 3 to a submission, so that unit shares
+    # its submission with the last drop of sweep point 0.0
+    target = RngStream(42, pack_stream(0, 0, 1, 1)).generator().bit_generator.state
+    draw = experiments.draw_channels
+
+    def degenerate_at(p, betas, rng):
+        ch = draw(p, betas, rng)
+        if p.P != db_to_linear(10.0) or not np.array_equal(
+                rng.bit_generator.state["state"]["key"], target["state"]["key"]):
+            return ch
+        gains = ch.gains.copy()
+        gains[1] = gains[0]
+        return ChannelSet(gains=gains, large_scale=ch.large_scale)
+
+    monkeypatch.setattr(experiments, "draw_channels", degenerate_at)
+    cfg = config_from_dict({
+        "scenario": "heterogeneous", "M": 16, "T": 3, "K_B": 3,
+        "grouping_rule": "large_scale", "K_M": 1, "trials": 3, "drops": 5,
+        "sweep": "P_dB", "sweep_values": [0.0, 10.0], "variants": [None, {"T": 1, "K_B": 9}]})
+    with pytest.raises(SingularMatrixError) as err:
+        run_experiment(cfg, workers=workers)
+    assert err.value.args[0].startswith("block 0: Gram matrix condition number")
+    assert err.value.args[1:] == ("variant 0, drop 1, trial 1", "sweep point 10.0")
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(shutil.which("mimosched") is None,

@@ -309,15 +309,34 @@ def _het_sweep(p_nine, cell_model):
         trials=4, drops=3, seed=21, track_users=(1, 9))
 
 
+def _hom_split(p_nine, cell_model):
+    # two drops in the whole run, fewer than 4 per worker: each is split
+    return ExperimentConfig(
+        params=p_nine, grouping_rule=("channel_magnitude", "sus", "random"), K_M=2,
+        sweep="P_dB", sweep_values=(0.0, 10.0), trials=11, seed=5)
+
+
 @pytest.fixture
 def opened_pools(monkeypatch):
-    """Every process pool the engine constructs while the test runs."""
+    """Every process pool the engine constructs while the test runs.
+
+    Each one counts its ``map`` calls and its submissions.
+    """
     opened = []
 
     class CountedPool(experiments.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(self)
+            self.maps = self.submits = 0
             super().__init__(*args, **kwargs)
+
+        def map(self, *args, **kwargs):
+            self.maps += 1
+            return super().map(*args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            self.submits += 1
+            return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
     return opened
@@ -333,11 +352,31 @@ def test_one_pool_serves_the_whole_run(p_nine, cell_model, opened_pools):
     assert pooled.getvalue() == serial.getvalue()
 
 
+@pytest.mark.parametrize("config", [_het_sweep, _hom_split])
+def test_one_map_per_run_streams_every_cell(config, p_nine, cell_model, opened_pools):
+    cfg = config(p_nine, cell_model)
+    texts = {}
+    for workers in (1, 2, 3):
+        buf = io.StringIO()
+        emit_csv(run_experiment(cfg, workers=workers), buf)
+        texts[workers] = buf.getvalue()
+    assert texts[2] == texts[1] and texts[3] == texts[1]
+    assert len(opened_pools) == 2
+    for pool, workers in zip(opened_pools, (2, 3)):
+        assert pool.maps == 1
+        assert 1 <= pool.submits <= 4 * workers + 1
+        if config is _hom_split:
+            # 2 drops split into 4 x workers units of one submission each
+            assert pool.submits == 4 * workers
+
+
 def test_run_cell_opens_its_own_pool(p_nine, cell_model, opened_pools):
     cfg = _het_sweep(p_nine, cell_model)
     assert run_cell(cfg, 2, workers=2) == run_cell(cfg, 2)
     assert len(opened_pools) == 1
     assert multiprocessing.active_children() == []
+    # the same engine as a whole run, on one sweep point
+    assert run_cell(cfg, 2) == [r for r in run_experiment(cfg) if r.sweep_value == 2]
 
 
 def _openblas_thread_getters():
@@ -373,52 +412,70 @@ def _blas_threads():
 def test_run_experiment_restores_blas_threads(p_nine, monkeypatch):
     before = _blas_threads()
     during = []
-    real_cell = experiments.run_cell
+    real_chunk = experiments._run_chunk
 
-    def watched_cell(*args, **kwargs):
+    def watched_chunk(u):
         during.append(_blas_threads())
-        return real_cell(*args, **kwargs)
+        if u.sweep_value == 3:
+            raise CountError("planted failure inside the run")
+        return real_chunk(u)
 
-    monkeypatch.setattr(experiments, "run_cell", watched_cell)
-    cfg = ExperimentConfig(params=p_nine, K_M=1, trials=2, seed=3)
+    monkeypatch.setattr(experiments, "_run_chunk", watched_chunk)
+    cfg = ExperimentConfig(params=p_nine, K_M=1, trials=2, seed=3,
+                           sweep="K_M", sweep_values=(1, 2))
     run_experiment(cfg)
     assert _blas_threads() == before
-    # the second sweep point is out of range and raises after the first ran
-    with pytest.raises(CountError):
-        run_experiment(replace(cfg, sweep="K_M", sweep_values=(1, 10)))
+    # the second sweep point's chunk raises after the first chunk ran
+    with pytest.raises(CountError, match="planted"):
+        run_experiment(replace(cfg, sweep_values=(1, 3)))
     assert _blas_threads() == before
-    assert len(during) == 3
+    # an out-of-range sweep point fails before any chunk runs
+    with pytest.raises(CountError, match="out of range"):
+        run_experiment(replace(cfg, sweep_values=(1, 10)))
+    assert _blas_threads() == before
+    assert len(during) == 4
     assert all(set(counts) == {1} for counts in during)
 
 
-def test_failed_pooled_run_leaves_no_workers(p_nine):
+def test_failed_pooled_run_leaves_no_workers(p_nine, cell_model, monkeypatch, opened_pools):
     before = _blas_threads()
-    cfg = ExperimentConfig(params=p_nine, K_M=1, trials=4, seed=3,
-                           sweep="K_M", sweep_values=(1, 10))
-    # the first sweep point runs on the pool, the second is out of range
+    # an out-of-range sweep point fails before a pool opens
     with pytest.raises(CountError):
-        run_experiment(cfg, workers=2)
+        run_experiment(ExperimentConfig(params=p_nine, K_M=1, trials=4, seed=3,
+                                        sweep="K_M", sweep_values=(1, 10)), workers=2)
+    assert opened_pools == []
+    real_drops = experiments._drops
+    calls = itertools.count()
+
+    def fail_second_cell(*args):
+        if next(calls) == 1:
+            raise CountError("planted set-up failure")
+        return real_drops(*args)
+
+    monkeypatch.setattr(experiments, "_drops", fail_second_cell)
+    # the first cell's chunks go out to the pool, then the second cell's set-up fails
+    with pytest.raises(CountError, match="planted"):
+        run_experiment(_het_sweep(p_nine, cell_model), workers=2)
+    assert len(opened_pools) == 1 and opened_pools[0].submits >= 1
     assert multiprocessing.active_children() == []
     assert _blas_threads() == before
 
 
-def _worker_blas_threads(u):
-    return [(os.getpid(), _blas_threads())] * (u.hi - u.lo)
+def _worker_blas_threads(_):
+    return os.getpid(), _blas_threads()
 
 
 @_needs_openblas
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched chunk reaches pool workers only by fork")
-def test_pool_workers_run_blas_single_threaded(p_nine, monkeypatch):
-    # called below run_experiment, so the parent's own count is untouched
+                    reason="the probe function reaches pool workers only by fork")
+def test_pool_workers_run_blas_single_threaded():
+    # used below run_experiment, so the parent's own count is untouched
     # and only the pool's initializer can bring the workers to one thread
-    monkeypatch.setattr(experiments, "_run_chunk", _worker_blas_threads)
-    cfg = ExperimentConfig(params=p_nine, trials=8)
     with experiments._worker_pool(2) as pool:
-        results, = experiments._trial_results(cfg, p_nine, 0, [(None, (), ())], 2, pool)
-    assert len(results) == 8
-    assert all(pid != os.getpid() for pid, _ in results)
-    assert all(set(counts) == {1} for _, counts in results)
+        seen = list(pool.map(_worker_blas_threads, range(8)))
+    assert len(seen) == 8
+    assert all(pid != os.getpid() for pid, _ in seen)
+    assert all(set(counts) == {1} for _, counts in seen)
 
 
 def test_emit_csv_layout(tmp_path):
