@@ -13,7 +13,6 @@ from .core import (
     RangeError,
     RegimeError,
     ScaleError,
-    SchedulePlan,
     SimulationError,
     SingularMatrixError,
     SystemParams,
@@ -39,6 +38,7 @@ from .scheduling import (
     group_by_magnitude,
     group_by_sus,
     group_randomly,
+    same_grouping,
 )
 from .strategies import (
     grouping_changed_over,

@@ -199,45 +199,6 @@ STRATEGY_TAGS = frozenset({
     "grouping_unchanged_under",
 })
 
-GROUPING_RULES = frozenset({
-    "channel_magnitude",
-    "sus",
-    "random",
-    "large_scale",
-})
-
-
-@dataclass(frozen=True)
-class SchedulePlan:
-    """Ordered partition of the K users into T blocks of K_B members each."""
-
-    groups: tuple          # T tuples of K_B user indices
-    grouping_rule: str
-
-    def __post_init__(self) -> None:
-        groups = tuple(tuple(int(u) for u in g) for g in self.groups)
-        object.__setattr__(self, "groups", groups)
-        if self.grouping_rule not in GROUPING_RULES:
-            raise ConfigError(f"unknown grouping_rule {self.grouping_rule!r}")
-        sizes = {len(g) for g in groups}
-        if len(sizes) > 1:
-            raise DimensionError(f"blocks must have equal size, got sizes {sorted(sizes)}")
-        flat = sorted(u for g in groups for u in g)
-        if flat != list(range(len(flat))):
-            raise DimensionError("groups must partition the user set 0..K-1")
-
-    def block_sets(self) -> tuple:
-        """Per-block membership as frozensets, in block order."""
-        return tuple(frozenset(g) for g in self.groups)
-
-    def same_grouping(self, other: "SchedulePlan") -> bool:
-        """True when both plans place the same users in the same blocks.
-
-        Within-block order is presentation only and is ignored here.
-        """
-        return self.block_sets() == other.block_sets()
-
-
 def db_to_linear(x_db: float) -> float:
     """Convert a dB value to linear scale."""
     return float(10.0 ** (float(x_db) / 10.0))

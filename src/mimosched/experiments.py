@@ -27,7 +27,6 @@ from .core import (
     CountError,
     DimensionError,
     DomainError,
-    GROUPING_RULES,
     LargeScaleModel,
     SingularMatrixError,
     STRATEGY_TAGS,
@@ -39,6 +38,7 @@ from .channel import RngStream, apply_misreport, draw_channels, draw_large_scale
 from .zf import evaluate_block
 from . import analytic, scheduling, strategies
 
+# every grouping rule, with the short name its metric rows carry
 RULE_SHORT = {
     "channel_magnitude": "cm",
     "sus": "sus",
@@ -64,6 +64,14 @@ def pack_stream(purpose: int, variant: int, drop: int, trial: int) -> int:
         raise DomainError("stream coordinates out of range")
     return (((purpose << _VARIANT_BITS | variant) << _DROP_BITS | drop)
             << _TRIAL_BITS | trial)
+
+
+def _integer(name: str, v) -> int:
+    """``v`` as an int: integral floats and numpy integers pass, anything else is a ConfigError."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or isinstance(v, numbers.Real)
+                                   and float(v).is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    return int(v)
 
 
 @dataclass(frozen=True)
@@ -97,12 +105,15 @@ class ExperimentConfig:
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         object.__setattr__(self, "variants",
                            tuple(dict(v) if v else None for v in self.variants))
+        for name in ("K_M", "trials", "drops", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.track_users is not None:
-            object.__setattr__(self, "track_users", tuple(int(u) for u in self.track_users))
+            object.__setattr__(self, "track_users",
+                               tuple(_integer("track_users", u) for u in self.track_users))
         if self.scenario not in ("homogeneous", "heterogeneous"):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         for r in gr:
-            if r not in GROUPING_RULES:
+            if r not in RULE_SHORT:
                 raise ConfigError(f"unknown grouping rule {r!r}")
         allowed = _HOM_STRATEGIES if self.scenario == "homogeneous" else _HET_STRATEGIES
         for s in st:
@@ -126,10 +137,9 @@ class ExperimentConfig:
         # the SUS threshold doubles until a user passes it: at <= 0 it never does
         if not self.sus_alpha > 0:
             raise ConfigError(f"sus_alpha must be positive, got {self.sus_alpha}")
-        k_ms = (self.K_M,) + (self.sweep_values if self.sweep == "K_M" else ())
-        for k in k_ms:
-            if isinstance(k, bool) or not isinstance(k, numbers.Real) or not float(k).is_integer():
-                raise ConfigError(f"K_M values must be integers, got {k!r}")
+        if self.sweep == "K_M":
+            for k in self.sweep_values:
+                _integer("K_M", k)
 
 
 @dataclass(frozen=True)
@@ -158,8 +168,9 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams) -> np.
 
     Period e runs on rows gains[trial[e]] (K, M) with plan members[e] (T, K_B)
     and misreport multipliers scale[e] (K,); a user's period rate is its block
-    rate over T. Each distinct (trial, plan) pair is factorized once, in order
-    of first appearance; a guard trip's ``index`` becomes (trial, block).
+    rate over T. Every plan must order all K users 0..K-1, each once. Each
+    distinct (trial, plan) pair is factorized once, in order of first
+    appearance; a guard trip's ``index`` becomes (trial, block).
     """
     trial = np.asarray(trial, dtype=np.intp)
     members = np.asarray(members, dtype=np.intp)
@@ -168,6 +179,9 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams) -> np.
     if members.shape != (e, p.T, p.K_B) or scale.shape != (e, p.K):
         raise DimensionError(f"{e} periods need ({e}, {p.T}, {p.K_B}) members and ({e}, {p.K}) "
                              f"scales, got {members.shape} and {scale.shape}")
+    if not np.array_equal(np.sort(members.reshape(e, -1), axis=1),
+                          np.broadcast_to(np.arange(p.K), (e, p.K))):
+        raise DimensionError("every period's members must partition the users 0..K-1")
     # ids count up in order of first appearance, so return_index gives each plan's first period
     ids = {}
     plan_of = np.array([ids.setdefault((n, m.tobytes()), len(ids))
@@ -292,27 +306,25 @@ def _run_chunk(u: _TrialChunk) -> np.ndarray:
         trials = range(lo, min(lo + _SLICE, u.hi))
         rngs = (RngStream(u.seed, pack_stream(0, u.vi, u.drop, t)).generator() for t in trials)
         channels = [draw_channels(p, u.betas, rng) for rng in rngs]
-        # only magnitude and SUS grouping read the perceived states
-        states = ([[apply_misreport(ch, prof) for prof in profiles] for ch in channels]
+        # only magnitude and SUS grouping read the perceived states, trial by trial
+        states = ([apply_misreport(ch, prof) for ch in channels for prof in profiles]
                   if {"channel_magnitude", "sus"} & set(u.rules) else [])
-        # plans[rule][n][i]: the plan of the slice's trial n under profile i; the
-        # large-scale plans are fixed per drop and broadcast over the trials
-        plans = {"large_scale": u.ls_plans}
-        if "channel_magnitude" in u.rules:
-            plans["channel_magnitude"] = [[scheduling.group_by_magnitude(ps, p).groups
-                                           for ps in row] for row in states]
-        if "sus" in u.rules:
-            flat = [plan.groups for plan in
-                    scheduling.group_by_sus([ps for row in states for ps in row], p, u.alpha)]
-            plans["sus"] = [flat[k:k + len(profiles)] for k in range(0, len(flat), len(profiles))]
-        if "random" in u.rules:
-            rngs = (RngStream(u.seed, pack_stream(1, u.vi, u.drop, t)).generator() for t in trials)
-            plans["random"] = [[scheduling.group_randomly(p, rng).groups] * len(profiles)
-                               for rng in rngs]
-        # periods run trial by trial, then rule by rule, then profile by profile
-        members = np.empty((len(trials), len(u.rules), len(profiles), p.T, p.K_B), dtype=np.intp)
+        # periods run trial by trial, then rule by rule, then profile by profile.
+        # The large-scale plans are fixed per drop and broadcast over the
+        # trials; a trial's random plan is broadcast over its profiles
+        shape = (len(trials), len(profiles), p.T, p.K_B)
+        members = np.empty((len(trials), len(u.rules), *shape[1:]), dtype=np.intp)
         for r, rule in enumerate(u.rules):
-            members[:, r] = plans[rule]
+            if rule == "large_scale":
+                members[:, r] = u.ls_plans
+            elif rule == "channel_magnitude":
+                members[:, r] = scheduling.group_by_magnitude(states, p).reshape(shape)
+            elif rule == "sus":
+                members[:, r] = scheduling.group_by_sus(states, p, u.alpha).reshape(shape)
+            else:
+                for n, t in enumerate(trials):
+                    rng = RngStream(u.seed, pack_stream(1, u.vi, u.drop, t)).generator()
+                    members[n, r] = scheduling.group_randomly(p, rng)
         try:
             rates = run_period(np.stack([ch.gains for ch in channels]),
                                np.repeat(np.arange(len(trials)), len(scales)),
@@ -334,8 +346,8 @@ def _effective_params(cfg: ExperimentConfig, variant) -> SystemParams:
         fields = dict(variant)
         fields.pop("label", None)
         if "T" in fields or "K_B" in fields:
-            t = int(fields.get("T", p.T))
-            kb = int(fields.get("K_B", p.K_B))
+            t = _integer("T", fields.get("T", p.T))
+            kb = _integer("K_B", fields.get("K_B", p.K_B))
             fields.update(T=t, K_B=kb, K=t * kb)
         p = replace(p, **fields)
     return validate_params(p)
@@ -415,9 +427,8 @@ def _drops(cfg, vi, p, k_m) -> list:
         profiles = [_build_profile(tag, p, k_m, betas, cfg) for tag in cfg.strategy]
         ls_plans = None
         if "large_scale" in cfg.grouping_rule:
-            ls_plans = np.array([scheduling.group_by_large_scale(b, p).groups
-                                 for b in (betas, *(prof.reported_beta for prof in profiles))],
-                                dtype=np.intp)
+            ls_plans = np.stack([scheduling.group_by_large_scale(b, p)
+                                 for b in (betas, *(prof.reported_beta for prof in profiles))])
         drops.append((betas, profiles, ls_plans))
     return drops
 
@@ -613,11 +624,11 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if "delta" in d and "delta_dB" in d:
         raise ConfigError("give delta or delta_dB, not both")
     try:
-        t = int(d.get("T", 4))
-        kb = int(d.get("K_B", 8))
-        k = int(d.get("K", t * kb))
+        t = _integer("T", d.get("T", 4))
+        kb = _integer("K_B", d.get("K_B", 8))
+        k = _integer("K", d.get("K", t * kb))
         params = SystemParams(
-            M=int(d.get("M", 64)), K=k, K_B=kb, T=t,
+            M=_integer("M", d.get("M", 64)), K=k, K_B=kb, T=t,
             P=float(d["P"]) if "P" in d else db_to_linear(d.get("P_dB", 10.0)),
             noise_var=float(d.get("noise_var", 1.0)),
             beta_default=float(d.get("beta_default", 1.0)),
@@ -640,16 +651,16 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             strategy=d.get("strategy",
                            "homogeneous_uniform" if scenario == "homogeneous"
                            else "grouping_changed_under"),
-            K_M=int(d.get("K_M", 1)),
+            K_M=d.get("K_M", 1),
             delta=delta,
             beta_low_factor=float(d.get("beta_low_factor", 0.5)),
             beta_high_factor=float(d.get("beta_high_factor", 2.0)),
             large_scale=lsm,
             sweep=d.get("sweep", "none"),
             sweep_values=tuple(d.get("sweep_values", (0.0,))),
-            trials=int(d.get("trials", 2000)),
-            drops=int(d.get("drops", 200 if scenario == "heterogeneous" else 1)),
-            seed=int(d.get("seed", 42)),
+            trials=d.get("trials", 2000),
+            drops=d.get("drops", 200 if scenario == "heterogeneous" else 1),
+            seed=d.get("seed", 42),
             sus_alpha=float(d.get("sus_alpha", 0.3)),
             track_users=d.get("track_users"),
             variants=tuple(d["variants"]) if d.get("variants") else (None,),

@@ -1,50 +1,71 @@
 """Round-robin user grouping rules.
 
 Every rule consumes only the perceived (possibly misreported) state, never
-the true channels, and returns an ordered partition of all K users into T
-blocks of K_B. Sorting ties break by user index.
+the true channels, and returns a plan: an intp array of shape (T, K_B) whose
+row t lists the members of block t, or an (n, T, K_B) stack of plans. Every
+plan orders all K users into T blocks of K_B. Sorting ties break by user
+index.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DimensionError, DomainError, SchedulePlan, SystemParams
+from .core import DimensionError, DomainError, SystemParams
 from .channel import PerceivedState
 
 
-def _chunk(order: np.ndarray, p: SystemParams, rule: str) -> SchedulePlan:
-    groups = tuple(tuple(order[t * p.K_B:(t + 1) * p.K_B]) for t in range(p.T))
-    return SchedulePlan(groups=groups, grouping_rule=rule)
+def _blocks(order: np.ndarray, p: SystemParams) -> np.ndarray:
+    return order.astype(np.intp, copy=False).reshape(*order.shape[:-1], p.T, p.K_B)
 
 
 def _sorted_desc(values: np.ndarray) -> np.ndarray:
     # stable: ties fall back to ascending user index
-    return np.lexsort((np.arange(values.shape[0]), -values))
+    return np.argsort(-values, axis=-1, kind="stable")
 
 
-def _magnitudes(ps: PerceivedState, p: SystemParams) -> np.ndarray:
-    mags = ps.reported_magnitudes
-    if mags.shape != (p.K,):
-        raise DimensionError(f"state covers {mags.shape[0]} users, params say K={p.K}")
-    return mags
+def _magnitudes(states, p: SystemParams):
+    """(single, states, (n, K) reported magnitudes) of one state or a sequence."""
+    single = isinstance(states, PerceivedState)
+    states = (states,) if single else tuple(states)
+    for ps in states:
+        if ps.reported_magnitudes.shape != (p.K,):
+            raise DimensionError(f"state covers {ps.reported_magnitudes.shape[0]} users, "
+                                 f"params say K={p.K}")
+    return single, states, np.stack([ps.reported_magnitudes for ps in states])
 
 
-def group_by_magnitude(ps: PerceivedState, p: SystemParams) -> SchedulePlan:
-    """Strongest reported instantaneous magnitudes first, blocks of K_B."""
-    return _chunk(_sorted_desc(_magnitudes(ps, p)), p, "channel_magnitude")
+def group_by_magnitude(states, p: SystemParams) -> np.ndarray:
+    """Strongest reported instantaneous magnitudes first, blocks of K_B.
+
+    ``states`` is one PerceivedState, for which one (T, K_B) plan is
+    returned, or a sequence of n states, for which the (n, T, K_B) stack of
+    their plans is returned from one sort.
+    """
+    single, _, mags = _magnitudes(states, p)
+    plans = _blocks(_sorted_desc(mags), p)
+    return plans[0] if single else plans
 
 
-def group_by_large_scale(reported_beta: np.ndarray, p: SystemParams) -> SchedulePlan:
+def group_by_large_scale(reported_beta: np.ndarray, p: SystemParams) -> np.ndarray:
     """Same ordering rule, keyed on reported large-scale gains."""
     beta = np.asarray(reported_beta, dtype=np.float64)
     if beta.shape != (p.K,):
         raise DimensionError(f"reported_beta must have shape ({p.K},), got {beta.shape}")
-    return _chunk(_sorted_desc(beta), p, "large_scale")
+    return _blocks(_sorted_desc(beta), p)
 
 
-def group_randomly(p: SystemParams, rng: np.random.Generator) -> SchedulePlan:
+def group_randomly(p: SystemParams, rng: np.random.Generator) -> np.ndarray:
     """Uniform random partition; every user is equally likely in any block."""
-    return _chunk(rng.permutation(p.K), p, "random")
+    return _blocks(rng.permutation(p.K), p)
+
+
+def same_grouping(a, b) -> bool:
+    """True when plans ``a`` and ``b`` place the same users in the same blocks.
+
+    Block order counts; within-block order is presentation only and is
+    ignored here.
+    """
+    return np.array_equal(np.sort(a, axis=-1), np.sort(b, axis=-1))
 
 
 def _norm(rows: np.ndarray) -> np.ndarray:
@@ -52,7 +73,7 @@ def _norm(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
 
-def group_by_sus(states, p: SystemParams, alpha: float = 0.3):
+def group_by_sus(states, p: SystemParams, alpha: float = 0.3) -> np.ndarray:
     """Greedy semi-orthogonal selection on the reported channel rows.
 
     Each block is seeded with the strongest remaining reported magnitude,
@@ -63,13 +84,12 @@ def group_by_sus(states, p: SystemParams, alpha: float = 0.3):
     retried. Ties go to the lower user index. Deterministic; block order
     follows selection order.
 
-    ``states`` is one PerceivedState, for which one SchedulePlan is
-    returned, or a sequence of them, for which a tuple of plans is returned;
-    the states of a sequence are grouped together, each on its own.
+    ``states`` is one PerceivedState, for which one (T, K_B) plan is
+    returned, or a sequence of n states, for which the (n, T, K_B) stack of
+    their plans is returned; the states of a sequence are grouped together,
+    each on its own.
     """
-    single = isinstance(states, PerceivedState)
-    states = (states,) if single else tuple(states)
-    mags = np.stack([_magnitudes(ps, p) for ps in states])           # (n, K)
+    single, states, mags = _magnitudes(states, p)                    # mags: (n, K)
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     rows = np.stack([ps.false_matrix for ps in states])              # (n, K, M)
@@ -116,5 +136,4 @@ def group_by_sus(states, p: SystemParams, alpha: float = 0.3):
             thresh[growing & ~found] *= 2.0
             s = np.flatnonzero(growing & found)
             chosen = best[s]
-    plans = tuple(SchedulePlan(groups=g.tolist(), grouping_rule="sus") for g in groups)
-    return plans[0] if single else plans
+    return groups[0] if single else groups

@@ -152,7 +152,7 @@ def grouping_unchanged_under(betas: np.ndarray, p: SystemParams, K_M: int,
     # defining postcondition: the large-scale scheduler must not notice
     honest_plan = scheduling.group_by_large_scale(betas, p)
     reported_plan = scheduling.group_by_large_scale(reported, p)
-    if not honest_plan.same_grouping(reported_plan):
+    if not scheduling.same_grouping(honest_plan, reported_plan):
         raise SimulationError(
             "internal error: grouping-preserving misreport changed the grouping")
     return profile

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 from scipy.stats import gamma as gamma_dist
 
-from mimosched import DomainError, SchedulePlan, maxmin_power, zf_effective_gains
+from mimosched import DomainError, maxmin_power, zf_effective_gains
 from mimosched.zf import _check_conditioning
 
 
@@ -74,14 +74,14 @@ def period_rates_oracle(gains: np.ndarray, scale: np.ndarray, members, p) -> np.
     return rates
 
 
-def sus_oracle(ps, p, alpha: float = 0.3) -> SchedulePlan:
+def sus_oracle(ps, p, alpha: float = 0.3) -> np.ndarray:
     """Semi-orthogonal user selection as a loop over candidates and basis vectors.
 
     The rule of ``group_by_sus``, one state at a time: seed each block with
     the strongest remaining reported magnitude, then add the free candidate
     with the largest orthogonal energy among those whose normalized
     projection stays below the threshold, doubling the threshold when none
-    does.
+    does. Returns the (T, K_B) plan.
     """
     rows = ps.false_matrix
     mags = ps.reported_magnitudes
@@ -119,5 +119,5 @@ def sus_oracle(ps, p, alpha: float = 0.3) -> SchedulePlan:
             rn = np.linalg.norm(resid)
             if rn > 1e-12 * np.linalg.norm(rows[best]):
                 basis.append(resid / rn)
-        groups.append(tuple(selected))
-    return SchedulePlan(groups=tuple(groups), grouping_rule="sus")
+        groups.append(selected)
+    return np.array(groups, dtype=np.intp)

@@ -40,6 +40,7 @@ from mimosched import (
     orderstat_pdf,
     preset,
     run_experiment,
+    same_grouping,
     zf_effective_gains,
 )
 from mimosched.core import LargeScaleModel
@@ -238,7 +239,7 @@ def test_acceptance_8_numerical_property_suite():
         honest_plan = group_by_large_scale(betas, _P)
         for k_m in range(1, 33):
             mp = grouping_unchanged_under(betas, _P, k_m)
-            if not honest_plan.same_grouping(group_by_large_scale(mp.reported_beta, _P)):
+            if not same_grouping(honest_plan, group_by_large_scale(mp.reported_beta, _P)):
                 plans_ok = False
     elapsed = time.perf_counter() - t0
     ok = (zf_ok and maxmin_ok and oracle_ok and norm_ok and inv_ok

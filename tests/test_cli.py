@@ -141,7 +141,11 @@ def test_run_rejects_bad_inputs(tmp_path, capsys):
     assert main(["run", "--config", str(ragged), "--out", str(out)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json"),
                  "--out", str(out)]) == 2
-    capsys.readouterr()
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"trials": 2.7}))
+    assert main(["run", "--config", str(fractional), "--out", str(out)]) == 2
+    assert "trials must be an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -9,7 +9,6 @@ from mimosched import (
     DomainError,
     LargeScaleModel,
     MisreportProfile,
-    SchedulePlan,
     SystemParams,
     db_to_linear,
     validate_params,
@@ -123,22 +122,3 @@ def test_misreport_profile_rejects_bad_shapes_and_tags():
         MisreportProfile(scale=np.ones(3), reported_beta=np.ones(3),
                          strategy_tag="nope")
 
-
-def test_schedule_plan_partition_checks():
-    plan = SchedulePlan(groups=((2, 0), (1, 3)), grouping_rule="channel_magnitude")
-    assert len(plan.groups) == 2 and len(plan.groups[0]) == 2
-    assert 1 in plan.groups[1]
-    with pytest.raises(DimensionError):
-        SchedulePlan(groups=((0, 1), (2,)), grouping_rule="random")
-    with pytest.raises(DimensionError):
-        SchedulePlan(groups=((0, 1), (1, 2)), grouping_rule="random")
-    with pytest.raises(ConfigError):
-        SchedulePlan(groups=((0, 1), (2, 3)), grouping_rule="bogus")
-
-
-def test_schedule_plan_same_grouping_ignores_member_order():
-    a = SchedulePlan(groups=((2, 0), (1, 3)), grouping_rule="random")
-    b = SchedulePlan(groups=((0, 2), (3, 1)), grouping_rule="large_scale")
-    c = SchedulePlan(groups=((1, 3), (2, 0)), grouping_rule="random")
-    assert a.same_grouping(b)
-    assert not a.same_grouping(c)  # blocks swapped, different schedule

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from mimosched import (
     ConfigError,
     CountError,
+    DimensionError,
     DomainError,
     ExperimentConfig,
     ResultRow,
@@ -112,11 +113,26 @@ def test_config_normalizes_scalars(p_default):
     {"delta": -1.0},
     {"trials": 2**26},                                  # past the stream id's trial field
     {"drops": 2**26},
+    {"trials": 2.7},                                    # would run 2 trials
+    {"drops": 3.9},
+    {"seed": 1.5},
+    {"trials": True},
+    {"K_M": "1"},
+    {"track_users": (1.7,)},                            # would track user 1
+    {"track_users": ("a",)},
 ])
 def test_config_rejects(p_default, kwargs):
     # construction only: a config that got through could hang when run
     with pytest.raises(ConfigError):
         ExperimentConfig(params=p_default, **kwargs)
+
+
+@pytest.mark.parametrize("variant", [{"T": 1.5, "K_B": 3}, {"T": 3, "K_B": 3.2}])
+def test_run_rejects_fractional_variant_dimensions(p_nine, variant):
+    # each ran with its dimension truncated; now the run fails before any trial
+    cfg = ExperimentConfig(params=p_nine, trials=2, variants=(None, variant))
+    with pytest.raises(ConfigError, match="must be an integer"):
+        run_experiment(cfg)
 
 
 def test_config_accepts_integral_k_m_sweep_values(p_default):
@@ -142,10 +158,9 @@ def test_run_period_block_consistency(p_nine):
     rng = RngStream(11, 0).generator()
     ch = draw_channels(p_nine, np.ones(9), rng)
     plan = group_randomly(p_nine, rng)
-    rates = run_period(ch.gains[None], [0], [plan.groups], np.ones((1, 9)), p_nine)
+    rates = run_period(ch.gains[None], [0], plan[None], np.ones((1, 9)), p_nine)
     assert rates.shape == (1, 9)
-    for members in plan.groups:
-        members = list(members)
+    for members in plan:
         _, snr = maxmin_power(zf_effective_gains(ch.gains[members]), p_nine.P, p_nine.noise_var)
         np.testing.assert_allclose(rates[0, members] * p_nine.T, np.log2(1.0 + snr), rtol=1e-12)
 
@@ -158,14 +173,32 @@ def test_run_period_split_averages(p_nine):
     ch = draw_channels(p_nine, betas, rng)
     mp = grouping_changed_under(betas, 2)
     plan = group_by_large_scale(mp.reported_beta, p_nine)
-    rates = run_period(ch.gains[None], [0], [plan.groups], mp.scale[None], p_nine)[0]
-    for members in plan.groups:
-        members = list(members)
+    rates = run_period(ch.gains[None], [0], plan[None], mp.scale[None], p_nine)[0]
+    for members in plan:
         block = evaluate_block(ch.gains[members][None], mp.scale[members][None], [0], p_nine)
         np.testing.assert_allclose(rates[members] * p_nine.T, block[0], rtol=1e-12)
     honest = mp.honest_mask()
     assert not honest[:2].any() and honest[2:].all()
-    assert np.all(rates[:2] > rates[[u for u in plan.groups[-1] if honest[u]]])
+    assert np.all(rates[:2] > rates[plan[-1][honest[plan[-1]]]])
+
+
+@pytest.mark.parametrize("members", [
+    [[0, 1], [0, 1]],        # users 2 and 3 left out, 0 and 1 served twice
+    [[-1, 0], [1, 2]],       # -1 would wrap to user 3
+    [[0, 1], [2, 4]],        # no user 4
+    [[0, 1], [1, 2]],        # user 1 in two blocks, user 3 in none
+])
+def test_run_period_rejects_non_partition_plans(members):
+    p = SystemParams(M=4, K=4, K_B=2, T=2)
+    gains = draw_channels(p, np.ones(4), RngStream(13, 0).generator()).gains[None]
+    with pytest.raises(DimensionError):
+        run_period(gains, [0], [members], np.ones((1, 4)), p)
+    # a block of the wrong size fails the shape check
+    with pytest.raises(DimensionError):
+        run_period(gains, [0], [[[0, 1, 2, 3]]], np.ones((1, 4)), p)
+    # the check covers every period of a stack, not only the first
+    with pytest.raises(DimensionError):
+        run_period(gains, [0, 0], [[[0, 1], [2, 3]], members], np.ones((2, 4)), p)
 
 
 def test_zf_gains_called_once_per_slice(monkeypatch):
@@ -542,6 +575,24 @@ def test_config_from_dict_db_conversions():
 def test_config_from_dict_rejects(d):
     with pytest.raises(ConfigError):
         config_from_dict(d)
+
+
+@pytest.mark.parametrize("d", [
+    {"trials": 2.7}, {"T": 2.5}, {"M": 64.9}, {"drops": 3.9}, {"seed": 1.5}, {"K_B": "8"},
+    {"K_M": 1.5}, {"track_users": [1.7]}, {"K": 32.5},
+])
+def test_config_from_dict_rejects_fractional_integers(d):
+    # each was truncated (or, for the string, converted) to an integer and run
+    with pytest.raises(ConfigError, match="must be an integer"):
+        config_from_dict(d)
+
+
+def test_config_from_dict_accepts_integral_floats():
+    cfg = config_from_dict({"M": 64.0, "T": 4.0, "K_B": np.int64(8), "trials": 3.0,
+                            "seed": 7.0, "K_M": 2.0, "track_users": [1.0]})
+    assert cfg.params == SystemParams(M=64, K=32, K_B=8, T=4, P=pytest.approx(10.0))
+    assert (cfg.trials, cfg.seed, cfg.K_M, cfg.track_users) == (3, 7, 2, (1,))
+    assert all(type(v) is int for v in (cfg.params.M, cfg.trials, cfg.seed, cfg.K_M))
 
 
 def test_config_from_dict_dimension_mismatch_propagates():

@@ -15,6 +15,7 @@ from mimosched import (
     group_by_magnitude,
     group_by_sus,
     group_randomly,
+    same_grouping,
 )
 from mimosched.channel import draw_channels
 from mimosched.strategies import honest_profile
@@ -24,7 +25,7 @@ from oracles import sus_oracle
 def test_magnitude_grouping_sorts_descending(state_factory):
     p = SystemParams(M=8, K=4, K_B=2, T=2)
     plan = group_by_magnitude(state_factory([5.0, 2.0, 9.0, 1.0]), p)
-    assert plan.groups == ((2, 0), (1, 3))
+    np.testing.assert_array_equal(plan, [[2, 0], [1, 3]])
 
 
 def test_magnitude_grouping_scale_invariant(state_factory):
@@ -32,13 +33,13 @@ def test_magnitude_grouping_scale_invariant(state_factory):
     mags = np.array([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])
     a = group_by_magnitude(state_factory(mags), p)
     b = group_by_magnitude(state_factory(2.0 * mags), p)
-    assert a.groups == b.groups
+    np.testing.assert_array_equal(a, b)
 
 
 def test_magnitude_grouping_breaks_ties_by_index(state_factory):
     p = SystemParams(M=8, K=4, K_B=2, T=2)
     plan = group_by_magnitude(state_factory([2.0, 2.0, 2.0, 2.0]), p)
-    assert plan.groups == ((0, 1), (2, 3))
+    np.testing.assert_array_equal(plan, [[0, 1], [2, 3]])
 
 
 def test_underreporter_lands_in_last_block(state_factory):
@@ -51,14 +52,14 @@ def test_underreporter_lands_in_last_block(state_factory):
         mags = rng.gamma(64.0, 1.0, 32)
         mags[0] *= 0.01
         plan = group_by_magnitude(state_factory(mags), p)
-        hits += int(0 in plan.groups[-1])
+        hits += int(0 in plan[-1])
     assert hits / n >= 0.999
 
 
 def test_large_scale_grouping_honest_layout(p_nine):
     betas = np.linspace(2.0, 1.0, 9)  # strictly descending
     plan = group_by_large_scale(betas, p_nine)
-    assert plan.groups == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+    np.testing.assert_array_equal(plan, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
 
 
 def test_large_scale_grouping_underreport_moves_down(p_nine):
@@ -66,7 +67,7 @@ def test_large_scale_grouping_underreport_moves_down(p_nine):
     reported = betas.copy()
     reported[0] = betas[-1] / 2.0  # the strongest user claims the bottom
     plan = group_by_large_scale(reported, p_nine)
-    assert plan.groups == ((1, 2, 3), (4, 5, 6), (7, 8, 0))
+    np.testing.assert_array_equal(plan, [[1, 2, 3], [4, 5, 6], [7, 8, 0]])
 
 
 def test_large_scale_grouping_overreport_moves_up(p_nine):
@@ -74,18 +75,18 @@ def test_large_scale_grouping_overreport_moves_up(p_nine):
     reported = betas.copy()
     reported[8] = 2.0 * betas[0]  # the weakest user claims the top
     plan = group_by_large_scale(reported, p_nine)
-    assert plan.groups == ((8, 0, 1), (2, 3, 4), (5, 6, 7))
+    np.testing.assert_array_equal(plan, [[8, 0, 1], [2, 3, 4], [5, 6, 7]])
 
 
 def test_random_grouping_degenerate_and_deterministic():
     p1 = SystemParams(M=8, K=4, K_B=4, T=1)
     plan = group_randomly(p1, RngStream(3, 0).generator())
-    assert plan.block_sets() == (frozenset({0, 1, 2, 3}),)
+    assert same_grouping(plan, [[0, 1, 2, 3]])
 
     p = SystemParams(M=8, K=8, K_B=2, T=4)
     a = group_randomly(p, RngStream(3, 1).generator())
     b = group_randomly(p, RngStream(3, 1).generator())
-    assert a.groups == b.groups
+    np.testing.assert_array_equal(a, b)
 
 
 def test_random_grouping_is_uniform():
@@ -94,7 +95,7 @@ def test_random_grouping_is_uniform():
     counts = np.zeros(32)
     for t in range(n):
         plan = group_randomly(p, RngStream(37, t).generator())
-        for u in plan.groups[0]:
+        for u in plan[0]:
             counts[u] += 1
     freq = counts / n
     sigma = np.sqrt(0.25 * 0.75 / n)
@@ -105,13 +106,20 @@ def test_every_rule_partitions_users(state_factory):
     p = SystemParams(M=16, K=8, K_B=2, T=4)
     ch = draw_channels(p, np.ones(8), RngStream(41, 0).generator())
     ps = apply_misreport(ch, honest_profile(np.ones(8)))
-    full = frozenset(range(8))
     for plan in (group_by_magnitude(ps, p),
                  group_by_large_scale(np.linspace(2, 1, 8), p),
                  group_randomly(p, RngStream(41, 1).generator()),
                  group_by_sus(ps, p)):
-        assert frozenset().union(*plan.block_sets()) == full
-        assert all(len(g) == 2 for g in plan.groups)
+        assert plan.dtype == np.intp and plan.shape == (4, 2)
+        np.testing.assert_array_equal(np.sort(plan, axis=None), np.arange(8))
+
+
+def test_same_grouping_ignores_member_order():
+    a = np.array([[2, 0], [1, 3]])
+    b = np.array([[0, 2], [3, 1]])
+    c = np.array([[1, 3], [2, 0]])
+    assert same_grouping(a, b)
+    assert not same_grouping(a, c)  # blocks swapped, different schedule
 
 
 def test_sus_reduces_to_magnitude_for_orthogonal_channels():
@@ -122,7 +130,7 @@ def test_sus_reduces_to_magnitude_for_orthogonal_channels():
         rows[u, u] = np.sqrt(s)
     ch = ChannelSet(gains=rows, large_scale=np.ones(8))
     ps = apply_misreport(ch, honest_profile(np.ones(8)))
-    assert group_by_sus(ps, p).groups == group_by_magnitude(ps, p).groups
+    np.testing.assert_array_equal(group_by_sus(ps, p), group_by_magnitude(ps, p))
 
 
 def test_sus_single_member_block_picks_strongest(state_factory):
@@ -132,7 +140,7 @@ def test_sus_single_member_block_picks_strongest(state_factory):
     ch = ChannelSet(gains=rows, large_scale=np.ones(3))
     ps = apply_misreport(ch, honest_profile(np.ones(3)))
     plan = group_by_sus(ps, p)
-    assert plan.groups[0][0] == int(np.argmax(ps.reported_magnitudes))
+    assert plan[0, 0] == int(np.argmax(ps.reported_magnitudes))
 
 
 def _sus_rows(layout, k, m, rng):
@@ -173,8 +181,7 @@ def test_batched_sus_matches_loop_oracle(t, kb, extra, n, seed, layout, alpha):
                          np.where(rng.random(p.K) < 0.3, 0.01, 1.0))
               for _ in range(n)]
     plans = group_by_sus(states, p, alpha)
-    assert [plan.groups for plan in plans] == [
-        sus_oracle(ps, p, alpha).groups for ps in states]
+    np.testing.assert_array_equal(plans, [sus_oracle(ps, p, alpha) for ps in states])
 
 
 def test_sus_sequence_call_equals_per_state_calls():
@@ -187,9 +194,23 @@ def test_sus_sequence_call_equals_per_state_calls():
         states += [apply_misreport(ch, honest_profile(np.ones(32))),
                    apply_misreport(ch, MisreportProfile(scale=scale, reported_beta=scale))]
     plans = group_by_sus(states, p)
-    assert isinstance(plans, tuple) and len(plans) == len(states)
-    assert plans == tuple(group_by_sus(ps, p) for ps in states)
-    assert group_by_sus(states[:1], p) == plans[:1]
+    assert plans.dtype == np.intp and plans.shape == (len(states), p.T, p.K_B)
+    np.testing.assert_array_equal(plans, [group_by_sus(ps, p) for ps in states])
+    np.testing.assert_array_equal(group_by_sus(states[:1], p), plans[:1])
+
+
+def test_magnitude_sequence_call_equals_per_state_calls(state_factory):
+    # one sort over the stacked magnitudes keeps each state's ties in user order
+    p = SystemParams(M=8, K=6, K_B=2, T=3)
+    rng = np.random.default_rng(5)
+    states = [state_factory(rng.gamma(8.0, 1.0, 6)) for _ in range(4)]
+    states += [state_factory(np.full(6, 2.0)), state_factory([3.0, 1.0, 3.0, 1.0, 3.0, 1.0])]
+    plans = group_by_magnitude(states, p)
+    assert plans.dtype == np.intp and plans.shape == (len(states), p.T, p.K_B)
+    np.testing.assert_array_equal(plans, [group_by_magnitude(ps, p) for ps in states])
+    np.testing.assert_array_equal(plans[4], [[0, 1], [2, 3], [4, 5]])
+    np.testing.assert_array_equal(plans[5], [[0, 2], [4, 1], [3, 5]])
+    np.testing.assert_array_equal(group_by_magnitude(states[:1], p), plans[:1])
 
 
 def test_sus_rejects_nonpositive_alpha(state_factory):
@@ -202,7 +223,7 @@ def test_sus_rejects_nonpositive_alpha(state_factory):
 
 def _mean_block_rate(ch, ps, plan, p):
     # every member of an honest block gets the block's equalized rate
-    members = np.asarray(plan.groups)
+    members = np.asarray(plan)
     rates = evaluate_block(ch.gains[members][None], ps.scale[members][None], [0], p)[0]
     assert np.all(rates == rates[:, :1])
     return float(rates[:, 0].mean())
