@@ -127,6 +127,17 @@ class ExperimentConfig:
             raise ConfigError("heterogeneous scenario needs a large_scale model")
         if self.sweep not in ("none", "P_dB", "K_M"):
             raise ConfigError(f"unknown sweep {self.sweep!r}")
+        for name in ("grouping_rule", "strategy", "variants", "sweep_values"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
+        try:
+            values = {float(v) for v in self.sweep_values}
+        except (TypeError, ValueError):
+            raise ConfigError(f"sweep values must be numbers, got {self.sweep_values!r}") from None
+        if len(values) < len(self.sweep_values):
+            raise ConfigError(f"duplicate sweep values in {self.sweep_values!r}")
+        if self.sweep == "none" and len(values) > 1:
+            raise ConfigError(f"sweep 'none' takes one sweep value, got {self.sweep_values!r}")
         # trial and drop indices must fit their fields of the stream id
         if not 1 <= self.trials < 2**_TRIAL_BITS:
             raise ConfigError(f"trials must be in [1, 2**{_TRIAL_BITS}), got {self.trials}")
@@ -163,17 +174,23 @@ class ResultRow:
     seed: int
 
 
-def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams) -> np.ndarray:
+def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None) -> np.ndarray:
     """Serve E round-robin periods in one stacked call; return their (E, K) period rates.
 
-    Period e runs on rows gains[trial[e]] (K, M) with plan members[e] (T, K_B)
-    and misreport multipliers scale[e] (K,); a user's period rate is its block
-    rate over T. Every plan must order all K users 0..K-1, each once. Each
-    distinct (trial, plan) pair is factorized once, in order of first
-    appearance; a guard trip's ``index`` becomes (trial, block).
+    Period e runs on rows gains[trial[e]] (K, M) with plan members[e] (T, K_B),
+    misreport multipliers scale[e] (K,) and transmit power P[e] (p.P for every
+    period when P is None); a user's period rate is its block rate over T.
+    ``trial`` and ``members`` must be integer arrays, and every plan must order
+    all K users 0..K-1, each once. Each distinct (trial, plan) pair is
+    factorized once, in order of first appearance; a guard trip's ``index``
+    becomes (trial, block), and its ``period`` the first period served on the
+    failing plan.
     """
-    trial = np.asarray(trial, dtype=np.intp)
-    members = np.asarray(members, dtype=np.intp)
+    trial, members = np.asarray(trial), np.asarray(members)
+    if not (np.issubdtype(trial.dtype, np.integer) and np.issubdtype(members.dtype, np.integer)):
+        raise DimensionError(f"trial and members must be integer arrays, got {trial.dtype} "
+                             f"and {members.dtype}")
+    trial, members = trial.astype(np.intp, copy=False), members.astype(np.intp, copy=False)
     scale = np.asarray(scale, dtype=np.float64)
     e = trial.shape[0]
     if members.shape != (e, p.T, p.K_B) or scale.shape != (e, p.K):
@@ -190,10 +207,11 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams) -> np.
     at = np.arange(e)[:, None, None]
     try:
         rates = evaluate_block(gains[trial[first][:, None, None], members[first]],
-                               scale[at, members], plan_of, p)
+                               scale[at, members], plan_of, p, P)
     except SingularMatrixError as err:
         if hasattr(err, "index"):
-            err.index = (int(trial[first[err.index[0]]]), *err.index[1:])
+            err.period = int(first[err.index[0]])
+            err.index = (int(trial[err.period]), *err.index[1:])
         raise
     out = np.zeros(scale.shape)
     out[at, members] = rates / p.T
@@ -202,20 +220,26 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams) -> np.
 
 @dataclass(frozen=True)
 class _TrialChunk:
-    """One work unit: trials ``lo``..``hi - 1`` of one drop at one sweep point and variant."""
+    """One work unit: trials ``lo``..``hi - 1`` of one drop of one variant, at every sweep point.
+
+    ``periods`` are the distinct periods of a trial, each a (power, rule
+    index, profile index, sweep value) tuple naming the first sweep point
+    that serves it (see ``_drops``).
+    """
 
     p: SystemParams
     betas: np.ndarray
-    profiles: list
-    ls_plans: np.ndarray | None   # (1 + strategies, T, K_B) large-scale plans, honest first
+    profiles: tuple               # distinct misreport profiles, honest first
+    ls_plans: np.ndarray | None   # (profiles, T, K_B) large-scale plans
+    periods: tuple
     rules: tuple
     alpha: float
     seed: int
-    sweep_value: object
     vi: int
     drop: int
     lo: int
     hi: int
+    keep: str                     # what _run_chunk returns: "means", "trials" or "sum"
 
 
 # extension modules linked against the OpenBLAS builds the engine calls into:
@@ -287,32 +311,44 @@ def _worker_pool(workers: int):
 
 
 # trials per batched SUS call and stacked factorization: a whole 50-trial fig2
-# chunk at once raised peak RSS by 11 MB, slices of 8 by under 1 MB
+# chunk at once raised peak RSS by 11 MB, slices of 8 by under 1 MB. A slice
+# holds at most 8 x 3 (trial, profile) pairs, as fig6 at one sweep point does,
+# so a sweep of many distinct profiles serves fewer trials per slice
 _SLICE = 8
+_SLICE_PAIRS = 3 * _SLICE
 
 
 def _run_chunk(u: _TrialChunk) -> np.ndarray:
-    """Paired trials: the honest baseline plus every strategy, per rule.
+    """Paired trials at every sweep point: the honest baseline plus every strategy, per rule.
 
-    Returns the (trials, rules x profiles, K) per-user period rates; column
-    r * (1 + strategies) + i holds rule r under the honest profile (i = 0)
-    or under strategy i - 1.
+    Each trial is drawn once and grouped once per distinct profile; all its
+    distinct periods go through one run_period call per slice of trials.
+    Returns only what the cell reductions read, never every period's
+    per-user rates of every trial at once:
+    - ``"means"`` (homogeneous): the (trials, periods) mean rate over the
+      honest users of each period's profile;
+    - ``"trials"`` (heterogeneous): the (trials, periods, K) per-user rates;
+    - ``"sum"`` (heterogeneous): those rates added trial by trial in order,
+      as one (1, periods, K) row.
     """
     p = u.p
-    profiles = (strategies.honest_profile(u.betas), *u.profiles)
-    scales = np.tile(np.stack([prof.scale for prof in profiles]), (len(u.rules), 1))
-    out = np.empty((u.hi - u.lo, len(scales), p.K))
-    for lo in range(u.lo, u.hi, _SLICE):
-        trials = range(lo, min(lo + _SLICE, u.hi))
+    power, rule_of, prof_of, point_of = zip(*u.periods)
+    power, rule_of, prof_of = np.array(power), np.array(rule_of), np.array(prof_of)
+    scales = np.stack([prof.scale for prof in u.profiles])[prof_of]      # (periods, K)
+    masks = [(np.flatnonzero(prof_of == f), prof.honest_mask()) for f, prof in enumerate(u.profiles)]
+    out = np.empty((u.hi - u.lo, len(power))) if u.keep == "means" else []
+    step = max(1, min(_SLICE, _SLICE_PAIRS // len(u.profiles)))
+    for lo in range(u.lo, u.hi, step):
+        trials = range(lo, min(lo + step, u.hi))
         rngs = (RngStream(u.seed, pack_stream(0, u.vi, u.drop, t)).generator() for t in trials)
         channels = [draw_channels(p, u.betas, rng) for rng in rngs]
         # only magnitude and SUS grouping read the perceived states, trial by trial
-        states = ([apply_misreport(ch, prof) for ch in channels for prof in profiles]
+        states = ([apply_misreport(ch, prof) for ch in channels for prof in u.profiles]
                   if {"channel_magnitude", "sus"} & set(u.rules) else [])
-        # periods run trial by trial, then rule by rule, then profile by profile.
-        # The large-scale plans are fixed per drop and broadcast over the
-        # trials; a trial's random plan is broadcast over its profiles
-        shape = (len(trials), len(profiles), p.T, p.K_B)
+        # every rule's plan of each trial under each profile. The large-scale
+        # plans are fixed per drop and broadcast over the trials; a trial's
+        # random plan is broadcast over its profiles
+        shape = (len(trials), len(u.profiles), p.T, p.K_B)
         members = np.empty((len(trials), len(u.rules), *shape[1:]), dtype=np.intp)
         for r, rule in enumerate(u.rules):
             if rule == "large_scale":
@@ -325,19 +361,32 @@ def _run_chunk(u: _TrialChunk) -> np.ndarray:
                 for n, t in enumerate(trials):
                     rng = RngStream(u.seed, pack_stream(1, u.vi, u.drop, t)).generator()
                     members[n, r] = scheduling.group_randomly(p, rng)
+        # periods run trial by trial, then in the order of u.periods
         try:
             rates = run_period(np.stack([ch.gains for ch in channels]),
-                               np.repeat(np.arange(len(trials)), len(scales)),
-                               members.reshape(-1, p.T, p.K_B), np.tile(scales, (len(trials), 1)), p)
+                               np.repeat(np.arange(len(trials)), len(power)),
+                               members[:, rule_of, prof_of].reshape(-1, p.T, p.K_B),
+                               np.tile(scales, (len(trials), 1)), p, np.tile(power, len(trials)))
         except SingularMatrixError as e:
             # the same object, re-raised: a failure is still counted once. One
-            # raised outside the guard carries no index, so name the slice
-            where = (f"trial {trials[e.index[0]]}" if hasattr(e, "index")
-                     else f"trials {lo}-{trials[-1]}")
-            e.args += (f"variant {u.vi}, drop {u.drop}, {where}", f"sweep point {u.sweep_value}")
+            # raised outside the guard carries no period, so name the slice
+            if hasattr(e, "period"):
+                where = f"trial {trials[e.period // len(power)]}"
+                point = f"sweep point {point_of[e.period % len(power)]}"
+            else:
+                where = f"trials {lo}-{trials[-1]}"
+                point = f"sweep points {', '.join(map(str, dict.fromkeys(point_of)))}"
+            e.args += (f"variant {u.vi}, drop {u.drop}, {where}", point)
             raise
-        out[lo - u.lo:trials[-1] + 1 - u.lo] = rates.reshape(len(trials), len(scales), -1)
-    return out
+        rates = rates.reshape(len(trials), len(power), p.K)
+        if u.keep == "means":
+            for cols, mask in masks:
+                out[lo - u.lo:trials[-1] + 1 - u.lo, cols] = _mean_or_nan(rates[:, cols], mask)
+        elif u.keep == "sum":
+            out = [functools.reduce(np.add, rates, *out)]     # trial by trial, in order
+        else:
+            out.extend(rates)
+    return out if u.keep == "means" else np.stack(out)
 
 
 def _effective_params(cfg: ExperimentConfig, variant) -> SystemParams:
@@ -376,7 +425,7 @@ def _build_profile(tag, p, k_m, betas, cfg):
 def _mean_or_nan(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Mean of each row of ``a`` over the masked columns; NaN where no column is."""
     if not mask.any():
-        return np.full(a.shape[0], np.nan)
+        return np.full(a.shape[:-1], np.nan)
     # skip the masked copy; also keeps the reduction order identical to an
     # unmasked mean, so an attack-free pairing differences to exact 0
     return a.mean(axis=-1) if mask.all() else a[..., mask].mean(axis=-1)
@@ -396,13 +445,13 @@ def run_cell(cfg: ExperimentConfig, sweep_value, workers: int = 1) -> list:
 
 
 def _cells(cfg: ExperimentConfig) -> list:
-    """(sweep value, variant index, params, K_M, suffix) of each (sweep point, variant) cell.
+    """Each variant's (sweep value, params, K_M, suffix) cells, one per sweep point.
 
     Every cell is checked here, so a bad one fails before any trial runs.
     """
-    cells = []
+    variants = [[] for _ in cfg.variants]
     for v in cfg.sweep_values:
-        for vi, variant in enumerate(cfg.variants):
+        for cells, variant in zip(variants, cfg.variants):
             p = _effective_params(cfg, variant)
             k_m = cfg.K_M
             if cfg.sweep == "P_dB":
@@ -411,53 +460,86 @@ def _cells(cfg: ExperimentConfig) -> list:
                 k_m = int(v)
             if not (0 <= k_m <= p.K):
                 raise CountError(f"K_M={k_m} out of range for K={p.K}")
-            cells.append((v, vi, p, k_m, _variant_suffix(cfg, variant, p)))
-    return cells
+            cells.append((v, p, k_m, _variant_suffix(cfg, variant, p)))
+    return variants
 
 
-def _drops(cfg, vi, p, k_m) -> list:
-    """(betas, profiles, large-scale plans or None) of each drop of one cell."""
+# the set-up of one drop of one variant, shared by all its sweep points.
+# profiles are the distinct misreport profiles of every sweep point, equal
+# scale and reported gains counting as one, honest first; ls_plans are their
+# large-scale plans, or None. periods are the distinct (power, rule, profile,
+# sweep value) periods of a trial, in order of first appearance over (sweep
+# point, rule, honest then strategies), each naming the first sweep point
+# that serves it; column[j, r, i] is the period of sweep point j under rule r
+# and the honest profile (i = 0) or strategy i - 1.
+_Drop = collections.namedtuple("_Drop", "betas profiles ls_plans periods column")
+
+
+def _drops(cfg, vi, cells) -> list:
+    """The ``_Drop`` of each drop of variant ``vi``, whose cells are ``cells``."""
+    p = cells[0][1]             # the sweep points of a variant differ in P or K_M only
     if cfg.scenario == "homogeneous":
-        betas = np.full(p.K, p.beta_default)
-        return [(betas, [_build_profile(tag, p, k_m, betas, cfg) for tag in cfg.strategy], None)]
+        all_betas = [np.full(p.K, p.beta_default)]
+    else:
+        all_betas = (draw_large_scale(p, cfg.large_scale,
+                                      RngStream(cfg.seed, pack_stream(2, vi, drop, 0)).generator())
+                     for drop in range(cfg.drops))
     drops = []
-    for drop in range(cfg.drops):
-        drop_rng = RngStream(cfg.seed, pack_stream(2, vi, drop, 0)).generator()
-        betas = draw_large_scale(p, cfg.large_scale, drop_rng)
-        profiles = [_build_profile(tag, p, k_m, betas, cfg) for tag in cfg.strategy]
+    for betas in all_betas:
+        honest = strategies.honest_profile(betas)
+        found = {(honest.scale.tobytes(), honest.reported_beta.tobytes()): 0}
+        profiles, index = [honest], []
+        for _, pv, k_m, _ in cells:
+            index.append([0])
+            for tag in cfg.strategy:
+                prof = _build_profile(tag, pv, k_m, betas, cfg)
+                f = found.setdefault((prof.scale.tobytes(), prof.reported_beta.tobytes()),
+                                     len(profiles))
+                if f == len(profiles):
+                    profiles.append(prof)
+                index[-1].append(f)
         ls_plans = None
         if "large_scale" in cfg.grouping_rule:
-            ls_plans = np.stack([scheduling.group_by_large_scale(b, p)
-                                 for b in (betas, *(prof.reported_beta for prof in profiles))])
-        drops.append((betas, profiles, ls_plans))
+            ls_plans = np.stack([scheduling.group_by_large_scale(prof.reported_beta, p)
+                                 for prof in profiles])
+        periods = {}
+        column = np.array([[[periods.setdefault((pv.P, r, f), (len(periods), v))[0] for f in row]
+                            for r in range(len(cfg.grouping_rule))]
+                           for (v, pv, *_), row in zip(cells, index)], dtype=np.intp)
+        drops.append(_Drop(betas, tuple(profiles), ls_plans,
+                           tuple((*key, v) for key, (_, v) in periods.items()), column))
     return drops
 
 
-def _run(cfg, cells, workers, pool) -> list:
-    """The rows of ``cells``: one map over every trial chunk of every cell.
+def _run(cfg, variants, workers, pool) -> list:
+    """The rows of each variant's cells: one map over every trial chunk of every variant.
 
-    Units are made cell by cell as the map reaches them, so on a pool the
-    workers start on the first cells while later ones are set up. Results
-    are reduced cell by cell in submission order, in this process when
-    ``pool`` is None, so they do not depend on the pool.
+    A unit covers one drop of one variant at every sweep point, so each
+    trial is drawn, grouped and factorized once per run. Units are made
+    variant by variant as the map reaches them, so on a pool the workers
+    start on the first variant while later ones are set up. Results are
+    reduced variant by variant in submission order, in this process when
+    ``pool`` is None, so they do not depend on the pool; rows come out cell
+    by cell, sweep point by sweep point.
     """
-    if not cells:
-        return []
-    per_cell = cfg.drops if cfg.scenario == "heterogeneous" else 1
-    n_drops = len(cells) * per_cell
+    per_variant = cfg.drops if cfg.scenario == "heterogeneous" else 1
+    n_drops = len(variants) * per_variant
     # one unit per drop; a run of fewer than 4 drops per worker splits the drops
     pieces = 1 if pool is None else -(-4 * workers // n_drops)
     step = -(-cfg.trials // pieces)
     bounds = [(lo, min(lo + step, cfg.trials)) for lo in range(0, cfg.trials, step)]
-    setups = collections.deque()        # the drops of each cell reached, until reduced
+    setups = collections.deque()        # the drops of each variant reached, until reduced
 
     def units():
-        for v, vi, p, k_m, _ in cells:
-            setups.append(_drops(cfg, vi, p, k_m))
-            for drop, (betas, profiles, ls_plans) in enumerate(setups[-1]):
+        for vi, cells in enumerate(variants):
+            setups.append(_drops(cfg, vi, cells))
+            for drop, d in enumerate(setups[-1]):
                 for lo, hi in bounds:
-                    yield _TrialChunk(p, betas, profiles, ls_plans, cfg.grouping_rule,
-                                      cfg.sus_alpha, cfg.seed, v, vi, drop, lo, hi)
+                    keep = ("means" if cfg.scenario == "homogeneous"
+                            else "trials" if drop == 0 or lo > 0 else "sum")
+                    yield _TrialChunk(cells[0][1], d.betas, d.profiles, d.ls_plans, d.periods,
+                                      cfg.grouping_rule, cfg.sus_alpha, cfg.seed, vi, drop,
+                                      lo, hi, keep)
 
     if pool is None:
         chunks = map(_run_chunk, units())
@@ -465,27 +547,37 @@ def _run(cfg, cells, workers, pool) -> list:
         # about 4 submissions per worker for the whole run
         chunks = pool.map(_run_chunk, units(),
                           chunksize=-(-n_drops * len(bounds) // (4 * workers)))
-    cell = _homogeneous_cell if cfg.scenario == "homogeneous" else _heterogeneous_cell
-    rows = []
-    for v, _, p, k_m, vsuf in cells:
-        results = [np.concatenate([next(chunks) for _ in bounds]) for _ in range(per_cell)]
-        rows.extend(cell(cfg, p, k_m, vsuf, v, setups.popleft(), results))
-    return rows
+    rows = {}
+    for vi, cells in enumerate(variants):
+        # each drop's rows: per-trial rates or means, or a sum of its first
+        # trials followed by the rates of the rest
+        results = [np.concatenate([next(chunks) for _ in bounds]) for _ in range(per_variant)]
+        drops = setups.popleft()
+        if cfg.scenario == "homogeneous":
+            for j, (v, p, k_m, vsuf) in enumerate(cells):
+                rows[j, vi] = _homogeneous_cell(cfg, p, k_m, vsuf, v,
+                                                results[0][:, drops[0].column[j]])
+            continue
+        sums = [functools.reduce(np.add, res) for res in results]      # (periods, K) per drop
+        for j, (v, p, k_m, vsuf) in enumerate(cells):
+            honest = np.array([[d.profiles[d.periods[e][2]].honest_mask() for e in d.column[j, 0, 1:]]
+                               for d in drops])
+            rows[j, vi] = _heterogeneous_cell(
+                cfg, p, k_m, vsuf, v, np.stack([s[d.column[j]] for s, d in zip(sums, drops)]),
+                results[0][:, drops[0].column[j]], honest)
+    return [row for key in sorted(rows) for row in rows[key]]
 
 
-def _homogeneous_cell(cfg, p, k_m, vsuf, sweep_value, drops, results):
-    profiles, res = drops[0][1], results[0]                      # res: (trials, rules x profiles, K)
-    col = 1 + len(cfg.strategy)                                   # columns per rule
+def _homogeneous_cell(cfg, p, k_m, vsuf, sweep_value, means):
+    # means: (trials, rules, 1 + strategies) per-trial mean rate over the
+    # honest users of the honest baseline (all users) and of each strategy
     rows = []
     for ri, rule in enumerate(cfg.grouping_rule):
         short = RULE_SHORT[rule]
-        base = res[:, ri * col]                                   # (trials, K)
-        base_mean = base.mean(axis=1)                             # per-trial all-user mean
+        base_mean = means[:, ri, 0]                               # per-trial all-user mean
         for si, tag in enumerate(cfg.strategy):
             ssuf = f"__{tag}" if len(cfg.strategy) > 1 else ""
-            honest = profiles[si].honest_mask()
-            att = res[:, ri * col + si + 1]
-            att_honest = _mean_or_nan(att, honest)        # per-trial honest mean
+            att_honest = means[:, ri, si + 1]                     # per-trial honest mean
             theta_trials = 1.0 - att_honest / base_mean
             theta_ratio = float(1.0 - np.mean(att_honest) / np.mean(base_mean))
             std, ci = _std_ci(theta_trials)
@@ -508,34 +600,32 @@ def _homogeneous_cell(cfg, p, k_m, vsuf, sweep_value, drops, results):
     return rows
 
 
-def _heterogeneous_cell(cfg, p, k_m, vsuf, sweep_value, drops, results):
+def _heterogeneous_cell(cfg, p, k_m, vsuf, sweep_value, sums, first, honest):
+    # sums: (drops, rules, 1 + strategies, K) per-user rates summed over each
+    # drop's trials; first: the (trials, rules, 1 + strategies, K) rates of
+    # drop 0; honest: (drops, strategies, K) honest users of each strategy
     tracked = (range(1, p.K + 1) if cfg.track_users is None
                else [u for u in cfg.track_users if 1 <= u <= p.K])
-    res = np.stack(results)                               # (drops, trials, rules x profiles, K)
-    col = 1 + len(cfg.strategy)                           # columns per rule
     rows = []
     for ri, rule in enumerate(cfg.grouping_rule):
         short = RULE_SHORT[rule]
-        base = res[:, :, ri * col]                        # (drops, trials, K)
-        base_sum = base.sum(axis=1)
+        base_sum = sums[:, ri, 0]                         # (drops, K)
         for si, tag in enumerate(cfg.strategy):
             ssuf = f"__{tag}" if len(cfg.strategy) > 1 else ""
-            att = res[:, :, ri * col + si + 1]
-            att_sum = att.sum(axis=1)
+            att_sum = sums[:, ri, si + 1]
             user_loss = 1.0 - att_sum / base_sum          # (drops, K)
             # loss of the honest users' average rate, not the average of
             # per-user loss ratios: strong users carry their rate weight
-            honest = [profiles[si].honest_mask() for _, profiles, _ in drops]
             avg = np.array([1.0 - a[h].sum() / b[h].sum() if h.any() else np.nan
-                            for a, b, h in zip(att_sum, base_sum, honest)])
+                            for a, b, h in zip(att_sum, base_sum, honest[:, si])])
             std, ci = _std_ci(avg)
             rows.append(ResultRow(
                 cfg.label, cfg.sweep, float(sweep_value),
                 f"avg_honest_loss_{short}{ssuf}{vsuf}",
                 float(avg.mean()), std, ci, cfg.trials, cfg.drops, cfg.seed))
             # per-user rows: drop 0 is the representative drop for the per-trial spread
-            tstd = ((1.0 - att[0] / base[0]).std(axis=0, ddof=1) if cfg.trials > 1
-                    else np.zeros(p.K))
+            tstd = ((1.0 - first[:, ri, si + 1] / first[:, ri, 0]).std(axis=0, ddof=1)
+                    if cfg.trials > 1 else np.zeros(p.K))
             tci = 1.96 * tstd / math.sqrt(cfg.trials) if cfg.trials > 1 else tstd
             for u in tracked:
                 i = u - 1
@@ -563,9 +653,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
-    cells = _cells(cfg)
+    variants = _cells(cfg)
     with _single_blas_thread(), _worker_pool(workers) as pool:
-        return _run(cfg, cells, workers, pool)
+        return _run(cfg, variants, workers, pool)
 
 
 def _fmt(x: float) -> str:

@@ -74,31 +74,40 @@ def zf_effective_gains(rows: np.ndarray) -> np.ndarray:
     return 1.0 / _gram_inverse_diag(rows)
 
 
-def maxmin_power(eff_gain: np.ndarray, P: float, noise_var: float):
+def maxmin_power(eff_gain: np.ndarray, P, noise_var: float):
     """Split power P so every member's SNR is equal, using all of P.
 
-    eff_gain: (..., K_B). Returns (powers, snr): P_k = P * (1/d_k^2) /
-    sum_j (1/d_j^2), shape (..., K_B), and each block's common
-    snr = P / (noise_var * sum_j 1/d_j^2), shape (...).
+    eff_gain: (..., K_B). P is one power for every block, or an array over
+    the leading axes of eff_gain, e.g. (E,) for an (E, T, K_B) stack, whose
+    entry P[e] powers every block of eff_gain[e]. Returns (powers, snr):
+    P_k = P * (1/d_k^2) / sum_j (1/d_j^2), shape (..., K_B), and each
+    block's common snr = P / (noise_var * sum_j 1/d_j^2), shape (...).
     """
     eff_gain = np.asarray(eff_gain, dtype=np.float64)
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim >= max(eff_gain.ndim, 1) or P.shape != eff_gain.shape[:P.ndim]:
+        raise DimensionError(f"P {P.shape} does not index the blocks of gains {eff_gain.shape}")
     if not np.all(eff_gain > 0):
         raise DomainError("effective gains must be strictly positive")
-    if not (P > 0 and noise_var > 0):
+    if not (np.all(P > 0) and noise_var > 0):
         raise DomainError("P and noise_var must be positive")
+    P = P.reshape(P.shape + (1,) * (eff_gain.ndim - 1 - P.ndim))
     inv = 1.0 / eff_gain
     total = inv.sum(axis=-1)
-    powers = P * inv / total[..., None]
+    powers = P[..., None] * inv / total[..., None]
     snr = P / (noise_var * total)
     return powers, snr
 
 
-def evaluate_block(rows: np.ndarray, scale: np.ndarray, plan_of, p: SystemParams) -> np.ndarray:
+def evaluate_block(rows: np.ndarray, scale: np.ndarray, plan_of, p: SystemParams,
+                   P=None) -> np.ndarray:
     """Serve stacked blocks with power allocated from the reported CSI; return actual rates.
 
     rows: (U, ..., K_B, M) true rows of U plans, each factorized once; entry e
     runs on plan plan_of[e] with its members' (..., K_B) misreport multipliers
-    scale[e]. Returns each member's block rate, shaped like scale.
+    scale[e] at transmit power P[e], an (E,) array, or at one power P for
+    every entry (p.P when P is None). Returns each member's block rate,
+    shaped like scale.
 
     The base station beamforms and splits power using the misreported rows
     sqrt(scale_k) g_k. Misreporting rescales magnitudes only, so the
@@ -112,5 +121,5 @@ def evaluate_block(rows: np.ndarray, scale: np.ndarray, plan_of, p: SystemParams
     if rows.shape[-2] != p.K_B or scale.shape != (len(plan_of),) + rows.shape[1:-1]:
         raise DimensionError(f"rows {rows.shape} (K_B={p.K_B}) do not match scales {scale.shape}")
     gains = zf_effective_gains(rows)[plan_of]
-    _, snr_bs = maxmin_power(scale * gains, p.P, p.noise_var)
+    _, snr_bs = maxmin_power(scale * gains, p.P if P is None else P, p.noise_var)
     return np.log2(1.0 + snr_bs[..., None] / scale)

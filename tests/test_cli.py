@@ -218,18 +218,45 @@ def test_guard_trip_names_drop_and_trial(tmp_path, capsys, monkeypatch):
         multiprocessing.get_start_method() != "fork",
         reason="the patched draw reaches pool workers only by fork"))])
 def test_guard_trip_keeps_its_context_in_a_multi_cell_run(workers, monkeypatch):
-    # two sweep points x two layouts x five drops; only sweep point 10.0,
-    # variant 0, drop 1, trial 1 draws two equal rows for its two strongest
-    # users, which share block 0 of the honest large-scale plan. At 2
-    # workers the 20 units go out 3 to a submission, so that unit shares
-    # its submission with the last drop of sweep point 0.0
+    # two sweep points x two layouts x five drops, each trial drawn once for
+    # both sweep points. Variant 0, drop 1, trial 1 draws users 2 and 4 with
+    # one row. Honestly and at K_M = 1 they sit in different blocks; at K_M = 2
+    # the two strongest users demote themselves and 2 and 4 share block 0, so
+    # only the attacked period of sweep point 2 fails. At 2 workers the 10
+    # units go out 2 to a submission
     target = RngStream(42, pack_stream(0, 0, 1, 1)).generator().bit_generator.state
     draw = experiments.draw_channels
 
     def degenerate_at(p, betas, rng):
         ch = draw(p, betas, rng)
-        if p.P != db_to_linear(10.0) or not np.array_equal(
-                rng.bit_generator.state["state"]["key"], target["state"]["key"]):
+        if not np.array_equal(rng.bit_generator.state["state"]["key"], target["state"]["key"]):
+            return ch
+        gains = ch.gains.copy()
+        gains[4] = gains[2]
+        return ChannelSet(gains=gains, large_scale=ch.large_scale)
+
+    monkeypatch.setattr(experiments, "draw_channels", degenerate_at)
+    cfg = config_from_dict({
+        "scenario": "heterogeneous", "M": 16, "T": 3, "K_B": 3,
+        "grouping_rule": "large_scale", "trials": 3, "drops": 5,
+        "sweep": "K_M", "sweep_values": [1, 2], "variants": [None, {"T": 1, "K_B": 9}]})
+    with pytest.raises(SingularMatrixError) as err:
+        run_experiment(cfg, workers=workers)
+    assert err.value.args[0].startswith("block 0: Gram matrix condition number")
+    assert err.value.args[1:] == ("variant 0, drop 1, trial 1", "sweep point 2")
+    assert multiprocessing.active_children() == []
+
+
+def test_guard_trip_on_a_shared_plan_names_the_first_sweep_point(monkeypatch):
+    # a power sweep shares every plan of a trial across its sweep points: the
+    # honest plan of drop 0, trial 2 fails at all three, and the trip names
+    # the first point of the sweep as given
+    target = RngStream(42, pack_stream(0, 0, 0, 2)).generator().bit_generator.state
+    draw = experiments.draw_channels
+
+    def degenerate_at(p, betas, rng):
+        ch = draw(p, betas, rng)
+        if not np.array_equal(rng.bit_generator.state["state"]["key"], target["state"]["key"]):
             return ch
         gains = ch.gains.copy()
         gains[1] = gains[0]
@@ -238,13 +265,12 @@ def test_guard_trip_keeps_its_context_in_a_multi_cell_run(workers, monkeypatch):
     monkeypatch.setattr(experiments, "draw_channels", degenerate_at)
     cfg = config_from_dict({
         "scenario": "heterogeneous", "M": 16, "T": 3, "K_B": 3,
-        "grouping_rule": "large_scale", "K_M": 1, "trials": 3, "drops": 5,
-        "sweep": "P_dB", "sweep_values": [0.0, 10.0], "variants": [None, {"T": 1, "K_B": 9}]})
+        "grouping_rule": "large_scale", "K_M": 1, "trials": 3, "drops": 2,
+        "sweep": "P_dB", "sweep_values": [20.0, 0.0, 10.0]})
     with pytest.raises(SingularMatrixError) as err:
-        run_experiment(cfg, workers=workers)
+        run_experiment(cfg)
     assert err.value.args[0].startswith("block 0: Gram matrix condition number")
-    assert err.value.args[1:] == ("variant 0, drop 1, trial 1", "sweep point 10.0")
-    assert multiprocessing.active_children() == []
+    assert err.value.args[1:] == ("variant 0, drop 0, trial 2", "sweep point 20.0")
 
 
 @pytest.mark.skipif(shutil.which("mimosched") is None,

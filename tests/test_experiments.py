@@ -120,6 +120,14 @@ def test_config_normalizes_scalars(p_default):
     {"K_M": "1"},
     {"track_users": (1.7,)},                            # would track user 1
     {"track_users": ("a",)},
+    {"grouping_rule": ()},                              # died reshaping mid-run
+    {"strategy": ()},                                   # ran, then had no rows to emit
+    {"variants": ()},
+    {"sweep_values": ()},
+    {"sweep": "K_M", "sweep_values": (10, 10)},         # emitted every row twice
+    {"sweep": "P_dB", "sweep_values": (0, 5.0, 0.0)},
+    {"sweep_values": (0.0, 5.0)},                       # no sweep, two points
+    {"sweep": "P_dB", "sweep_values": ("high",)},
 ])
 def test_config_rejects(p_default, kwargs):
     # construction only: a config that got through could hang when run
@@ -201,6 +209,18 @@ def test_run_period_rejects_non_partition_plans(members):
         run_period(gains, [0, 0], [[[0, 1], [2, 3]], members], np.ones((2, 4)), p)
 
 
+@pytest.mark.parametrize("trial, members", [
+    ([0.7], [[[0.5, 1.9], [2, 3]]]),      # was served as trial 0, plan [[0, 1], [2, 3]]
+    ([0], [[[0.0, 1.0], [2.0, 3.0]]]),    # integral floats are not a plan either
+    ([True], [[[0, 1], [2, 3]]]),
+])
+def test_run_period_rejects_non_integer_indices(trial, members):
+    p = SystemParams(M=4, K=4, K_B=2, T=2)
+    gains = draw_channels(p, np.ones(4), RngStream(13, 0).generator()).gains[None]
+    with pytest.raises(DimensionError, match="integer arrays"):
+        run_period(gains, trial, members, np.ones((1, 4)), p)
+
+
 def test_zf_gains_called_once_per_slice(monkeypatch):
     # fig6 shape: honest, grouping-preserving and demoting profiles under
     # large-scale and random grouping, 6 periods per trial. Random grouping
@@ -232,6 +252,7 @@ def test_run_period_guard_names_the_first_bad_period(p_nine):
     with pytest.raises(SingularMatrixError) as err:
         run_period(gains, [0, 2, 1], members, np.ones((3, 9)), p_nine)
     assert err.value.index == (2, 1)
+    assert err.value.period == 1
     assert err.value.args[0].startswith("block 1: Gram matrix condition number")
 
 
@@ -275,6 +296,47 @@ def test_stacked_periods_equal_the_per_period_oracle(t, kb, extra, n, e, layout,
             run_period(gains, trial, members, scale, p)
         return
     np.testing.assert_array_equal(run_period(gains, trial, members, scale, p), want)
+
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    emit_csv(rows, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name, reduced, workers", [
+    ("fig2", dict(trials=12), 1),
+    ("fig3", dict(trials=10), 1),
+    ("fig6", dict(trials=3, drops=5), 1),
+    ("fig7", dict(trials=2, drops=3), 1),
+    ("fig7", dict(trials=2, drops=3), 2),
+])
+def test_sharing_trials_across_sweep_points_changes_no_number(name, reduced, workers):
+    # a run draws, groups and factorizes each trial once for all its sweep
+    # points; each point run on its own must give the same bytes
+    cfg = replace(preset(name), **reduced)
+    alone = [row for v in cfg.sweep_values for row in run_cell(cfg, v, workers)]
+    assert _csv_text(run_experiment(cfg, workers)) == _csv_text(alone)
+
+
+@pytest.mark.parametrize("sweep, values", [
+    ("K_M", (1,)), ("K_M", (1, 2, 3)), ("P_dB", (0.0, 10.0, 20.0, 30.0))])
+def test_each_trial_is_drawn_once_per_run(p_nine, cell_model, monkeypatch, sweep, values):
+    draws = []
+    draw = experiments.draw_channels
+    monkeypatch.setattr(experiments, "draw_channels", lambda *a: draws.append(1) or draw(*a))
+    het = ExperimentConfig(
+        params=p_nine, scenario="heterogeneous", grouping_rule=("large_scale", "random"),
+        strategy=("grouping_changed_under", "grouping_unchanged_under"), large_scale=cell_model,
+        sweep=sweep, sweep_values=values, variants=(None, {"T": 1, "K_B": 9}),
+        trials=4, drops=3, seed=21, track_users=())
+    hom = ExperimentConfig(params=p_nine, grouping_rule=("channel_magnitude", "sus", "random"),
+                           sweep=sweep, sweep_values=values, trials=5, seed=5)
+    run_experiment(het)
+    assert len(draws) == 2 * 3 * 4              # variants x drops x trials
+    draws.clear()
+    run_experiment(hom)
+    assert len(draws) == 5
 
 
 def test_strategy_none_gives_exact_zero_theta(p_default):
@@ -343,10 +405,12 @@ def _het_sweep(p_nine, cell_model):
 
 
 def _hom_split(p_nine, cell_model):
-    # two drops in the whole run, fewer than 4 per worker: each is split
+    # two drops in the whole run, one per layout, fewer than 4 per worker:
+    # each is split
     return ExperimentConfig(
         params=p_nine, grouping_rule=("channel_magnitude", "sus", "random"), K_M=2,
-        sweep="P_dB", sweep_values=(0.0, 10.0), trials=11, seed=5)
+        sweep="P_dB", sweep_values=(0.0, 10.0), variants=(None, {"T": 1, "K_B": 9}),
+        trials=11, seed=5)
 
 
 @pytest.fixture
@@ -449,16 +513,17 @@ def test_run_experiment_restores_blas_threads(p_nine, monkeypatch):
 
     def watched_chunk(u):
         during.append(_blas_threads())
-        if u.sweep_value == 3:
+        if u.vi == 1 and 3 in [v for *_, v in u.periods]:
             raise CountError("planted failure inside the run")
         return real_chunk(u)
 
     monkeypatch.setattr(experiments, "_run_chunk", watched_chunk)
+    # one chunk per layout, each covering both sweep points
     cfg = ExperimentConfig(params=p_nine, K_M=1, trials=2, seed=3,
-                           sweep="K_M", sweep_values=(1, 2))
+                           sweep="K_M", sweep_values=(1, 2), variants=(None, {"T": 1, "K_B": 9}))
     run_experiment(cfg)
     assert _blas_threads() == before
-    # the second sweep point's chunk raises after the first chunk ran
+    # the second layout's chunk raises after the first chunk ran
     with pytest.raises(CountError, match="planted"):
         run_experiment(replace(cfg, sweep_values=(1, 3)))
     assert _blas_threads() == before
@@ -480,13 +545,13 @@ def test_failed_pooled_run_leaves_no_workers(p_nine, cell_model, monkeypatch, op
     real_drops = experiments._drops
     calls = itertools.count()
 
-    def fail_second_cell(*args):
+    def fail_second_layout(*args):
         if next(calls) == 1:
             raise CountError("planted set-up failure")
         return real_drops(*args)
 
-    monkeypatch.setattr(experiments, "_drops", fail_second_cell)
-    # the first cell's chunks go out to the pool, then the second cell's set-up fails
+    monkeypatch.setattr(experiments, "_drops", fail_second_layout)
+    # the first layout's chunks go out to the pool, then the second layout's set-up fails
     with pytest.raises(CountError, match="planted"):
         run_experiment(_het_sweep(p_nine, cell_model), workers=2)
     assert len(opened_pools) == 1 and opened_pools[0].submits >= 1

@@ -1,5 +1,6 @@
 """Zero-forcing gains, max-min power control, and block evaluation."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,6 +225,36 @@ def test_maxmin_equalizes_and_conserves_power(lead, kb, seed, log_p, noise_var):
     np.testing.assert_allclose(snr, per_user[..., 0] / noise_var, rtol=1e-12)
 
 
+@settings(max_examples=60)
+@given(e=st.integers(1, 6), lead=st.sampled_from([(), (1,), (3,)]), kb=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), noise_var=st.floats(0.01, 10.0))
+def test_maxmin_power_per_entry_power_equals_scalar_calls(e, lead, kb, seed, noise_var):
+    # an (E,) P powers every block of entry e at P[e], exactly as E calls do
+    rng = np.random.default_rng(seed)
+    d2 = 10.0 ** rng.uniform(-6.0, 6.0, (e, *lead, kb))
+    P = 10.0 ** rng.uniform(-2.0, 3.0, e)
+    powers, snr = maxmin_power(d2, P, noise_var)
+    for i in range(e):
+        pw, sn = maxmin_power(d2[i], P[i], noise_var)
+        np.testing.assert_array_equal(powers[i], pw)
+        np.testing.assert_array_equal(snr[i], sn)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_maxmin_power_rejects_a_bad_entry_power(bad):
+    with pytest.raises(DomainError):
+        maxmin_power(np.ones((3, 2, 4)), np.array([10.0, bad, 1.0]), 1.0)
+    with pytest.raises(DomainError):
+        maxmin_power(np.ones(4), bad, 1.0)
+
+
+def test_maxmin_power_rejects_a_power_that_does_not_index_blocks():
+    with pytest.raises(DimensionError):
+        maxmin_power(np.ones((3, 2, 4)), np.ones(2), 1.0)
+    with pytest.raises(DimensionError):
+        maxmin_power(np.ones(4), np.ones(4), 1.0)
+
+
 def _rand_stack(seed, t, kb, m):
     rng = np.random.default_rng(seed)
     return _rand_rows(rng, t * kb, m).reshape(t, kb, m)
@@ -316,6 +347,27 @@ def test_evaluate_block_stack_equals_single_blocks():
         honest = scale[members[t]] == 1.0
         assert np.ptp(rates[0, t][honest]) == 0.0
         assert np.ptp(rates[1, t]) == 0.0
+
+
+def test_evaluate_block_per_entry_power_equals_scalar_calls():
+    # three entries on two plans at three powers: each entry's rates are the
+    # rates of a call at its own power alone, by P and by p.P
+    p = SystemParams(M=16, K=12, K_B=4, T=3, P=10.0)
+    ch = draw_channels(p, np.ones(12), RngStream(13, 3).generator())
+    plans = np.array([np.arange(12).reshape(3, 4), np.arange(12)[::-1].reshape(3, 4)])
+    scale = np.r_[0.1, np.ones(5), 3.0, np.ones(5)]
+    plan_of = np.array([0, 1, 0])
+    entry_scale = scale[plans[plan_of]]
+    P = np.array([0.1, 10.0, 1000.0])
+    rates = evaluate_block(ch.gains[plans], entry_scale, plan_of, p, P)
+    for e in range(3):
+        one = ch.gains[plans[plan_of[e]]][None]
+        np.testing.assert_array_equal(rates[e], evaluate_block(one, entry_scale[[e]], [0], p, P[e])[0])
+        np.testing.assert_array_equal(
+            rates[e], evaluate_block(one, entry_scale[[e]], [0], replace(p, P=P[e]))[0])
+    for bad in (0.0, -10.0, np.nan):
+        with pytest.raises(DomainError):
+            evaluate_block(ch.gains[plans], entry_scale, plan_of, p, np.array([10.0, bad, 1.0]))
 
 
 def test_evaluate_block_member_count_enforced():
