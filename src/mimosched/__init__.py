@@ -2,7 +2,6 @@
 in round-robin multi-user MIMO scheduling with zero-forcing and max-min power."""
 
 from .core import (
-    ChannelSet,
     ConfigError,
     CountError,
     DimensionError,
@@ -21,11 +20,12 @@ from .core import (
     validate_params,
 )
 from .channel import (
-    PerceivedState,
     RngStream,
     apply_misreport,
+    channel_magnitudes,
     draw_channels,
     draw_large_scale,
+    false_matrix,
     large_scale_coefficient,
 )
 from .zf import (
@@ -48,13 +48,10 @@ from .strategies import (
     honest_profile,
 )
 from .analytic import (
-    OrderStatSpec,
-    inverse_moment_integral,
     loss_limits,
     loss_rr_cm,
     loss_single_block,
     loss_upper_bound,
-    orderstat_pdf,
     prop3_terms,
     rate_accurate_single_block,
     rate_heterogeneous_block,

@@ -13,7 +13,6 @@ because each block serves a magnitude-ranked slice of the population.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -89,25 +88,6 @@ def loss_limits(M: int, K: int, K_M: int, delta: float,
     }
 
 
-@dataclass(frozen=True)
-class OrderStatSpec:
-    """The k-th smallest of sample_size i.i.d. Gamma(shape, scale) draws."""
-
-    shape: int
-    scale: float
-    sample_size: int
-    rank: int
-
-    def __post_init__(self) -> None:
-        if self.shape < 1:
-            raise DomainError(f"shape must be >= 1, got {self.shape}")
-        if not self.scale > 0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
-        if not (1 <= self.rank <= self.sample_size):
-            raise DomainError(
-                f"rank must lie in [1, {self.sample_size}], got {self.rank}")
-
-
 def _log_orderstat_pdf(shape: int, scale: float, n: int, ranks: np.ndarray,
                        x: np.ndarray) -> np.ndarray:
     """(ranks, x) log densities of the k-th smallest of n gamma draws, x > 0.
@@ -122,15 +102,6 @@ def _log_orderstat_pdf(shape: int, scale: float, n: int, ranks: np.ndarray,
             + xlogy(n - k, gammaincc(shape, xs)))
 
 
-def orderstat_pdf(spec: OrderStatSpec, x):
-    """Density of the order statistic, evaluated in the log domain; 0 for x <= 0."""
-    x = np.asarray(x, dtype=np.float64)
-    out, pos = np.zeros_like(x), x > 0
-    out[pos] = np.exp(_log_orderstat_pdf(
-        spec.shape, spec.scale, spec.sample_size, np.array([spec.rank]), x[pos])[0])
-    return out if out.ndim else float(out)
-
-
 @lru_cache(maxsize=None)
 def _gauss_legendre(order: int) -> tuple:
     """Nodes and weights on [-1, 1]; pure constants, so kept per order."""
@@ -139,16 +110,21 @@ def _gauss_legendre(order: int) -> tuple:
 
 def _orderstat_moments(shape: int, scale: float, n: int, ranks: np.ndarray,
                        power: int = -1) -> np.ndarray:
-    """E[X_(k)^power] for each k in ranks, by Gauss-Legendre on the parent range.
+    """E[X_(k)^power] of the k-th smallest of n Gamma(shape, scale) draws, each k in ranks.
 
-    The range holds all but _TAIL parent mass on each side; shape >= 2 keeps
-    1/x integrable. Orders climb _QUAD_ORDERS, one (ranks, nodes) array each,
-    until two agree within _QUAD_TOL on every rank; the finer is returned.
-    QuadratureError on a value that is not finite and positive, or on a
-    top-order difference above _QUAD_FAIL.
+    Gauss-Legendre on the parent range, which holds all but _TAIL parent
+    mass on each side; shape >= 2 keeps 1/x integrable. Orders climb
+    _QUAD_ORDERS, one (ranks, nodes) array each, until two agree within
+    _QUAD_TOL on every rank; the finer is returned. QuadratureError on a
+    value that is not finite and positive, or on a top-order difference
+    above _QUAD_FAIL.
     """
     if shape < 2:
         raise DomainError("inverse moment needs shape >= 2 for integrability near 0")
+    if not scale > 0:
+        raise DomainError(f"scale must be positive, got {scale}")
+    if not np.all((1 <= ranks) & (ranks <= n)):
+        raise DomainError(f"ranks must lie in [1, {n}], got {ranks}")
     lo, hi = gamma_dist.ppf([_TAIL, 1.0 - _TAIL], shape, scale=scale)
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     where = f"for shape={shape}, scale={scale}, n={n}"
@@ -169,10 +145,13 @@ def _orderstat_moments(shape: int, scale: float, n: int, ranks: np.ndarray,
     return vals
 
 
-def inverse_moment_integral(spec: OrderStatSpec) -> float:
-    """E[1/X] for the order statistic; for n = k = 1, 1 / ((shape-1) * scale)."""
-    return float(_orderstat_moments(
-        spec.shape, spec.scale, spec.sample_size, np.array([spec.rank]))[0])
+def _check_underreport(delta: float) -> None:
+    # eq17 and eq21 let the misreporters sink to the last block, which only
+    # underreporting does; delta = 1 is taken as the delta -> 1- limit
+    if not delta > 0:
+        raise DomainError(f"delta must be positive, got {delta}")
+    if delta > 1:
+        raise RegimeError(f"closed form covers underreporting, delta <= 1, got delta={delta}")
 
 
 def prop3_terms(p: SystemParams, K_M: int, delta: float, beta: float = 1.0) -> dict:
@@ -190,8 +169,7 @@ def prop3_terms(p: SystemParams, K_M: int, delta: float, beta: float = 1.0) -> d
     if K_M < 0:
         raise CountError(f"K_M must be >= 0, got {K_M}")
     _check_rate_args(p.M, p.K_B, p.snr, beta)
-    if not delta > 0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    _check_underreport(delta)
     M, K, K_B, snr = p.M, p.K, p.K_B, p.snr
     a_t_a = _orderstat_moments(M, beta, K, np.arange(1, K_B + 1)).sum()
     a_t_m = K_M / (delta * beta * (M - 1)) + _orderstat_moments(
@@ -203,11 +181,13 @@ def prop3_terms(p: SystemParams, K_M: int, delta: float, beta: float = 1.0) -> d
 
 
 def loss_rr_cm(p: SystemParams, K_M: int, delta: float, beta: float = 1.0) -> float:
-    """Honest-user loss under magnitude-ranked round robin, K_M <= K_B.
+    """Honest-user loss under magnitude-ranked round robin, K_M <= K_B, delta <= 1.
 
     Underreporters sink to the last block, so the first T-1 blocks shed their
     weakest members (a gain, the negative first term) while the last block
-    pays the misreporters' inflated power demand.
+    pays the misreporters' inflated power demand. Overreporters (delta > 1)
+    rise instead, so delta > 1 raises RegimeError; delta = 1 is the
+    delta -> 1- limit.
     """
     t = prop3_terms(p, K_M, delta, beta)
     T, K, K_B = p.T, p.K, p.K_B
@@ -226,12 +206,15 @@ def loss_upper_bound(p: SystemParams, K_M: int, delta: float, beta: float = 1.0)
     (K_B - K_M) / (K - K_M) of the honest users sit in the infected block and
     each loses at most the single-block fraction with K -> K_B. Exact at the
     endpoints: equals the random-scheduler loss at K_M = 1 and 0 at K_M = K_B.
+    Like loss_rr_cm, it covers underreporting: RegimeError for delta > 1,
+    delta = 1 accepted as the delta -> 1- limit.
     """
     if K_M > p.K_B:
         raise RegimeError(
             f"bound covers K_M <= K_B, got K_M={K_M}, K_B={p.K_B}")
     if not (1 <= K_M <= p.K_B):
         raise CountError(f"K_M must lie in [1, {p.K_B}], got {K_M}")
+    _check_underreport(delta)
     frac = (p.K_B - K_M) / (p.K - K_M)
     return frac * loss_single_block(p.M, p.K_B, K_M, delta, p.snr, beta)
 

@@ -4,6 +4,11 @@ Small-scale fading is i.i.d. complex normal per antenna; a user with
 large-scale gain beta has channel entries CN(0, beta). Randomness comes from
 counter-based substreams so a trial's draws depend only on (seed, stream_id),
 never on execution order or worker count.
+
+Misreporting rescales magnitudes only: user k reports scale[k] * ||g_k||^2,
+and its false channel row is sqrt(scale[k]) * g_k, so every channel
+direction stays untouched. The magnitude and misreport functions take a
+stack of realizations along leading axes.
 """
 from __future__ import annotations
 
@@ -11,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ChannelSet,
-    DomainError,
-    LargeScaleModel,
-    MisreportProfile,
-    ScaleError,
-    SystemParams,
-)
+from .core import DomainError, LargeScaleModel, ScaleError, SystemParams
 
 _U64 = np.uint64
 
@@ -35,27 +33,8 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class PerceivedState:
-    """What the scheduler and power control see after misreporting.
-
-    reported_magnitudes[k] = scale[k] * ||g_k||^2 and the false channel
-    matrix has rows sqrt(scale[k]) * g_k, so misreporting rescales magnitude
-    while leaving every channel direction untouched.
-    """
-
-    channels: ChannelSet
-    scale: np.ndarray                # (K,) misreport multipliers
-    reported_magnitudes: np.ndarray  # (K,)
-
-    @property
-    def false_matrix(self) -> np.ndarray:
-        """The full misreported channel matrix, computed on each use."""
-        return np.sqrt(self.scale)[:, None] * self.channels.gains
-
-
-def draw_channels(p: SystemParams, betas: np.ndarray, rng: np.random.Generator) -> ChannelSet:
-    r"""Draw one small-scale realization for all K users.
+def draw_channels(p: SystemParams, betas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    r"""Draw one small-scale realization for all K users: the (K, M) gains.
 
     gains[k] = sqrt(betas[k]) * h_k with h_k i.i.d. CN(0, 1) per antenna, so
     ||gains[k]||^2 is Gamma(M, betas[k]) in shape-scale convention.
@@ -68,7 +47,21 @@ def draw_channels(p: SystemParams, betas: np.ndarray, rng: np.random.Generator) 
     re = rng.standard_normal((p.K, p.M))
     im = rng.standard_normal((p.K, p.M))
     h = (re + 1j * im) / np.sqrt(2.0)
-    return ChannelSet(gains=np.sqrt(betas)[:, None] * h, large_scale=betas)
+    return np.sqrt(betas)[:, None] * h
+
+
+def channel_magnitudes(gains: np.ndarray) -> np.ndarray:
+    """True squared channel norms ||g_k||^2 of (..., K, M) gains, shape (..., K).
+
+    One einsum over the whole stack; each realization gets the bits its own
+    (K, M) call gives.
+    """
+    return np.einsum("...km,...km->...k", gains, gains.conj()).real
+
+
+def false_matrix(gains: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The misreported channel rows sqrt(scale[..., k]) * g_k, broadcast over leading axes."""
+    return np.sqrt(scale)[..., None] * gains
 
 
 def large_scale_coefficient(omega_db, distance, model: LargeScaleModel):
@@ -91,14 +84,16 @@ def draw_large_scale(p: SystemParams, m: LargeScaleModel, rng: np.random.Generat
     return beta[order]
 
 
-def apply_misreport(ch: ChannelSet, mp: MisreportProfile) -> PerceivedState:
-    """Build the scheduler's view of ``ch`` under the misreport profile."""
-    if mp.K != ch.K:
-        raise DomainError(f"profile covers {mp.K} users, channels have {ch.K}")
-    if not np.all(mp.scale > 0):
+def apply_misreport(magnitudes: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """The scheduler's view of (..., K) true magnitudes under F misreport profiles.
+
+    scales is (F, K), one row of multipliers per profile; returns the
+    (..., F, K) reported magnitudes scales[f, k] * magnitudes[..., k].
+    """
+    mags = np.asarray(magnitudes, dtype=np.float64)
+    scales = np.asarray(scales, dtype=np.float64)
+    if scales.ndim != 2 or scales.shape[1:] != mags.shape[-1:]:
+        raise DomainError(f"profiles {scales.shape} must be (F, K) for magnitudes {mags.shape}")
+    if not np.all(scales > 0):
         raise ScaleError("misreport scale factors must be positive")
-    return PerceivedState(
-        channels=ch,
-        scale=mp.scale,
-        reported_magnitudes=mp.scale * ch.magnitudes(),
-    )
+    return mags[..., None, :] * scales

@@ -66,13 +66,8 @@ def _cmd_run(args) -> int:
     else:
         with open(args.config) as fh:
             cfg = config_from_dict(json.load(fh))
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.drops is not None:
-        overrides["drops"] = args.drops
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {k: getattr(args, k) for k in ("trials", "drops", "seed")
+                 if getattr(args, k) is not None}
     if overrides:
         cfg = replace(cfg, **overrides)
     rows = run_experiment(cfg, workers=args.workers)

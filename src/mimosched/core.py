@@ -88,8 +88,6 @@ def validate_params(p: SystemParams) -> SystemParams:
         raise DimensionError(f"K_B must satisfy 1 <= K_B <= K, got K_B={p.K_B}, K={p.K}")
     if p.K != p.T * p.K_B:
         raise DimensionError(f"K must equal T*K_B, got K={p.K}, T*K_B={p.T * p.K_B}")
-    if p.T < 1:
-        raise DimensionError(f"T must be >= 1, got {p.T}")
     if not p.P > 0:
         raise DimensionError(f"P must be positive, got {p.P}")
     if not p.noise_var > 0:
@@ -123,44 +121,6 @@ class LargeScaleModel:
             raise DomainError(f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db}")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
-class ChannelSet:
-    """One small-scale realization for all K users.
-
-    gains[k] is the 1xM downlink channel row of user k, drawn complex normal
-    with per-entry variance large_scale[k].
-    """
-
-    gains: np.ndarray        # (K, M) complex
-    large_scale: np.ndarray  # (K,) positive
-
-    def __post_init__(self) -> None:
-        g = _readonly(np.asarray(self.gains, dtype=np.complex128))
-        b = _readonly(np.asarray(self.large_scale, dtype=np.float64))
-        object.__setattr__(self, "gains", g)
-        object.__setattr__(self, "large_scale", b)
-        if g.ndim != 2:
-            raise DimensionError(f"gains must be 2-D, got shape {g.shape}")
-        if b.shape != (g.shape[0],):
-            raise DimensionError(
-                f"large_scale shape {b.shape} does not match K={g.shape[0]}")
-        if not np.all(b > 0):
-            raise DomainError("every large-scale gain must be positive")
-
-    @property
-    def K(self) -> int:
-        return self.gains.shape[0]
-
-    def magnitudes(self) -> np.ndarray:
-        """True squared channel norms ||g_k||^2, shape (K,)."""
-        return np.einsum("km,km->k", self.gains, self.gains.conj()).real
-
-
 @dataclass(frozen=True)
 class MisreportProfile:
     """Per-user magnitude misreport: user k reports scale[k] * ||g_k||^2.
@@ -173,8 +133,10 @@ class MisreportProfile:
     strategy_tag: str = "none"
 
     def __post_init__(self) -> None:
-        s = _readonly(np.asarray(self.scale, dtype=np.float64))
-        rb = _readonly(np.asarray(self.reported_beta, dtype=np.float64))
+        s = np.asarray(self.scale, dtype=np.float64)
+        rb = np.asarray(self.reported_beta, dtype=np.float64)
+        s.setflags(write=False)
+        rb.setflags(write=False)
         object.__setattr__(self, "scale", s)
         object.__setattr__(self, "reported_beta", rb)
         if s.shape != rb.shape or s.ndim != 1:

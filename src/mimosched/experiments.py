@@ -34,7 +34,8 @@ from .core import (
     db_to_linear,
     validate_params,
 )
-from .channel import RngStream, apply_misreport, draw_channels, draw_large_scale
+from .channel import (RngStream, apply_misreport, channel_magnitudes, draw_channels,
+                      draw_large_scale)
 from .zf import evaluate_block
 from . import analytic, scheduling, strategies
 
@@ -218,28 +219,11 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
     return out
 
 
-@dataclass(frozen=True)
-class _TrialChunk:
-    """One work unit: trials ``lo``..``hi - 1`` of one drop of one variant, at every sweep point.
-
-    ``periods`` are the distinct periods of a trial, each a (power, rule
-    index, profile index, sweep value) tuple naming the first sweep point
-    that serves it (see ``_drops``).
-    """
-
-    p: SystemParams
-    betas: np.ndarray
-    profiles: tuple               # distinct misreport profiles, honest first
-    ls_plans: np.ndarray | None   # (profiles, T, K_B) large-scale plans
-    periods: tuple
-    rules: tuple
-    alpha: float
-    seed: int
-    vi: int
-    drop: int
-    lo: int
-    hi: int
-    keep: str                     # what _run_chunk returns: "means", "trials" or "sum"
+# one work unit: trials lo..hi - 1 of one drop of one variant, at every sweep
+# point. setup is the drop's _Drop: its large-scale gains, distinct misreport
+# profiles and distinct periods; keep names what _run_chunk returns: "means",
+# "trials" or "sum"
+_TrialChunk = collections.namedtuple("_TrialChunk", "p setup rules alpha seed vi drop lo hi keep")
 
 
 # extension modules linked against the OpenBLAS builds the engine calls into:
@@ -321,8 +305,9 @@ _SLICE_PAIRS = 3 * _SLICE
 def _run_chunk(u: _TrialChunk) -> np.ndarray:
     """Paired trials at every sweep point: the honest baseline plus every strategy, per rule.
 
-    Each trial is drawn once and grouped once per distinct profile; all its
-    distinct periods go through one run_period call per slice of trials.
+    Each trial is drawn once and its magnitudes computed once; it is grouped
+    once per distinct profile, and all its distinct periods go through one
+    run_period call per slice of trials.
     Returns only what the cell reductions read, never every period's
     per-user rates of every trial at once:
     - ``"means"`` (homogeneous): the (trials, periods) mean rate over the
@@ -331,40 +316,39 @@ def _run_chunk(u: _TrialChunk) -> np.ndarray:
     - ``"sum"`` (heterogeneous): those rates added trial by trial in order,
       as one (1, periods, K) row.
     """
-    p = u.p
-    power, rule_of, prof_of, point_of = zip(*u.periods)
+    p, d = u.p, u.setup
+    power, rule_of, prof_of, point_of = zip(*d.periods)
     power, rule_of, prof_of = np.array(power), np.array(rule_of), np.array(prof_of)
-    scales = np.stack([prof.scale for prof in u.profiles])[prof_of]      # (periods, K)
-    masks = [(np.flatnonzero(prof_of == f), prof.honest_mask()) for f, prof in enumerate(u.profiles)]
+    scales = d.scales[prof_of]                                            # (periods, K)
+    cols = [np.flatnonzero(prof_of == f) for f in range(len(d.scales))]
     out = np.empty((u.hi - u.lo, len(power))) if u.keep == "means" else []
-    step = max(1, min(_SLICE, _SLICE_PAIRS // len(u.profiles)))
+    step = max(1, min(_SLICE, _SLICE_PAIRS // len(d.scales)))
     for lo in range(u.lo, u.hi, step):
         trials = range(lo, min(lo + step, u.hi))
         rngs = (RngStream(u.seed, pack_stream(0, u.vi, u.drop, t)).generator() for t in trials)
-        channels = [draw_channels(p, u.betas, rng) for rng in rngs]
-        # only magnitude and SUS grouping read the perceived states, trial by trial
-        states = ([apply_misreport(ch, prof) for ch in channels for prof in u.profiles]
-                  if {"channel_magnitude", "sus"} & set(u.rules) else [])
+        gains = np.stack([draw_channels(p, d.betas, rng) for rng in rngs])        # (n, K, M)
+        # only magnitude and SUS grouping read the (n, F, K) reported magnitudes
+        if {"channel_magnitude", "sus"} & set(u.rules):
+            reported = apply_misreport(channel_magnitudes(gains), d.scales)
         # every rule's plan of each trial under each profile. The large-scale
         # plans are fixed per drop and broadcast over the trials; a trial's
         # random plan is broadcast over its profiles
-        shape = (len(trials), len(u.profiles), p.T, p.K_B)
-        members = np.empty((len(trials), len(u.rules), *shape[1:]), dtype=np.intp)
+        members = np.empty((len(trials), len(u.rules), len(d.scales), p.T, p.K_B), dtype=np.intp)
         for r, rule in enumerate(u.rules):
             if rule == "large_scale":
-                members[:, r] = u.ls_plans
+                members[:, r] = d.ls_plans
             elif rule == "channel_magnitude":
-                members[:, r] = scheduling.group_by_magnitude(states, p).reshape(shape)
+                members[:, r] = scheduling.group_by_magnitude(reported, p)
             elif rule == "sus":
-                members[:, r] = scheduling.group_by_sus(states, p, u.alpha).reshape(shape)
+                members[:, r] = scheduling.group_by_sus(reported, gains[:, None], d.scales, p,
+                                                        u.alpha)
             else:
                 for n, t in enumerate(trials):
                     rng = RngStream(u.seed, pack_stream(1, u.vi, u.drop, t)).generator()
                     members[n, r] = scheduling.group_randomly(p, rng)
-        # periods run trial by trial, then in the order of u.periods
+        # periods run trial by trial, then in the order of d.periods
         try:
-            rates = run_period(np.stack([ch.gains for ch in channels]),
-                               np.repeat(np.arange(len(trials)), len(power)),
+            rates = run_period(gains, np.repeat(np.arange(len(trials)), len(power)),
                                members[:, rule_of, prof_of].reshape(-1, p.T, p.K_B),
                                np.tile(scales, (len(trials), 1)), p, np.tile(power, len(trials)))
         except SingularMatrixError as e:
@@ -380,8 +364,9 @@ def _run_chunk(u: _TrialChunk) -> np.ndarray:
             raise
         rates = rates.reshape(len(trials), len(power), p.K)
         if u.keep == "means":
-            for cols, mask in masks:
-                out[lo - u.lo:trials[-1] + 1 - u.lo, cols] = _mean_or_nan(rates[:, cols], mask)
+            # one reduction per profile keeps _mean_or_nan's summation order
+            for f, c in enumerate(cols):
+                out[lo - u.lo:trials[-1] + 1 - u.lo, c] = _mean_or_nan(rates[:, c], d.honest[f])
         elif u.keep == "sum":
             out = [functools.reduce(np.add, rates, *out)]     # trial by trial, in order
         else:
@@ -465,14 +450,15 @@ def _cells(cfg: ExperimentConfig) -> list:
 
 
 # the set-up of one drop of one variant, shared by all its sweep points.
-# profiles are the distinct misreport profiles of every sweep point, equal
-# scale and reported gains counting as one, honest first; ls_plans are their
+# scales and honest are the (F, K) multipliers and honest users of the
+# distinct misreport profiles of every sweep point, equal scale and reported
+# gains counting as one, honest first; ls_plans are their (F, T, K_B)
 # large-scale plans, or None. periods are the distinct (power, rule, profile,
 # sweep value) periods of a trial, in order of first appearance over (sweep
 # point, rule, honest then strategies), each naming the first sweep point
 # that serves it; column[j, r, i] is the period of sweep point j under rule r
 # and the honest profile (i = 0) or strategy i - 1.
-_Drop = collections.namedtuple("_Drop", "betas profiles ls_plans periods column")
+_Drop = collections.namedtuple("_Drop", "betas scales honest ls_plans periods column")
 
 
 def _drops(cfg, vi, cells) -> list:
@@ -498,15 +484,17 @@ def _drops(cfg, vi, cells) -> list:
                 if f == len(profiles):
                     profiles.append(prof)
                 index[-1].append(f)
+        scales = np.stack([prof.scale for prof in profiles])
         ls_plans = None
         if "large_scale" in cfg.grouping_rule:
-            ls_plans = np.stack([scheduling.group_by_large_scale(prof.reported_beta, p)
-                                 for prof in profiles])
+            ls_plans = scheduling.group_by_large_scale(
+                np.stack([prof.reported_beta for prof in profiles]), p)
         periods = {}
         column = np.array([[[periods.setdefault((pv.P, r, f), (len(periods), v))[0] for f in row]
                             for r in range(len(cfg.grouping_rule))]
                            for (v, pv, *_), row in zip(cells, index)], dtype=np.intp)
-        drops.append(_Drop(betas, tuple(profiles), ls_plans,
+        honest = np.stack([prof.honest_mask() for prof in profiles])
+        drops.append(_Drop(betas, scales, honest, ls_plans,
                            tuple((*key, v) for key, (_, v) in periods.items()), column))
     return drops
 
@@ -537,9 +525,8 @@ def _run(cfg, variants, workers, pool) -> list:
                 for lo, hi in bounds:
                     keep = ("means" if cfg.scenario == "homogeneous"
                             else "trials" if drop == 0 or lo > 0 else "sum")
-                    yield _TrialChunk(cells[0][1], d.betas, d.profiles, d.ls_plans, d.periods,
-                                      cfg.grouping_rule, cfg.sus_alpha, cfg.seed, vi, drop,
-                                      lo, hi, keep)
+                    yield _TrialChunk(cells[0][1], d, cfg.grouping_rule, cfg.sus_alpha,
+                                      cfg.seed, vi, drop, lo, hi, keep)
 
     if pool is None:
         chunks = map(_run_chunk, units())
@@ -560,7 +547,7 @@ def _run(cfg, variants, workers, pool) -> list:
             continue
         sums = [functools.reduce(np.add, res) for res in results]      # (periods, K) per drop
         for j, (v, p, k_m, vsuf) in enumerate(cells):
-            honest = np.array([[d.profiles[d.periods[e][2]].honest_mask() for e in d.column[j, 0, 1:]]
+            honest = np.stack([d.honest[[d.periods[e][2] for e in d.column[j, 0, 1:]]]
                                for d in drops])
             rows[j, vi] = _heterogeneous_cell(
                 cfg, p, k_m, vsuf, v, np.stack([s[d.column[j]] for s, d in zip(sums, drops)]),
@@ -588,15 +575,14 @@ def _homogeneous_cell(cfg, p, k_m, vsuf, sweep_value, means):
                                   name.replace(f"theta_{short}", f"theta_{short}_paired", 1),
                                   float(np.mean(theta_trials)) if np.all(np.isfinite(theta_trials)) else float("nan"),
                                   std, ci, cfg.trials, 1, cfg.seed))
-    if "homogeneous_uniform" in cfg.strategy:
-        if 0 <= k_m <= p.K_B:
-            val = analytic.loss_rr_cm(p, k_m, cfg.delta, p.beta_default)
-            rows.append(ResultRow(cfg.label, cfg.sweep, float(sweep_value),
-                                  f"analytic_eq17{vsuf}", val, 0.0, 0.0, 0, 1, cfg.seed))
-        if 1 <= k_m <= p.K_B:
-            val = analytic.loss_upper_bound(p, k_m, cfg.delta, p.beta_default)
-            rows.append(ResultRow(cfg.label, cfg.sweep, float(sweep_value),
-                                  f"upper_bound_eq21{vsuf}", val, 0.0, 0.0, 0, 1, cfg.seed))
+    # eq17 and eq21 cover K_M <= K_B underreporters only
+    if "homogeneous_uniform" in cfg.strategy and cfg.delta <= 1:
+        for name, loss, k_lo in (("analytic_eq17", analytic.loss_rr_cm, 0),
+                                 ("upper_bound_eq21", analytic.loss_upper_bound, 1)):
+            if k_lo <= k_m <= p.K_B:
+                rows.append(ResultRow(cfg.label, cfg.sweep, float(sweep_value), f"{name}{vsuf}",
+                                      loss(p, k_m, cfg.delta, p.beta_default), 0.0, 0.0, 0, 1,
+                                      cfg.seed))
     return rows
 
 
@@ -756,8 +742,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             variants=tuple(d["variants"]) if d.get("variants") else (None,),
             label=d.get("label", "custom"),
         )
-    except ConfigError:
-        raise
     except (TypeError, ValueError, KeyError) as e:
         raise ConfigError(f"malformed config: {e}") from e
     return cfg

@@ -2,56 +2,48 @@
 
 Every rule consumes only the perceived (possibly misreported) state, never
 the true channels, and returns a plan: an intp array of shape (T, K_B) whose
-row t lists the members of block t, or an (n, T, K_B) stack of plans. Every
-plan orders all K users into T blocks of K_B. Sorting ties break by user
-index.
+row t lists the members of block t, or a stack of plans along leading axes,
+one per stacked input. Every plan orders all K users into T blocks of K_B.
+Sorting ties break by user index.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .core import DimensionError, DomainError, SystemParams
-from .channel import PerceivedState
+from .channel import false_matrix
 
 
 def _blocks(order: np.ndarray, p: SystemParams) -> np.ndarray:
     return order.astype(np.intp, copy=False).reshape(*order.shape[:-1], p.T, p.K_B)
 
 
-def _sorted_desc(values: np.ndarray) -> np.ndarray:
+def _users(values, p: SystemParams, name: str) -> np.ndarray:
+    """``values`` as float64, checked to hold one entry per user on its last axis."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[-1:] != (p.K,):
+        raise DimensionError(f"{name} must have K={p.K} users on the last axis, "
+                             f"got shape {values.shape}")
+    return values
+
+
+def _sorted_blocks(values: np.ndarray, p: SystemParams) -> np.ndarray:
     # stable: ties fall back to ascending user index
-    return np.argsort(-values, axis=-1, kind="stable")
+    return _blocks(np.argsort(-values, axis=-1, kind="stable"), p)
 
 
-def _magnitudes(states, p: SystemParams):
-    """(single, states, (n, K) reported magnitudes) of one state or a sequence."""
-    single = isinstance(states, PerceivedState)
-    states = (states,) if single else tuple(states)
-    for ps in states:
-        if ps.reported_magnitudes.shape != (p.K,):
-            raise DimensionError(f"state covers {ps.reported_magnitudes.shape[0]} users, "
-                                 f"params say K={p.K}")
-    return single, states, np.stack([ps.reported_magnitudes for ps in states])
-
-
-def group_by_magnitude(states, p: SystemParams) -> np.ndarray:
+def group_by_magnitude(mags, p: SystemParams) -> np.ndarray:
     """Strongest reported instantaneous magnitudes first, blocks of K_B.
 
-    ``states`` is one PerceivedState, for which one (T, K_B) plan is
-    returned, or a sequence of n states, for which the (n, T, K_B) stack of
-    their plans is returned from one sort.
+    ``mags`` holds (..., K) reported magnitudes; the (..., T, K_B) plans of
+    every stacked row come from one sort.
     """
-    single, _, mags = _magnitudes(states, p)
-    plans = _blocks(_sorted_desc(mags), p)
-    return plans[0] if single else plans
+    return _sorted_blocks(_users(mags, p, "reported magnitudes"), p)
 
 
-def group_by_large_scale(reported_beta: np.ndarray, p: SystemParams) -> np.ndarray:
-    """Same ordering rule, keyed on reported large-scale gains."""
-    beta = np.asarray(reported_beta, dtype=np.float64)
-    if beta.shape != (p.K,):
-        raise DimensionError(f"reported_beta must have shape ({p.K},), got {beta.shape}")
-    return _blocks(_sorted_desc(beta), p)
+def group_by_large_scale(reported_beta, p: SystemParams) -> np.ndarray:
+    """Same ordering rule, keyed on (..., K) reported large-scale gains."""
+    return _sorted_blocks(_users(reported_beta, p, "reported_beta"), p)
 
 
 def group_randomly(p: SystemParams, rng: np.random.Generator) -> np.ndarray:
@@ -73,7 +65,7 @@ def _norm(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
 
-def group_by_sus(states, p: SystemParams, alpha: float = 0.3) -> np.ndarray:
+def group_by_sus(mags, gains, scale, p: SystemParams, alpha: float = 0.3) -> np.ndarray:
     """Greedy semi-orthogonal selection on the reported channel rows.
 
     Each block is seeded with the strongest remaining reported magnitude,
@@ -84,16 +76,21 @@ def group_by_sus(states, p: SystemParams, alpha: float = 0.3) -> np.ndarray:
     retried. Ties go to the lower user index. Deterministic; block order
     follows selection order.
 
-    ``states`` is one PerceivedState, for which one (T, K_B) plan is
-    returned, or a sequence of n states, for which the (n, T, K_B) stack of
-    their plans is returned; the states of a sequence are grouped together,
-    each on its own.
+    ``mags`` holds (..., K) reported magnitudes. The reported rows are the
+    false matrix of ``gains`` (..., K, M) under multipliers ``scale``
+    (..., K), both broadcast to the leading axes of ``mags``. Returns the
+    (..., T, K_B) plans; every stacked row is grouped together with the
+    others, each on its own.
     """
-    single, states, mags = _magnitudes(states, p)                    # mags: (n, K)
+    mags = _users(mags, p, "reported magnitudes")
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    rows = np.stack([ps.false_matrix for ps in states])              # (n, K, M)
-    n = len(states)
+    rows = false_matrix(gains, scale)
+    if rows.shape[:-1] != mags.shape:
+        raise DimensionError(f"reported rows {rows.shape} do not match magnitudes {mags.shape}")
+    lead = mags.shape[:-1]
+    mags, rows = mags.reshape(-1, p.K), rows.reshape(-1, p.K, rows.shape[-1])
+    n = mags.shape[0]
     # every value is rounded as a one-row loop rounds it (vecdot is vdot per row,
     # float_power(hypot(c), 2) is a scalar's abs(c) ** 2, _norm is linalg.norm)
     # and summed in the same order, so rank-deficient near-ties resolve alike
@@ -136,4 +133,4 @@ def group_by_sus(states, p: SystemParams, alpha: float = 0.3) -> np.ndarray:
             thresh[growing & ~found] *= 2.0
             s = np.flatnonzero(growing & found)
             chosen = best[s]
-    return groups[0] if single else groups
+    return groups.reshape(*lead, p.T, p.K_B)

@@ -47,7 +47,8 @@ def homogeneous_uniform(p: SystemParams, K_M: int, delta: float) -> MisreportPro
         scale=scale, reported_beta=scale * betas, strategy_tag="homogeneous_uniform")
 
 
-def _check_sorted_betas(betas: np.ndarray) -> np.ndarray:
+def _check_sorted_betas(betas: np.ndarray, K_M: int) -> np.ndarray:
+    """``betas`` as float64, checked to be sorted strongest first, with 1 <= K_M <= K."""
     betas = np.asarray(betas, dtype=np.float64)
     if betas.ndim != 1 or betas.shape[0] < 1:
         raise DomainError("betas must be a nonempty 1-D vector")
@@ -55,7 +56,14 @@ def _check_sorted_betas(betas: np.ndarray) -> np.ndarray:
         raise DomainError("every large-scale gain must be positive")
     if np.any(np.diff(betas) >= 0):
         raise DomainError("betas must be sorted strictly descending (relabeled by rank)")
+    if not (1 <= K_M <= betas.shape[0]):
+        raise CountError(f"K_M must lie in [1, {betas.shape[0]}], got {K_M}")
     return betas
+
+
+def _claiming(betas: np.ndarray, reported: np.ndarray, tag: str) -> MisreportProfile:
+    """The profile whose users claim ``reported``: scale reported / betas."""
+    return MisreportProfile(scale=reported / betas, reported_beta=reported, strategy_tag=tag)
 
 
 def grouping_changed_under(betas: np.ndarray, K_M: int, beta_low: float | None = None) -> MisreportProfile:
@@ -65,10 +73,7 @@ def grouping_changed_under(betas: np.ndarray, K_M: int, beta_low: float | None =
     large-scale scheduler pushes them into the final blocks and every honest
     user shifts K_M ranks upward.
     """
-    betas = _check_sorted_betas(betas)
-    K = betas.shape[0]
-    if not (1 <= K_M <= K):
-        raise CountError(f"K_M must lie in [1, {K}], got {K_M}")
+    betas = _check_sorted_betas(betas, K_M)
     if beta_low is None:
         beta_low = betas[-1] / 2.0
     if not 0 < beta_low < betas[-1]:
@@ -76,27 +81,20 @@ def grouping_changed_under(betas: np.ndarray, K_M: int, beta_low: float | None =
             f"beta_low must lie in (0, {betas[-1]!r}) to sort below every honest user")
     reported = betas.copy()
     reported[:K_M] = beta_low
-    return MisreportProfile(
-        scale=reported / betas, reported_beta=reported,
-        strategy_tag="grouping_changed_under")
+    return _claiming(betas, reported, "grouping_changed_under")
 
 
 def grouping_changed_over(betas: np.ndarray, K_M: int, beta_high: float | None = None) -> MisreportProfile:
     """The K_M weakest users overreport above everyone, promoting themselves."""
-    betas = _check_sorted_betas(betas)
-    K = betas.shape[0]
-    if not (1 <= K_M <= K):
-        raise CountError(f"K_M must lie in [1, {K}], got {K_M}")
+    betas = _check_sorted_betas(betas, K_M)
     if beta_high is None:
         beta_high = 2.0 * betas[0]
     if not beta_high > betas[0]:
         raise RangeError(
             f"beta_high must exceed {betas[0]!r} to sort above every honest user")
     reported = betas.copy()
-    reported[K - K_M:] = beta_high
-    return MisreportProfile(
-        scale=reported / betas, reported_beta=reported,
-        strategy_tag="grouping_changed_over")
+    reported[-K_M:] = beta_high          # K_M >= 1, checked above
+    return _claiming(betas, reported, "grouping_changed_over")
 
 
 def grouping_unchanged_under(betas: np.ndarray, p: SystemParams, K_M: int,
@@ -113,12 +111,10 @@ def grouping_unchanged_under(betas: np.ndarray, p: SystemParams, K_M: int,
     sorting by reported gain reproduces the honest partition exactly while
     every recruit's power share is computed from a deflated gain.
     """
-    betas = _check_sorted_betas(betas)
-    K, K_B, T = p.K, p.K_B, p.T
-    if betas.shape[0] != K:
-        raise DomainError(f"betas must have shape ({K},), got {betas.shape}")
-    if not (1 <= K_M <= K):
-        raise CountError(f"K_M must lie in [1, {K}], got {K_M}")
+    K_B, T = p.K_B, p.T
+    if np.shape(betas) != (p.K,):
+        raise DomainError(f"betas must have shape ({p.K},), got {np.shape(betas)}")
+    betas = _check_sorted_betas(betas, K_M)
     if beta_low is None:
         beta_low = betas[-1] / 2.0
     if not 0 < beta_low < betas[-1]:
@@ -146,9 +142,7 @@ def grouping_unchanged_under(betas: np.ndarray, p: SystemParams, K_M: int,
             if T > 1:
                 reported[recruits[T - 1]] = betas[i_m]
 
-    profile = MisreportProfile(
-        scale=reported / betas, reported_beta=reported,
-        strategy_tag="grouping_unchanged_under")
+    profile = _claiming(betas, reported, "grouping_unchanged_under")
     # defining postcondition: the large-scale scheduler must not notice
     honest_plan = scheduling.group_by_large_scale(betas, p)
     reported_plan = scheduling.group_by_large_scale(reported, p)

@@ -1,15 +1,9 @@
-"""Shared fixtures: canonical parameter sets and small state factories."""
+"""Shared fixtures: canonical parameter sets and a misreport profile factory."""
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from mimosched import (
-    ChannelSet,
-    LargeScaleModel,
-    MisreportProfile,
-    PerceivedState,
-    SystemParams,
-)
+from mimosched import LargeScaleModel, MisreportProfile, SystemParams
 
 # one profile for every property test: example run times follow the load on
 # the machine, so a per-example deadline would fail slow runs, not slow code
@@ -33,26 +27,6 @@ def p_nine():
 def cell_model():
     return LargeScaleModel(cell_radius=500.0, ref_distance=200.0,
                            path_loss_exp=3.8, shadow_sigma_db=8.0)
-
-
-@pytest.fixture
-def state_factory():
-    """Build a PerceivedState directly from reported magnitudes.
-
-    The grouping rules consume only the reported numbers, so tests can skip
-    channel generation when they exercise scheduling alone.
-    """
-    def make(mags, K_B=None):
-        mags = np.asarray(mags, dtype=np.float64)
-        k = mags.shape[0]
-        ch = ChannelSet(gains=np.ones((k, max(k, 2)), dtype=np.complex128),
-                        large_scale=np.ones(k))
-        return PerceivedState(
-            channels=ch,
-            scale=np.ones(k),
-            reported_magnitudes=mags,
-        )
-    return make
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@
 None is part of the package: each recomputes a production result by a
 different or plainer route, one block, one state or one period at a time.
 """
+import math
+
 import mpmath
 import numpy as np
 import scipy.linalg
@@ -57,6 +59,18 @@ def inverse_moment_oracle(shape: int, scale: float, n: int, k: int,
         return float(mpmath.quad(integrand, edges))
 
 
+def orderstat_pdf_oracle(shape: int, scale: float, n: int, k: int, x):
+    """Density of the k-th smallest of n i.i.d. Gamma(shape, scale) draws; 0 off the support.
+
+    k * C(n, k) * F^(k-1) * (1 - F)^(n-k) * f with scipy's gamma F, 1 - F and
+    f, in the linear domain: a route independent of the production log
+    density.
+    """
+    parent = gamma_dist(shape, scale=scale)
+    x = np.asarray(x, dtype=np.float64)
+    return k * math.comb(n, k) * parent.cdf(x) ** (k - 1) * parent.sf(x) ** (n - k) * parent.pdf(x)
+
+
 def period_rates_oracle(gains: np.ndarray, scale: np.ndarray, members, p) -> np.ndarray:
     """(K,) period rates of one period on one realization, served on its own.
 
@@ -74,17 +88,16 @@ def period_rates_oracle(gains: np.ndarray, scale: np.ndarray, members, p) -> np.
     return rates
 
 
-def sus_oracle(ps, p, alpha: float = 0.3) -> np.ndarray:
+def sus_oracle(mags, rows, p, alpha: float = 0.3) -> np.ndarray:
     """Semi-orthogonal user selection as a loop over candidates and basis vectors.
 
-    The rule of ``group_by_sus``, one state at a time: seed each block with
-    the strongest remaining reported magnitude, then add the free candidate
-    with the largest orthogonal energy among those whose normalized
-    projection stays below the threshold, doubling the threshold when none
-    does. Returns the (T, K_B) plan.
+    The rule of ``group_by_sus``, one view at a time: ``mags`` are the (K,)
+    reported magnitudes and ``rows`` the (K, M) reported channel rows. Seed
+    each block with the strongest remaining reported magnitude, then add the
+    free candidate with the largest orthogonal energy among those whose
+    normalized projection stays below the threshold, doubling the threshold
+    when none does. Returns the (T, K_B) plan.
     """
-    rows = ps.false_matrix
-    mags = ps.reported_magnitudes
     remaining = list(range(p.K))
     groups = []
     for _ in range(p.T):

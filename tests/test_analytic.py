@@ -1,5 +1,6 @@
 """Closed-form rates, losses, order statistics and their Monte Carlo cross-checks."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,23 +12,26 @@ from mimosched import (
     CountError,
     DomainError,
     ExperimentConfig,
-    OrderStatSpec,
+    LargeScaleModel,
     RegimeError,
+    RngStream,
     SystemParams,
-    inverse_moment_integral,
+    draw_channels,
+    draw_large_scale,
+    evaluate_block,
+    group_by_large_scale,
     loss_limits,
     loss_rr_cm,
     loss_single_block,
     loss_upper_bound,
-    orderstat_pdf,
     prop3_terms,
     rate_accurate_single_block,
     rate_heterogeneous_block,
     rate_misreport_single_block,
     run_experiment,
 )
-from mimosched.analytic import _orderstat_moments
-from oracles import inverse_moment_oracle
+from mimosched.analytic import _log_orderstat_pdf, _orderstat_moments
+from oracles import inverse_moment_oracle, orderstat_pdf_oracle
 
 # golden inverse moments of the k-th smallest of 32 Gamma(64, 1) draws,
 # k = 1..8, from a dedicated 2e7-sample Monte Carlo run
@@ -132,32 +136,45 @@ def test_loss_limits_rejects():
         loss_limits(64, 32, 1, 0.0, 10.0)
 
 
+def _pdf(shape, scale, n, k, x):
+    # the rank density the eq17 quadrature integrates, at x > 0
+    vals = np.exp(_log_orderstat_pdf(shape, scale, n, np.array([k]), np.atleast_1d(x)))[0]
+    return vals if np.ndim(x) else float(vals[0])
+
+
+def _inverse_moment(shape, scale, n, k):
+    # E[1/X_(k)] of one rank, by the quadrature prop3_terms sums
+    return float(_orderstat_moments(shape, scale, n, np.array([k]))[0])
+
+
 def test_orderstat_spec_validation():
     with pytest.raises(DomainError):
-        OrderStatSpec(0, 1.0, 4, 1)
+        _orderstat_moments(0, 1.0, 4, np.array([1]))
     with pytest.raises(DomainError):
-        OrderStatSpec(64, 0.0, 4, 1)
+        _orderstat_moments(64, 0.0, 4, np.array([1]))
     with pytest.raises(DomainError):
-        OrderStatSpec(64, 1.0, 4, 0)
+        _orderstat_moments(64, 1.0, 4, np.array([0]))
     with pytest.raises(DomainError):
-        OrderStatSpec(64, 1.0, 4, 5)
+        _orderstat_moments(64, 1.0, 4, np.array([5]))
 
 
 def test_orderstat_pdf_single_draw_is_parent():
-    spec = OrderStatSpec(64, 1.0, 1, 1)
     x = np.linspace(30.0, 110.0, 57)
     ref = gamma_dist.pdf(x, 64, scale=1.0)
-    assert np.allclose(orderstat_pdf(spec, x), ref, rtol=1e-12, atol=0.0)
-    assert orderstat_pdf(spec, -1.0) == 0.0
-    assert orderstat_pdf(spec, 0.0) == 0.0
+    assert np.allclose(_pdf(64, 1.0, 1, 1, x), ref, rtol=1e-12, atol=0.0)
+    # the production log density is defined on x > 0 only; the linear-domain
+    # oracle carries the support and agrees with it inside
+    assert orderstat_pdf_oracle(64, 1.0, 1, 1, -1.0) == 0.0
+    assert orderstat_pdf_oracle(64, 1.0, 1, 1, 0.0) == 0.0
+    np.testing.assert_allclose(_pdf(64, 1.0, 32, 8, x), orderstat_pdf_oracle(64, 1.0, 32, 8, x),
+                               rtol=1e-9)
 
 
 @pytest.mark.parametrize("rank", [1, 8, 32])
 def test_orderstat_pdf_normalizes(rank):
-    spec = OrderStatSpec(64, 1.0, 32, rank)
     lo = gamma_dist.ppf(1e-12, 64, scale=1.0)
     hi = gamma_dist.ppf(1.0 - 1e-12, 64, scale=1.0)
-    mass, _ = integrate.quad(lambda x: orderstat_pdf(spec, x), lo, hi,
+    mass, _ = integrate.quad(lambda x: _pdf(64, 1.0, 32, rank, x), lo, hi,
                              epsabs=0.0, epsrel=1e-9, limit=200)
     assert mass == pytest.approx(1.0, abs=1e-6)
 
@@ -166,39 +183,37 @@ def test_orderstat_pdf_mixture_identity():
     # summing the n rank densities recovers n times the parent density
     n = 32
     for x in (30.0, 50.0, 64.0, 80.0, 110.0):
-        total = sum(
-            orderstat_pdf(OrderStatSpec(64, 1.0, n, k), x) for k in range(1, n + 1))
+        total = sum(_pdf(64, 1.0, n, k, x) for k in range(1, n + 1))
         assert total == pytest.approx(n * gamma_dist.pdf(x, 64, scale=1.0), abs=1e-9)
 
 
 def test_inverse_moment_single_draw_closed_form():
     # E[1/X] = 1 / ((shape - 1) * scale) for a plain gamma variable
-    v = inverse_moment_integral(OrderStatSpec(64, 1.0, 1, 1))
+    v = _inverse_moment(64, 1.0, 1, 1)
     assert v == pytest.approx(1.0 / 63.0, rel=1e-10)
 
 
 def test_inverse_moment_scale_inverse_linearity():
-    a = inverse_moment_integral(OrderStatSpec(64, 1.0, 32, 3))
-    b = inverse_moment_integral(OrderStatSpec(64, 0.5, 32, 3))
+    a = _inverse_moment(64, 1.0, 32, 3)
+    b = _inverse_moment(64, 0.5, 32, 3)
     assert b == pytest.approx(2.0 * a, rel=1e-9)
 
 
 def test_inverse_moment_rank_values_match_monte_carlo():
     for k, ref in enumerate(_INV_MOMENTS_MC, start=1):
-        v = inverse_moment_integral(OrderStatSpec(64, 1.0, 32, k))
+        v = _inverse_moment(64, 1.0, 32, k)
         assert v == pytest.approx(ref, rel=1e-3)
 
 
 def test_inverse_moment_sum_pinned():
-    total = sum(
-        inverse_moment_integral(OrderStatSpec(64, 1.0, 32, k)) for k in range(1, 9))
+    total = sum(_inverse_moment(64, 1.0, 32, k) for k in range(1, 9))
     assert total == pytest.approx(_A_T_A_QUAD, rel=1e-9)
     assert total == pytest.approx(sum(_INV_MOMENTS_MC), rel=5e-3)
 
 
 def test_inverse_moment_needs_integrable_pole():
     with pytest.raises(DomainError):
-        inverse_moment_integral(OrderStatSpec(1, 1.0, 4, 1))
+        _inverse_moment(1, 1.0, 4, 1)
 
 
 @pytest.mark.parametrize("shape,n,k", [
@@ -206,7 +221,7 @@ def test_inverse_moment_needs_integrable_pole():
     (512, 128, 64), (256, 256, 64), (3, 2, 2), (2, 1, 1)])
 def test_inverse_moment_matches_mpmath_oracle(shape, n, k):
     # (512, 128, 64) and (256, 256, 64) climb the order ladder to 768 nodes
-    v = inverse_moment_integral(OrderStatSpec(shape, 1.0, n, k))
+    v = _inverse_moment(shape, 1.0, n, k)
     assert v == pytest.approx(inverse_moment_oracle(shape, 1.0, n, k), rel=1e-12)
 
 
@@ -285,6 +300,55 @@ def test_rr_cm_loss_rejects():
         loss_rr_cm(SystemParams(M=64, K=32, K_B=8, T=4), 9, 0.01)
 
 
+def test_closed_forms_reject_overreporting(p_default):
+    # eq17 and eq21 let the misreporters sink to the last block. Overreporters
+    # rise instead: at delta = 10, M = 64 the eq21 "bound" sat below the
+    # measured loss. delta = 1 stays in, as the delta -> 1- limit
+    for loss in (prop3_terms, loss_rr_cm, loss_upper_bound):
+        for delta in (10.0, 1.0 + 1e-12):
+            with pytest.raises(RegimeError):
+                loss(p_default, 1, delta)
+    assert loss_rr_cm(p_default, 1, 1.0) == pytest.approx(
+        loss_rr_cm(p_default, 1, 1.0 - 1e-9), abs=1e-6)
+    assert loss_upper_bound(p_default, 1, 1.0) == 0.0
+
+
+def test_engine_emits_closed_forms_only_for_underreporting(p_default):
+    # the eq17 / eq21 rows follow the closed forms' regime: K_M <= K_B and
+    # delta <= 1. Overreporting keeps every Monte Carlo row and drops those
+    cfg = ExperimentConfig(params=p_default, grouping_rule=("channel_magnitude",), sweep="K_M",
+                           sweep_values=(0, 1, 8, 9), trials=4, seed=3)
+
+    def names(delta):
+        return {(r.sweep_value, r.metric) for r in run_experiment(replace(cfg, delta=delta))}
+
+    under, limit, over = names(0.01), names(1.0), names(10.0)
+    closed = {(v, m) for v, m in under if m.startswith(("analytic_eq17", "upper_bound_eq21"))}
+    assert closed == {(0.0, "analytic_eq17"), (1.0, "analytic_eq17"), (1.0, "upper_bound_eq21"),
+                      (8.0, "analytic_eq17"), (8.0, "upper_bound_eq21")}
+    assert limit == under
+    assert over == under - closed
+
+
+def test_overreporting_benefits_honest_users():
+    """The abstract: overreporting is beneficial to others (homogeneous case).
+
+    In one block, misreporters claiming delta = 10 times their magnitude ask
+    for less of the equalized power, so eq12's loss is negative. Under random
+    grouping at K_M = 4 the Monte Carlo loss is negative beyond its ci95
+    (-0.0261 +- 0.0002 at 400 trials, seed 42). Magnitude grouping was
+    measured at the same size as a gain below K_B (-0.0061 at K_M = 1,
+    -0.0190 at K_M = 4) but near zero at multiples of K_B: +0.00006 +- 0.0004
+    at K_M = 8 and +0.0004 +- 0.0006 at K_M = 16, so no sign is asserted for it.
+    """
+    for k_m in (1, 4, 8, 16, 32):
+        assert loss_single_block(64, 32, k_m, 10.0, 10.0) < 0.0
+    cfg = ExperimentConfig(params=SystemParams(M=64, K=32, K_B=8, T=4, P=10.0),
+                           grouping_rule=("random",), K_M=4, delta=10.0, trials=400, seed=42)
+    theta = _metric(run_experiment(cfg), "theta_rand")
+    assert theta.mean + theta.ci95 < 0.0, theta
+
+
 def test_upper_bound_dominates_rr_cm():
     for snr in (1.0, 10.0, 100.0):
         p = SystemParams(M=64, K=32, K_B=8, T=4, P=snr)
@@ -329,6 +393,34 @@ def test_heterogeneous_block_rejects():
         rate_heterogeneous_block(8, 8, 10.0, np.ones(8))
     with pytest.raises(DomainError):
         rate_heterogeneous_block(64, 8, 10.0, np.array([1.0] * 7 + [0.0]))
+
+
+def _ls_block_rate_gap(M, drops=10, trials=100, seed=5):
+    """Median relative gap between Monte Carlo large-scale block rates and eq22.
+
+    Each drop's honest large-scale plan is served on ``trials`` channel
+    draws; a block's simulated rate is its members' common rate averaged
+    over the draws.
+    """
+    p = SystemParams(M=M, K=32, K_B=8, T=4, P=10.0)
+    gaps = []
+    for d in range(drops):
+        betas = draw_large_scale(p, LargeScaleModel(), RngStream(seed, d).generator())
+        plan = group_by_large_scale(betas, p)
+        streams = (RngStream(seed, drops + d * trials + t) for t in range(trials))
+        gains = np.stack([draw_channels(p, betas, s.generator()) for s in streams])
+        rates = evaluate_block(gains[:, plan], np.ones((trials, p.T, p.K_B)), np.arange(trials), p)
+        hardened = np.array([rate_heterogeneous_block(M, p.K_B, p.snr, betas[b]) for b in plan])
+        gaps.append(np.abs(rates[..., 0].mean(axis=0) - hardened) / hardened)
+    return float(np.median(gaps))
+
+
+def test_heterogeneous_block_rate_tightens_with_antennas():
+    # eq22 hardens as the array grows: the gap falls with each doubling of M,
+    # as the channel-hardening argument predicts. Measured 1.8e-3, 7.9e-4 and
+    # 4.0e-4 at M = 64, 128 and 256 (10 drops x 100 trials, seed 5)
+    gaps = [_ls_block_rate_gap(m) for m in (64, 128, 256)]
+    assert gaps[0] > gaps[1] > gaps[2], gaps
 
 
 def test_rr_cm_loss_tightens_with_antennas():

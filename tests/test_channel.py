@@ -10,8 +10,10 @@ from mimosched import (
     ScaleError,
     SystemParams,
     apply_misreport,
+    channel_magnitudes,
     draw_channels,
     draw_large_scale,
+    false_matrix,
     large_scale_coefficient,
 )
 from mimosched.strategies import homogeneous_uniform, honest_profile
@@ -32,9 +34,9 @@ def test_draw_channels_shape_and_determinism():
     betas = np.array([1.0, 2.0, 0.5, 1.0])
     ch1 = draw_channels(p, betas, RngStream(1, 0).generator())
     ch2 = draw_channels(p, betas, RngStream(1, 0).generator())
-    assert ch1.gains.shape == (4, 16)
-    assert ch1.gains.dtype == np.complex128
-    assert np.array_equal(ch1.gains, ch2.gains)
+    assert ch1.shape == (4, 16)
+    assert ch1.dtype == np.complex128
+    assert np.array_equal(ch1, ch2)
 
 
 def test_draw_channels_rejects_nonpositive_beta():
@@ -45,13 +47,37 @@ def test_draw_channels_rejects_nonpositive_beta():
         draw_channels(p, np.array([1.0]), RngStream(1, 0).generator())
 
 
+def test_channel_magnitudes_shape_and_values():
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    mags = channel_magnitudes(g)
+    assert mags.shape == (3,) and mags.dtype == np.float64
+    expect = np.sum(np.abs(g) ** 2, axis=1)
+    assert np.allclose(mags, expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (3, 4)])
+def test_batched_magnitudes_equal_per_realization_calls(lead):
+    # the engine takes a slice's magnitudes in one einsum; every realization
+    # must get the bits of its own (K, M) einsum
+    p = SystemParams(M=64, K=32, K_B=8, T=4)
+    betas = np.linspace(2.0, 0.5, 32)
+    gains = np.stack([draw_channels(p, betas, RngStream(61, t).generator())
+                      for t in range(int(np.prod(lead)))]).reshape(*lead, 32, 64)
+    mags = channel_magnitudes(gains)
+    assert mags.shape == (*lead, 32)
+    np.testing.assert_array_equal(
+        mags.reshape(-1, 32),
+        [np.einsum("km,km->k", g, g.conj()).real for g in gains.reshape(-1, 32, 64)])
+
+
 def test_channel_norm_mean_matches_gamma():
     # ||g||^2 ~ Gamma(M, beta): mean M*beta, variance M*beta^2
     p = SystemParams(M=64, K=100, K_B=100, T=1)
     mags = []
     for t in range(100):
         ch = draw_channels(p, np.ones(p.K), RngStream(11, t).generator())
-        mags.append(ch.magnitudes())
+        mags.append(channel_magnitudes(ch))
     mags = np.concatenate(mags)           # 1e4 samples
     tol = 3.0 * np.sqrt(64.0 / mags.size)
     assert abs(mags.mean() - 64.0) < tol
@@ -62,7 +88,7 @@ def test_channel_norm_distribution_ks():
     mags = []
     for t in range(100):
         ch = draw_channels(p, np.ones(p.K), RngStream(5, t).generator())
-        mags.append(ch.magnitudes())
+        mags.append(channel_magnitudes(ch))
     mags = np.concatenate(mags)
     stat = stats.kstest(mags, stats.gamma(a=64, scale=1.0).cdf).statistic
     assert stat < 1.628 / np.sqrt(mags.size)  # 1% critical value
@@ -75,7 +101,7 @@ def test_per_entry_variance_follows_beta():
     n = 200
     for t in range(n):
         ch = draw_channels(p, betas, RngStream(3, t).generator())
-        acc += np.mean(np.abs(ch.gains) ** 2, axis=1)
+        acc += np.mean(np.abs(ch) ** 2, axis=1)
     est = acc / n
     # each user's per-entry power averages beta_k; SE = beta/sqrt(n*M)
     assert np.all(np.abs(est / betas - 1.0) < 4.0 / np.sqrt(n * 64))
@@ -119,9 +145,10 @@ def test_draw_large_scale_median_against_independent_sampler():
 def test_apply_misreport_honest_is_identity():
     p = SystemParams(M=16, K=4, K_B=2, T=2)
     ch = draw_channels(p, np.ones(4), RngStream(2, 0).generator())
-    ps = apply_misreport(ch, honest_profile(np.ones(4)))
-    assert np.array_equal(ps.reported_magnitudes, ch.magnitudes())
-    assert np.array_equal(ps.false_matrix, ch.gains)
+    honest = honest_profile(np.ones(4)).scale
+    assert np.array_equal(apply_misreport(channel_magnitudes(ch), honest[None])[0],
+                          channel_magnitudes(ch))
+    assert np.array_equal(false_matrix(ch, honest), ch)
 
 
 def test_apply_misreport_scales_magnitudes():
@@ -130,11 +157,10 @@ def test_apply_misreport_scales_magnitudes():
     acc = 0.0
     n = 400
     for t in range(n):
-        ch = draw_channels(p, np.ones(32), RngStream(21, t).generator())
-        ps = apply_misreport(ch, mp)
-        assert np.allclose(ps.reported_magnitudes, mp.scale * ch.magnitudes(),
-                           rtol=1e-14)
-        acc += ps.reported_magnitudes[0]
+        mags = channel_magnitudes(draw_channels(p, np.ones(32), RngStream(21, t).generator()))
+        reported = apply_misreport(mags, mp.scale[None])[0]
+        assert np.allclose(reported, mp.scale * mags, rtol=1e-14)
+        acc += reported[0]
     # reported magnitude of the underreporter ~ Gamma(M, delta*beta), mean 0.64
     se = np.sqrt(64 * 0.01 ** 2 / n)
     assert abs(acc / n - 0.64) < 4 * se
@@ -142,17 +168,20 @@ def test_apply_misreport_scales_magnitudes():
 
 def test_apply_misreport_rejects_nonpositive_scale(profile_factory):
     p = SystemParams(M=16, K=3, K_B=3, T=1)
-    ch = draw_channels(p, np.ones(3), RngStream(2, 1).generator())
+    mags = channel_magnitudes(draw_channels(p, np.ones(3), RngStream(2, 1).generator()))
     bad = profile_factory([0.0, 1.0, 1.0])
     with pytest.raises(ScaleError):
-        apply_misreport(ch, bad)
+        apply_misreport(mags, bad.scale[None])
 
 
 def test_apply_misreport_mismatched_users(profile_factory):
     p = SystemParams(M=16, K=3, K_B=3, T=1)
-    ch = draw_channels(p, np.ones(3), RngStream(2, 2).generator())
+    mags = channel_magnitudes(draw_channels(p, np.ones(3), RngStream(2, 2).generator()))
     with pytest.raises(DomainError):
-        apply_misreport(ch, profile_factory([1.0, 1.0]))
+        apply_misreport(mags, profile_factory([1.0, 1.0]).scale[None])
+    # profiles come as an (F, K) stack, not one (K,) row
+    with pytest.raises(DomainError):
+        apply_misreport(mags, np.ones(3))
 
 
 def test_misreporter_magnitude_sorts_last():
@@ -163,11 +192,9 @@ def test_misreporter_magnitude_sorts_last():
     total = 10_000
     chunk = 500
     for c in range(total // chunk):
-        mags = np.stack([
-            apply_misreport(
-                draw_channels(p, np.ones(32), RngStream(31, c * chunk + t).generator()),
-                mp).reported_magnitudes
-            for t in range(chunk)])
+        gains = np.stack([draw_channels(p, np.ones(32), RngStream(31, c * chunk + t).generator())
+                          for t in range(chunk)])
+        mags = apply_misreport(channel_magnitudes(gains), mp.scale[None])[:, 0]
         hits += int(np.sum(np.argmin(mags, axis=1) == 0))
     assert hits / total >= 0.999
 
@@ -175,17 +202,15 @@ def test_misreporter_magnitude_sorts_last():
 def test_false_matrix_recovers_true_channels(profile_factory):
     p = SystemParams(M=16, K=4, K_B=2, T=2)
     ch = draw_channels(p, np.ones(4), RngStream(8, 0).generator())
-    scale = np.array([0.01, 1.0, 0.3, 1.0])
-    ps = apply_misreport(ch, profile_factory(scale))
-    rec = ps.false_matrix / np.sqrt(scale)[:, None]
-    assert np.allclose(rec, ch.gains, rtol=1e-14)
+    scale = profile_factory([0.01, 1.0, 0.3, 1.0]).scale
+    rec = false_matrix(ch, scale) / np.sqrt(scale)[:, None]
+    assert np.allclose(rec, ch, rtol=1e-14)
 
 
 def test_misreport_preserves_channel_directions(profile_factory):
     p = SystemParams(M=16, K=4, K_B=2, T=2)
     ch = draw_channels(p, np.ones(4), RngStream(8, 1).generator())
-    scale = np.array([0.01, 1.0, 0.3, 2.0])
-    ps = apply_misreport(ch, profile_factory(scale))
-    f_dir = ps.false_matrix / np.linalg.norm(ps.false_matrix, axis=1)[:, None]
-    g_dir = ch.gains / np.linalg.norm(ch.gains, axis=1)[:, None]
+    rows = false_matrix(ch, profile_factory([0.01, 1.0, 0.3, 2.0]).scale)
+    f_dir = rows / np.linalg.norm(rows, axis=1)[:, None]
+    g_dir = ch / np.linalg.norm(ch, axis=1)[:, None]
     assert np.allclose(f_dir, g_dir, atol=1e-12)

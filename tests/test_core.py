@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from mimosched import (
-    ChannelSet,
     ConfigError,
     DimensionError,
     DomainError,
@@ -77,33 +76,6 @@ def test_db_round_trip():
 def test_large_scale_model_validates(kwargs):
     with pytest.raises(DomainError):
         LargeScaleModel(**kwargs)
-
-
-def test_channel_set_shape_and_magnitudes():
-    rng = np.random.default_rng(7)
-    g = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    ch = ChannelSet(gains=g, large_scale=np.array([1.0, 2.0, 0.5]))
-    assert ch.K == 3 and ch.gains.shape == (3, 5)
-    expect = np.sum(np.abs(g) ** 2, axis=1)
-    assert np.allclose(ch.magnitudes(), expect, rtol=1e-12)
-
-
-def test_channel_set_rejects_bad_inputs():
-    g = np.ones((3, 5), dtype=np.complex128)
-    with pytest.raises(DimensionError):
-        ChannelSet(gains=g, large_scale=np.ones(4))
-    with pytest.raises(DomainError):
-        ChannelSet(gains=g, large_scale=np.array([1.0, 0.0, 1.0]))
-    with pytest.raises(DimensionError):
-        ChannelSet(gains=np.ones(5, dtype=np.complex128), large_scale=np.ones(5))
-
-
-def test_channel_set_is_immutable():
-    ch = ChannelSet(gains=np.ones((2, 4), dtype=np.complex128), large_scale=np.ones(2))
-    with pytest.raises(ValueError):
-        ch.gains[0, 0] = 0
-    with pytest.raises(ValueError):
-        ch.large_scale[0] = 2.0
 
 
 def test_misreport_profile_masks():

@@ -166,10 +166,10 @@ def test_run_period_block_consistency(p_nine):
     rng = RngStream(11, 0).generator()
     ch = draw_channels(p_nine, np.ones(9), rng)
     plan = group_randomly(p_nine, rng)
-    rates = run_period(ch.gains[None], [0], plan[None], np.ones((1, 9)), p_nine)
+    rates = run_period(ch[None], [0], plan[None], np.ones((1, 9)), p_nine)
     assert rates.shape == (1, 9)
     for members in plan:
-        _, snr = maxmin_power(zf_effective_gains(ch.gains[members]), p_nine.P, p_nine.noise_var)
+        _, snr = maxmin_power(zf_effective_gains(ch[members]), p_nine.P, p_nine.noise_var)
         np.testing.assert_allclose(rates[0, members] * p_nine.T, np.log2(1.0 + snr), rtol=1e-12)
 
 
@@ -181,9 +181,9 @@ def test_run_period_split_averages(p_nine):
     ch = draw_channels(p_nine, betas, rng)
     mp = grouping_changed_under(betas, 2)
     plan = group_by_large_scale(mp.reported_beta, p_nine)
-    rates = run_period(ch.gains[None], [0], plan[None], mp.scale[None], p_nine)[0]
+    rates = run_period(ch[None], [0], plan[None], mp.scale[None], p_nine)[0]
     for members in plan:
-        block = evaluate_block(ch.gains[members][None], mp.scale[members][None], [0], p_nine)
+        block = evaluate_block(ch[members][None], mp.scale[members][None], [0], p_nine)
         np.testing.assert_allclose(rates[members] * p_nine.T, block[0], rtol=1e-12)
     honest = mp.honest_mask()
     assert not honest[:2].any() and honest[2:].all()
@@ -198,7 +198,7 @@ def test_run_period_split_averages(p_nine):
 ])
 def test_run_period_rejects_non_partition_plans(members):
     p = SystemParams(M=4, K=4, K_B=2, T=2)
-    gains = draw_channels(p, np.ones(4), RngStream(13, 0).generator()).gains[None]
+    gains = draw_channels(p, np.ones(4), RngStream(13, 0).generator())[None]
     with pytest.raises(DimensionError):
         run_period(gains, [0], [members], np.ones((1, 4)), p)
     # a block of the wrong size fails the shape check
@@ -216,7 +216,7 @@ def test_run_period_rejects_non_partition_plans(members):
 ])
 def test_run_period_rejects_non_integer_indices(trial, members):
     p = SystemParams(M=4, K=4, K_B=2, T=2)
-    gains = draw_channels(p, np.ones(4), RngStream(13, 0).generator()).gains[None]
+    gains = draw_channels(p, np.ones(4), RngStream(13, 0).generator())[None]
     with pytest.raises(DimensionError, match="integer arrays"):
         run_period(gains, trial, members, np.ones((1, 4)), p)
 
@@ -244,7 +244,7 @@ def test_run_period_guard_names_the_first_bad_period(p_nine):
     # realization 2 (served first) repeats a row inside block 1 of the plan,
     # realization 1 (served second) inside block 0: the trip names the block
     # of the period served first, and its realization
-    gains = np.stack([draw_channels(p_nine, np.ones(9), RngStream(5, n).generator()).gains
+    gains = np.stack([draw_channels(p_nine, np.ones(9), RngStream(5, n).generator())
                       for n in range(3)])
     gains[2, 4] = gains[2, 3]
     gains[1, 1] = gains[1, 0]
@@ -285,7 +285,7 @@ def test_stacked_periods_equal_the_per_period_oracle(t, kb, extra, n, e, layout,
     if layout == "distinct":
         n = e
     betas = 10.0 ** rng.uniform(-2.0, 1.0, p.K)
-    gains = np.stack([draw_channels(p, betas, rng).gains for _ in range(n)])
+    gains = np.stack([draw_channels(p, betas, rng) for _ in range(n)])
     trial, members = _slice(layout, n, e, p, rng)
     # random profiles: a random set of misreporters with random scales
     scale = np.where(rng.random((e, p.K)) < 0.3, 10.0 ** rng.uniform(-2.0, 1.0, (e, p.K)), 1.0)
@@ -513,7 +513,7 @@ def test_run_experiment_restores_blas_threads(p_nine, monkeypatch):
 
     def watched_chunk(u):
         during.append(_blas_threads())
-        if u.vi == 1 and 3 in [v for *_, v in u.periods]:
+        if u.vi == 1 and 3 in [v for *_, v in u.setup.periods]:
             raise CountError("planted failure inside the run")
         return real_chunk(u)
 

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mimosched import (
-    ChannelSet,
+    DimensionError,
     DomainError,
-    MisreportProfile,
     RngStream,
     SystemParams,
     apply_misreport,
+    channel_magnitudes,
     evaluate_block,
+    false_matrix,
     group_by_large_scale,
     group_by_magnitude,
     group_by_sus,
@@ -22,27 +23,27 @@ from mimosched.strategies import honest_profile
 from oracles import sus_oracle
 
 
-def test_magnitude_grouping_sorts_descending(state_factory):
+def test_magnitude_grouping_sorts_descending():
     p = SystemParams(M=8, K=4, K_B=2, T=2)
-    plan = group_by_magnitude(state_factory([5.0, 2.0, 9.0, 1.0]), p)
+    plan = group_by_magnitude([5.0, 2.0, 9.0, 1.0], p)
     np.testing.assert_array_equal(plan, [[2, 0], [1, 3]])
 
 
-def test_magnitude_grouping_scale_invariant(state_factory):
+def test_magnitude_grouping_scale_invariant():
     p = SystemParams(M=8, K=6, K_B=2, T=3)
     mags = np.array([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])
-    a = group_by_magnitude(state_factory(mags), p)
-    b = group_by_magnitude(state_factory(2.0 * mags), p)
+    a = group_by_magnitude(mags, p)
+    b = group_by_magnitude(2.0 * mags, p)
     np.testing.assert_array_equal(a, b)
 
 
-def test_magnitude_grouping_breaks_ties_by_index(state_factory):
+def test_magnitude_grouping_breaks_ties_by_index():
     p = SystemParams(M=8, K=4, K_B=2, T=2)
-    plan = group_by_magnitude(state_factory([2.0, 2.0, 2.0, 2.0]), p)
+    plan = group_by_magnitude([2.0, 2.0, 2.0, 2.0], p)
     np.testing.assert_array_equal(plan, [[0, 1], [2, 3]])
 
 
-def test_underreporter_lands_in_last_block(state_factory):
+def test_underreporter_lands_in_last_block():
     # reported magnitudes: one user at 1% of a Gamma(64,1) draw vs 31 honest
     p = SystemParams(M=64, K=32, K_B=8, T=4)
     rng = np.random.default_rng(1234)
@@ -51,7 +52,7 @@ def test_underreporter_lands_in_last_block(state_factory):
     for _ in range(n):
         mags = rng.gamma(64.0, 1.0, 32)
         mags[0] *= 0.01
-        plan = group_by_magnitude(state_factory(mags), p)
+        plan = group_by_magnitude(mags, p)
         hits += int(0 in plan[-1])
     assert hits / n >= 0.999
 
@@ -102,14 +103,15 @@ def test_random_grouping_is_uniform():
     assert np.all(np.abs(freq - 0.25) < 3.0 * sigma)
 
 
-def test_every_rule_partitions_users(state_factory):
+def test_every_rule_partitions_users():
     p = SystemParams(M=16, K=8, K_B=2, T=4)
     ch = draw_channels(p, np.ones(8), RngStream(41, 0).generator())
-    ps = apply_misreport(ch, honest_profile(np.ones(8)))
-    for plan in (group_by_magnitude(ps, p),
+    scale = honest_profile(np.ones(8)).scale
+    mags = apply_misreport(channel_magnitudes(ch), scale[None])[0]
+    for plan in (group_by_magnitude(mags, p),
                  group_by_large_scale(np.linspace(2, 1, 8), p),
                  group_randomly(p, RngStream(41, 1).generator()),
-                 group_by_sus(ps, p)):
+                 group_by_sus(mags, ch, scale, p)):
         assert plan.dtype == np.intp and plan.shape == (4, 2)
         np.testing.assert_array_equal(np.sort(plan, axis=None), np.arange(8))
 
@@ -128,19 +130,18 @@ def test_sus_reduces_to_magnitude_for_orthogonal_channels():
     norms = [9.0, 5.0, 8.0, 1.0, 7.0, 2.0, 6.0, 3.0]
     for u, s in enumerate(norms):
         rows[u, u] = np.sqrt(s)
-    ch = ChannelSet(gains=rows, large_scale=np.ones(8))
-    ps = apply_misreport(ch, honest_profile(np.ones(8)))
-    np.testing.assert_array_equal(group_by_sus(ps, p), group_by_magnitude(ps, p))
+    mags = channel_magnitudes(rows)
+    np.testing.assert_array_equal(group_by_sus(mags, rows, np.ones(8), p),
+                                  group_by_magnitude(mags, p))
 
 
-def test_sus_single_member_block_picks_strongest(state_factory):
+def test_sus_single_member_block_picks_strongest():
     p = SystemParams(M=8, K=3, K_B=1, T=3)
     rng = np.random.default_rng(9)
     rows = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-    ch = ChannelSet(gains=rows, large_scale=np.ones(3))
-    ps = apply_misreport(ch, honest_profile(np.ones(3)))
-    plan = group_by_sus(ps, p)
-    assert plan[0, 0] == int(np.argmax(ps.reported_magnitudes))
+    mags = channel_magnitudes(rows)
+    plan = group_by_sus(mags, rows, np.ones(3), p)
+    assert plan[0, 0] == int(np.argmax(mags))
 
 
 def _sus_rows(layout, k, m, rng):
@@ -159,11 +160,6 @@ def _sus_rows(layout, k, m, rng):
     return rows
 
 
-def _sus_state(rows, scale):
-    ch = ChannelSet(gains=rows, large_scale=np.ones(rows.shape[0]))
-    return apply_misreport(ch, MisreportProfile(scale=scale, reported_beta=scale))
-
-
 @settings(max_examples=150)
 @given(t=st.integers(1, 4), kb=st.integers(1, 6), extra=st.integers(0, 6),
        n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
@@ -174,57 +170,74 @@ def _sus_state(rows, scale):
 @example(t=3, kb=4, extra=5, n=1, seed=0, layout="duplicate", alpha=0.3)
 def test_batched_sus_matches_loop_oracle(t, kb, extra, n, seed, layout, alpha):
     # alpha = 1e-3 admits no candidate at first, so every block doubles it;
-    # 0.5 doubles to exactly 1.0, where a duplicate row's projection ties
+    # 0.5 doubles to exactly 1.0, where a duplicate row's projection ties.
+    # Each of the n realizations is grouped under its own profile and
+    # honestly, as one (n, 2) stack
     p = SystemParams(M=max(kb + extra, 2), K=t * kb, K_B=kb, T=t)
     rng = np.random.default_rng(seed)
-    states = [_sus_state(_sus_rows(layout, p.K, p.M, rng),
-                         np.where(rng.random(p.K) < 0.3, 0.01, 1.0))
-              for _ in range(n)]
-    plans = group_by_sus(states, p, alpha)
-    np.testing.assert_array_equal(plans, [sus_oracle(ps, p, alpha) for ps in states])
+    gains, scales = [], []
+    for _ in range(n):
+        gains.append(_sus_rows(layout, p.K, p.M, rng))
+        scales.append([np.where(rng.random(p.K) < 0.3, 0.01, 1.0), np.ones(p.K)])
+    gains, scales = np.stack(gains)[:, None], np.array(scales)          # (n, 1, K, M), (n, 2, K)
+    mags = scales * channel_magnitudes(gains)
+    plans = group_by_sus(mags, gains, scales, p, alpha)
+    assert plans.shape == (n, 2, p.T, p.K_B)
+    np.testing.assert_array_equal(
+        plans, [[sus_oracle(mags[i, f], false_matrix(gains[i, 0], scales[i, f]), p, alpha)
+                 for f in range(2)] for i in range(n)])
 
 
 def test_sus_sequence_call_equals_per_state_calls():
+    # six realizations under the honest and an attacked profile: one (6, 2)
+    # stack, grouped as the engine groups a slice
     p = SystemParams(M=64, K=32, K_B=8, T=4)
     scale = np.ones(32)
     scale[5] = 0.01
-    states = []
-    for trial in range(6):
-        ch = draw_channels(p, np.ones(32), RngStream(47, trial).generator())
-        states += [apply_misreport(ch, honest_profile(np.ones(32))),
-                   apply_misreport(ch, MisreportProfile(scale=scale, reported_beta=scale))]
-    plans = group_by_sus(states, p)
-    assert plans.dtype == np.intp and plans.shape == (len(states), p.T, p.K_B)
-    np.testing.assert_array_equal(plans, [group_by_sus(ps, p) for ps in states])
-    np.testing.assert_array_equal(group_by_sus(states[:1], p), plans[:1])
+    scales = np.stack([honest_profile(np.ones(32)).scale, scale])
+    gains = np.stack([draw_channels(p, np.ones(32), RngStream(47, trial).generator())
+                      for trial in range(6)])
+    mags = apply_misreport(channel_magnitudes(gains), scales)
+    plans = group_by_sus(mags, gains[:, None], scales, p)
+    assert plans.dtype == np.intp and plans.shape == (6, 2, p.T, p.K_B)
+    np.testing.assert_array_equal(
+        plans, [[group_by_sus(mags[n, f], gains[n], scales[f], p) for f in range(2)]
+                for n in range(6)])
+    np.testing.assert_array_equal(group_by_sus(mags[:1, :1], gains[:1, None], scales[:1], p),
+                                  plans[:1, :1])
 
 
-def test_magnitude_sequence_call_equals_per_state_calls(state_factory):
-    # one sort over the stacked magnitudes keeps each state's ties in user order
+def test_magnitude_sequence_call_equals_per_state_calls():
+    # one sort over the stacked magnitudes keeps each row's ties in user order,
+    # for a (6,) and a (3, 2) stack alike
     p = SystemParams(M=8, K=6, K_B=2, T=3)
     rng = np.random.default_rng(5)
-    states = [state_factory(rng.gamma(8.0, 1.0, 6)) for _ in range(4)]
-    states += [state_factory(np.full(6, 2.0)), state_factory([3.0, 1.0, 3.0, 1.0, 3.0, 1.0])]
-    plans = group_by_magnitude(states, p)
-    assert plans.dtype == np.intp and plans.shape == (len(states), p.T, p.K_B)
-    np.testing.assert_array_equal(plans, [group_by_magnitude(ps, p) for ps in states])
+    rows = [rng.gamma(8.0, 1.0, 6) for _ in range(4)]
+    rows += [np.full(6, 2.0), np.array([3.0, 1.0, 3.0, 1.0, 3.0, 1.0])]
+    plans = group_by_magnitude(rows, p)
+    assert plans.dtype == np.intp and plans.shape == (len(rows), p.T, p.K_B)
+    np.testing.assert_array_equal(plans, [group_by_magnitude(r, p) for r in rows])
     np.testing.assert_array_equal(plans[4], [[0, 1], [2, 3], [4, 5]])
     np.testing.assert_array_equal(plans[5], [[0, 2], [4, 1], [3, 5]])
-    np.testing.assert_array_equal(group_by_magnitude(states[:1], p), plans[:1])
+    np.testing.assert_array_equal(group_by_magnitude(rows[:1], p), plans[:1])
+    stack = np.reshape(rows, (3, 2, 6))
+    np.testing.assert_array_equal(group_by_magnitude(stack, p), plans.reshape(3, 2, p.T, p.K_B))
+    with pytest.raises(DimensionError):
+        group_by_magnitude(stack[..., :5], p)
 
 
-def test_sus_rejects_nonpositive_alpha(state_factory):
+def test_sus_rejects_nonpositive_alpha():
     p = SystemParams(M=8, K=4, K_B=2, T=2)
-    ps = state_factory([4.0, 3.0, 2.0, 1.0])
+    mags = np.array([4.0, 3.0, 2.0, 1.0])
     for alpha in (0.0, -0.3, float("nan")):
         with pytest.raises(DomainError):
-            group_by_sus(ps, p, alpha)
+            group_by_sus(mags, np.ones((4, 8), dtype=np.complex128), np.ones(4), p, alpha)
 
 
-def _mean_block_rate(ch, ps, plan, p):
+def _mean_block_rate(ch, plan, p):
     # every member of an honest block gets the block's equalized rate
     members = np.asarray(plan)
-    rates = evaluate_block(ch.gains[members][None], ps.scale[members][None], [0], p)[0]
+    rates = evaluate_block(ch[members][None], np.ones(members.shape)[None], [0], p)[0]
     assert np.all(rates == rates[:, :1])
     return float(rates[:, 0].mean())
 
@@ -236,11 +249,12 @@ def test_rule_rate_equivalences_honest():
     n = 2000
     for t in range(n):
         ch = draw_channels(p, np.ones(32), RngStream(43, t).generator())
-        ps = apply_misreport(ch, honest_profile(np.ones(32)))
-        sums["cm"] += _mean_block_rate(ch, ps, group_by_magnitude(ps, p), p)
-        sums["sus"] += _mean_block_rate(ch, ps, group_by_sus(ps, p), p)
+        scale = honest_profile(np.ones(32)).scale
+        mags = apply_misreport(channel_magnitudes(ch), scale[None])[0]
+        sums["cm"] += _mean_block_rate(ch, group_by_magnitude(mags, p), p)
+        sums["sus"] += _mean_block_rate(ch, group_by_sus(mags, ch, scale, p), p)
         rplan = group_randomly(p, RngStream(43, 2 * t + 1).generator())
-        sums["rand"] += _mean_block_rate(ch, ps, rplan, p)
+        sums["rand"] += _mean_block_rate(ch, rplan, p)
     cm, sus, rand = sums["cm"] / n, sums["sus"] / n, sums["rand"] / n
     assert abs(sus - cm) / cm < 0.02
     assert abs(rand - cm) / cm < 0.02

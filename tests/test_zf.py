@@ -325,8 +325,8 @@ def test_evaluate_block_true_gains_ignore_misreport():
     p = SystemParams(M=16, K=4, K_B=4, T=1, P=10.0)
     ch = draw_channels(p, np.ones(4), RngStream(13, 0).generator())
     scale = np.array([0.01, 1.0, 0.3, 1.0])
-    rates = evaluate_block(ch.gains[None], scale[None], [0], p)[0]
-    _, snr_bs = maxmin_power(zf_effective_gains(np.sqrt(scale)[:, None] * ch.gains),
+    rates = evaluate_block(ch[None], scale[None], [0], p)[0]
+    _, snr_bs = maxmin_power(zf_effective_gains(np.sqrt(scale)[:, None] * ch),
                              p.P, p.noise_var)
     np.testing.assert_allclose(rates, np.log2(1.0 + snr_bs / scale), rtol=1e-12)
     assert rates[1] == rates[3]           # every honest member gets the common rate
@@ -339,10 +339,10 @@ def test_evaluate_block_stack_equals_single_blocks():
     members = np.array([[5, 0, 9, 2], [1, 6, 3, 11], [4, 10, 7, 8]])
     # two entries share the one plan: the second one is honest
     both = np.stack([scale[members], np.ones((3, 4))])
-    rates = evaluate_block(ch.gains[members][None], both, [0, 0], p)
+    rates = evaluate_block(ch[members][None], both, [0, 0], p)
     assert rates.shape == (2, 3, 4)
     for t in range(3):
-        single = evaluate_block(ch.gains[members[t]][None], both[:, t], [0, 0], p)
+        single = evaluate_block(ch[members[t]][None], both[:, t], [0, 0], p)
         np.testing.assert_allclose(rates[:, t], single, rtol=1e-12)
         honest = scale[members[t]] == 1.0
         assert np.ptp(rates[0, t][honest]) == 0.0
@@ -359,37 +359,37 @@ def test_evaluate_block_per_entry_power_equals_scalar_calls():
     plan_of = np.array([0, 1, 0])
     entry_scale = scale[plans[plan_of]]
     P = np.array([0.1, 10.0, 1000.0])
-    rates = evaluate_block(ch.gains[plans], entry_scale, plan_of, p, P)
+    rates = evaluate_block(ch[plans], entry_scale, plan_of, p, P)
     for e in range(3):
-        one = ch.gains[plans[plan_of[e]]][None]
+        one = ch[plans[plan_of[e]]][None]
         np.testing.assert_array_equal(rates[e], evaluate_block(one, entry_scale[[e]], [0], p, P[e])[0])
         np.testing.assert_array_equal(
             rates[e], evaluate_block(one, entry_scale[[e]], [0], replace(p, P=P[e]))[0])
     for bad in (0.0, -10.0, np.nan):
         with pytest.raises(DomainError):
-            evaluate_block(ch.gains[plans], entry_scale, plan_of, p, np.array([10.0, bad, 1.0]))
+            evaluate_block(ch[plans], entry_scale, plan_of, p, np.array([10.0, bad, 1.0]))
 
 
 def test_evaluate_block_member_count_enforced():
     p = SystemParams(M=16, K=4, K_B=4, T=1)
     ch = draw_channels(p, np.ones(4), RngStream(13, 1).generator())
     with pytest.raises(DimensionError):
-        run_period(ch.gains[None], [0], np.array([[[0, 1]]]), np.ones((1, 4)), p)
+        run_period(ch[None], [0], np.array([[[0, 1]]]), np.ones((1, 4)), p)
     with pytest.raises(DimensionError):
-        run_period(ch.gains[None], [0], np.array([[[0, 1], [2, 3]]]), np.ones((1, 4)), p)
+        run_period(ch[None], [0], np.array([[[0, 1], [2, 3]]]), np.ones((1, 4)), p)
     with pytest.raises(DimensionError):
-        run_period(ch.gains[None], [0], np.arange(4).reshape(1, 1, 1, 4), np.ones((1, 4)), p)
+        run_period(ch[None], [0], np.arange(4).reshape(1, 1, 1, 4), np.ones((1, 4)), p)
     with pytest.raises(DimensionError):
-        run_period(ch.gains[None], [0], np.arange(4).reshape(1, 1, 4), np.ones((1, 5)), p)
+        run_period(ch[None], [0], np.arange(4).reshape(1, 1, 4), np.ones((1, 5)), p)
     with pytest.raises(DimensionError):
-        evaluate_block(ch.gains[None, :2], np.ones((1, 2)), [0], p)
+        evaluate_block(ch[None, :2], np.ones((1, 2)), [0], p)
     with pytest.raises(DimensionError):
-        evaluate_block(ch.gains[None], np.ones((2, 4)), [0], p)
+        evaluate_block(ch[None], np.ones((2, 4)), [0], p)
 
 
 def test_power_conservation_across_random_blocks():
     p = SystemParams(M=64, K=8, K_B=8, T=1, P=10.0)
-    stack = np.stack([draw_channels(p, np.ones(8), RngStream(19, t).generator()).gains
+    stack = np.stack([draw_channels(p, np.ones(8), RngStream(19, t).generator())
                       for t in range(40)])
     powers, _ = maxmin_power(zf_effective_gains(stack), p.P, p.noise_var)
     assert np.max(np.abs(powers.sum(axis=-1) - p.P)) / p.P <= 1e-9
@@ -405,7 +405,7 @@ def test_single_block_rate_matches_hardened_prediction():
     n = 5000
     for t in range(n):
         ch = draw_channels(p, np.ones(32), RngStream(23, t).generator())
-        acc += evaluate_block(ch.gains[members][None], scale[None], [0], p)[0, 1:].mean()
+        acc += evaluate_block(ch[members][None], scale[None], [0], p)[0, 1:].mean()
     assert abs(acc / n - math.log2(1.0 + 320.0 / 131.0)) < 0.05
 
 
@@ -415,7 +415,7 @@ def test_honest_block_rate_beats_hardened_lower_bound():
     rates = []
     for t in range(2000):
         ch = draw_channels(p, np.ones(8), RngStream(29, t).generator())
-        rates.append(evaluate_block(ch.gains[None], np.ones((1, 8)), [0], p).mean())
+        rates.append(evaluate_block(ch[None], np.ones((1, 8)), [0], p).mean())
     rates = np.asarray(rates)
     bound = math.log2(1.0 + 10.0 * (64 - 8) / 8)
     sigma = rates.std(ddof=1) / np.sqrt(rates.size)
