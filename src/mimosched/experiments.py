@@ -182,10 +182,12 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
     misreport multipliers scale[e] (K,) and transmit power P[e] (p.P for every
     period when P is None); a user's period rate is its block rate over T.
     ``trial`` and ``members`` must be integer arrays, and every plan must order
-    all K users 0..K-1, each once. Each distinct (trial, plan) pair is
-    factorized once, in order of first appearance; a guard trip's ``index``
-    becomes (trial, block), and its ``period`` the first period served on the
-    failing plan.
+    all K users 0..K-1, each once. A block's gains depend only on its member
+    set, so each distinct (trial, sorted members) block is factorized once, in
+    order of first appearance, and every block is served in sorted member
+    order: plans with the same block sets get the same bits. A guard trip's
+    ``index`` becomes (trial, block within the period) and its ``period`` the
+    first period served on the failing block.
     """
     trial, members = np.asarray(trial), np.asarray(members)
     if not (np.issubdtype(trial.dtype, np.integer) and np.issubdtype(members.dtype, np.integer)):
@@ -200,19 +202,24 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
     if not np.array_equal(np.sort(members.reshape(e, -1), axis=1),
                           np.broadcast_to(np.arange(p.K), (e, p.K))):
         raise DimensionError("every period's members must partition the users 0..K-1")
-    # ids count up in order of first appearance, so return_index gives each plan's first period
-    ids = {}
-    plan_of = np.array([ids.setdefault((n, m.tobytes()), len(ids))
-                        for n, m in zip(trial.tolist(), members)], dtype=np.intp)
-    first = np.unique(plan_of, return_index=True)[1]
+    members = np.sort(members, axis=-1)
+    # one (trial, sorted members) row per block, compared as raw bytes
+    key = np.concatenate([np.broadcast_to(trial[:, None, None], (e, p.T, 1)), members], axis=-1)
+    key = key.view(np.dtype((np.void, key.itemsize * (p.K_B + 1))))
+    _, first, block_of = np.unique(key.ravel(), return_index=True, return_inverse=True)
+    # renumber the distinct blocks in order of first appearance
+    order = np.argsort(first)
+    first = first[order]
+    block_of = np.argsort(order)[block_of].reshape(e, p.T)
     at = np.arange(e)[:, None, None]
     try:
-        rates = evaluate_block(gains[trial[first][:, None, None], members[first]],
-                               scale[at, members], plan_of, p, P)
+        rates = evaluate_block(gains[trial[first // p.T, None], members.reshape(-1, p.K_B)[first]],
+                               scale[at, members], block_of, p, P)
     except SingularMatrixError as err:
         if hasattr(err, "index"):
-            err.period = int(first[err.index[0]])
-            err.index = (int(trial[err.period]), *err.index[1:])
+            err.period, block = divmod(int(first[err.index[0]]), p.T)
+            err.index = (int(trial[err.period]), block)
+            err.args = (f"block {block}:{err.args[0].partition(':')[2]}", *err.args[1:])
         raise
     out = np.zeros(scale.shape)
     out[at, members] = rates / p.T
@@ -319,8 +326,7 @@ def _run_chunk(u: _TrialChunk) -> np.ndarray:
     p, d = u.p, u.setup
     power, rule_of, prof_of, point_of = zip(*d.periods)
     power, rule_of, prof_of = np.array(power), np.array(rule_of), np.array(prof_of)
-    scales = d.scales[prof_of]                                            # (periods, K)
-    cols = [np.flatnonzero(prof_of == f) for f in range(len(d.scales))]
+    scales, honest = d.scales[prof_of], d.honest[prof_of]                 # (periods, K)
     out = np.empty((u.hi - u.lo, len(power))) if u.keep == "means" else []
     step = max(1, min(_SLICE, _SLICE_PAIRS // len(d.scales)))
     for lo in range(u.lo, u.hi, step):
@@ -364,9 +370,10 @@ def _run_chunk(u: _TrialChunk) -> np.ndarray:
             raise
         rates = rates.reshape(len(trials), len(power), p.K)
         if u.keep == "means":
-            # one reduction per profile keeps _mean_or_nan's summation order
-            for f, c in enumerate(cols):
-                out[lo - u.lo:trials[-1] + 1 - u.lo, c] = _mean_or_nan(rates[:, c], d.honest[f])
+            # one fixed-order sum over all K users, whatever the slice holds
+            with np.errstate(invalid="ignore"):
+                out[lo - u.lo:trials[-1] + 1 - u.lo] = (np.where(honest, rates, 0.0).sum(axis=-1)
+                                                        / honest.sum(axis=-1))
         elif u.keep == "sum":
             out = [functools.reduce(np.add, rates, *out)]     # trial by trial, in order
         else:
@@ -405,15 +412,6 @@ def _build_profile(tag, p, k_m, betas, cfg):
     if tag == "grouping_changed_over":
         return strategies.grouping_changed_over(betas, k_m, cfg.beta_high_factor * betas[0])
     return strategies.grouping_unchanged_under(betas, p, k_m, cfg.beta_low_factor * betas[-1])
-
-
-def _mean_or_nan(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mean of each row of ``a`` over the masked columns; NaN where no column is."""
-    if not mask.any():
-        return np.full(a.shape[:-1], np.nan)
-    # skip the masked copy; also keeps the reduction order identical to an
-    # unmasked mean, so an attack-free pairing differences to exact 0
-    return a.mean(axis=-1) if mask.all() else a[..., mask].mean(axis=-1)
 
 
 def _std_ci(values: np.ndarray):

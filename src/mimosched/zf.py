@@ -24,7 +24,7 @@ COND_LIMIT = 1e10
 def _check_conditioning(gram: np.ndarray) -> None:
     """Raise SingularMatrixError naming the first block whose Gram matrix is ill-conditioned.
 
-    The message gives its block within the period (last axis); ``index`` its full stack index.
+    The message names the block by its last stack index; ``index`` is its full stack index.
     """
     w = np.linalg.eigvalsh(gram)
     lo, hi = w[..., 0], w[..., -1]
@@ -99,15 +99,17 @@ def maxmin_power(eff_gain: np.ndarray, P, noise_var: float):
     return powers, snr
 
 
-def evaluate_block(rows: np.ndarray, scale: np.ndarray, plan_of, p: SystemParams,
+def evaluate_block(rows: np.ndarray, scale: np.ndarray, block_of, p: SystemParams,
                    P=None) -> np.ndarray:
     """Serve stacked blocks with power allocated from the reported CSI; return actual rates.
 
-    rows: (U, ..., K_B, M) true rows of U plans, each factorized once; entry e
-    runs on plan plan_of[e] with its members' (..., K_B) misreport multipliers
-    scale[e] at transmit power P[e], an (E,) array, or at one power P for
-    every entry (p.P when P is None). Returns each member's block rate,
-    shaped like scale.
+    rows: (U, ..., K_B, M) true rows of U distinct blocks (or stacks of
+    blocks), each factorized once. block_of is an integer array of any shape
+    S whose entries index rows; entry i runs on rows[block_of[i]], members
+    in row order, with their (..., K_B) misreport multipliers scale[i], so
+    scale has shape S + rows.shape[1:-1]. P is one power for every entry
+    (p.P when None) or an array over the leading axes of S, e.g. (E,) for
+    block_of (E, T). Returns each member's block rate, shaped like scale.
 
     The base station beamforms and splits power using the misreported rows
     sqrt(scale_k) g_k. Misreporting rescales magnitudes only, so the
@@ -118,8 +120,8 @@ def evaluate_block(rows: np.ndarray, scale: np.ndarray, plan_of, p: SystemParams
     divided by their own scale factor.
     """
     scale = np.asarray(scale, dtype=np.float64)
-    if rows.shape[-2] != p.K_B or scale.shape != (len(plan_of),) + rows.shape[1:-1]:
+    if rows.shape[-2] != p.K_B or scale.shape != np.shape(block_of) + rows.shape[1:-1]:
         raise DimensionError(f"rows {rows.shape} (K_B={p.K_B}) do not match scales {scale.shape}")
-    gains = zf_effective_gains(rows)[plan_of]
+    gains = zf_effective_gains(rows)[block_of]
     _, snr_bs = maxmin_power(scale * gains, p.P if P is None else P, p.noise_var)
     return np.log2(1.0 + snr_bs[..., None] / scale)

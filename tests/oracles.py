@@ -75,12 +75,13 @@ def period_rates_oracle(gains: np.ndarray, scale: np.ndarray, members, p) -> np.
     """(K,) period rates of one period on one realization, served on its own.
 
     gains: (K, M) channel rows; scale: (K,) misreport multipliers; members:
-    the (T, K_B) plan. The path the stacked engine replaced: one
-    factorization of this period's T blocks, then max-min power on the base
-    station's gains scale_k * d_k^2, and each member's actual rate
+    the (T, K_B) plan. A block's gains depend only on its member set, so
+    each block is served in sorted member order: one factorization of this
+    period's T sorted blocks, then max-min power on the base station's
+    gains scale_k * d_k^2, and each member's actual rate
     log2(1 + snr_bs / scale_k) divided by T.
     """
-    members = np.asarray(members, dtype=np.intp)
+    members = np.sort(np.asarray(members, dtype=np.intp), axis=-1)
     s = np.asarray(scale, dtype=np.float64)[members]
     _, snr_bs = maxmin_power(s * zf_effective_gains(gains[members]), p.P, p.noise_var)
     rates = np.zeros(gains.shape[0])

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mimosched import (
     ConfigError,
@@ -33,11 +33,12 @@ from mimosched import (
     run_cell,
     run_experiment,
     run_period,
+    same_grouping,
     zf_effective_gains,
 )
 from mimosched import SingularMatrixError, experiments, zf
 from mimosched.experiments import CSV_HEADER, pack_stream
-from mimosched.strategies import grouping_changed_under
+from mimosched.strategies import grouping_changed_under, grouping_unchanged_under
 from oracles import period_rates_oracle
 
 
@@ -225,8 +226,9 @@ def test_zf_gains_called_once_per_slice(monkeypatch):
     # fig6 shape: honest, grouping-preserving and demoting profiles under
     # large-scale and random grouping, 6 periods per trial. Random grouping
     # shares one plan across profiles; the grouping-preserving plan has the
-    # honest blocks in another within-block order, so it is a plan of its
-    # own: 4 distinct (trial, plan) pairs per trial, in one call per slice
+    # honest block sets in another within-block order, so it shares all 4
+    # honest blocks; demoting the two strongest users shifts all 4 blocks:
+    # 12 distinct (trial, sorted members) blocks per trial, in one call per slice
     shapes, kernels = [], []
     gains = zf.zf_effective_gains
     monkeypatch.setattr(zf, "zf_effective_gains",
@@ -236,8 +238,8 @@ def test_zf_gains_called_once_per_slice(monkeypatch):
                         lambda *a: kernels.append(a[2].shape) or block(*a))
     cfg = replace(preset("fig6"), trials=10, drops=1, sweep_values=(2,))
     run_experiment(cfg)
-    assert shapes == [(32, 4, 8, 64), (8, 4, 8, 64)]
-    assert kernels == [(48,), (12,)]
+    assert shapes == [(96, 8, 64), (24, 8, 64)]
+    assert kernels == [(48, 4), (12, 4)]
 
 
 def test_run_period_guard_names_the_first_bad_period(p_nine):
@@ -276,10 +278,11 @@ def _slice(layout, n, e, p, rng):
        n=st.integers(1, 4), e=st.integers(1, 8),
        layout=st.sampled_from(["duplicate", "distinct", "mixed"]),
        seed=st.integers(0, 2**32 - 1))
+@example(t=16, kb=6, extra=2, n=3, e=8, layout="mixed", seed=1)     # K = 96 users
 def test_stacked_periods_equal_the_per_period_oracle(t, kb, extra, n, e, layout, seed):
     # every period of a slice, served in one stacked call with each distinct
-    # (realization, plan) pair factorized once, gets exactly the rates it
-    # gets served on its own
+    # (realization, sorted members) block factorized once, gets exactly the
+    # rates it gets served on its own, for any K
     p = SystemParams(M=max(2, kb + extra), K=t * kb, K_B=kb, T=t, P=10.0)
     rng = np.random.default_rng(seed)
     if layout == "distinct":
@@ -296,6 +299,72 @@ def test_stacked_periods_equal_the_per_period_oracle(t, kb, extra, n, e, layout,
             run_period(gains, trial, members, scale, p)
         return
     np.testing.assert_array_equal(run_period(gains, trial, members, scale, p), want)
+
+
+def _shuffled(plan, rng):
+    """``plan`` with its blocks, and each block's members, in a random order."""
+    return np.stack([rng.permutation(block) for block in rng.permutation(plan)])
+
+
+@settings(max_examples=80)
+@given(t=st.integers(1, 4), kb=st.integers(1, 6), extra=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_plans_with_the_same_block_sets_give_the_same_bits(t, kb, extra, seed):
+    # a block's gains depend only on who shares it: the same blocks in any
+    # block order or within-block order give every user the same rate, bit
+    # for bit, alone or stacked with the others
+    p = SystemParams(M=max(2, kb + extra), K=t * kb, K_B=kb, T=t, P=10.0)
+    rng = np.random.default_rng(seed)
+    gains = draw_channels(p, 10.0 ** rng.uniform(-2.0, 1.0, p.K), rng)[None]
+    plan = rng.permutation(p.K).reshape(t, kb)
+    plans = np.stack([_shuffled(plan, rng) for _ in range(3)])
+    scale = np.where(rng.random(p.K) < 0.3, 10.0 ** rng.uniform(-2.0, 1.0, p.K), 1.0)
+    try:
+        want = run_period(gains, [0], plans[:1], scale[None], p)
+    except SingularMatrixError:
+        return
+    np.testing.assert_array_equal(run_period(gains, [0, 0], plans[1:], np.stack([scale] * 2), p),
+                                  np.vstack([want, want]))
+
+
+def test_grouping_preserving_attack_is_served_on_the_honest_blocks(p_default):
+    # the grouping-preserving plan holds the honest block sets with the
+    # misreporters moved last: under either profile's scales both plans give
+    # every user the same rate, bit for bit
+    for k_m in (1, 2, 4, 8):
+        rng = RngStream(1, 0).generator()
+        betas = np.sort(10.0 ** rng.uniform(-2.0, 1.0, p_default.K))[::-1]
+        attack = grouping_unchanged_under(betas, p_default, k_m)
+        plans = np.stack([group_by_large_scale(betas, p_default),
+                          group_by_large_scale(attack.reported_beta, p_default)])
+        assert same_grouping(plans[0], plans[1]) and not np.array_equal(plans[0], plans[1])
+        gains = draw_channels(p_default, betas, rng)[None]
+        for scale in (np.ones(p_default.K), attack.scale):
+            rates = run_period(gains, [0, 0], plans, np.stack([scale, scale]), p_default)
+            np.testing.assert_array_equal(rates[0], rates[1])
+
+
+def test_each_distinct_block_is_factorized_once(monkeypatch):
+    # reduced fig7: every slice factorizes one row stack per distinct
+    # (trial, sorted members) block of its periods, counted here with sets,
+    # and that is fewer than one per block of each distinct (trial, plan)
+    factorized, blocks, plan_blocks = [], [], []
+    gains = zf.zf_effective_gains
+    monkeypatch.setattr(zf, "zf_effective_gains",
+                        lambda rows: factorized.append(len(rows)) or gains(rows))
+    period = experiments.run_period
+
+    def counted(g, trial, members, *rest):
+        blocks.append(len({(n, tuple(sorted(b))) for n, plan in zip(trial.tolist(), members)
+                           for b in plan.tolist()}))
+        plan_blocks.append(members.shape[1] * len({(n, plan.tobytes())
+                                                   for n, plan in zip(trial.tolist(), members)}))
+        return period(g, trial, members, *rest)
+
+    monkeypatch.setattr(experiments, "run_period", counted)
+    run_experiment(replace(preset("fig7"), trials=2, drops=3))
+    assert factorized == blocks
+    assert sum(blocks) < sum(plan_blocks)
 
 
 def _csv_text(rows):
@@ -380,6 +449,16 @@ def test_ci_shrinks_with_sqrt_trials(p_default):
         ci[n] = _one(rows, "theta_cm").ci95
     ratio = ci[400] / ci[800]
     assert 0.8 * np.sqrt(2) < ratio < 1.2 * np.sqrt(2)
+
+
+def test_homogeneous_honest_means_do_not_depend_on_workers(p_default):
+    # each period's honest mean is one fixed-order sum over all K users; it
+    # was summed in an order set by how many trials shared a slice, and the
+    # worker count sets the slicing
+    cfg = ExperimentConfig(params=p_default, grouping_rule=("channel_magnitude",),
+                           sweep="K_M", sweep_values=(1, 2, 3), trials=7, seed=3)
+    texts = [_csv_text(run_experiment(cfg, workers=w)) for w in (1, 2, 3)]
+    assert texts[1] == texts[0] and texts[2] == texts[0]
 
 
 def test_worker_count_does_not_change_results(p_nine, cell_model):
