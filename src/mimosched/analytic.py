@@ -32,10 +32,10 @@ def _check_rate_args(M: int, K: int, snr: float, beta: float) -> None:
         raise DomainError(f"K must be >= 1, got {K}")
     if M <= K:
         raise DomainError(f"closed forms require M > K, got M={M}, K={K}")
-    if not snr > 0:
-        raise DomainError(f"snr must be positive, got {snr}")
-    if not beta > 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not 0 < snr < np.inf:
+        raise DomainError(f"snr must be positive and finite, got {snr}")
+    if not 0 < beta < np.inf:
+        raise DomainError(f"beta must be positive and finite, got {beta}")
 
 
 def rate_accurate_single_block(M: int, K: int, snr: float, beta: float = 1.0) -> float:

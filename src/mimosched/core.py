@@ -76,7 +76,8 @@ class SystemParams:
 def validate_params(p: SystemParams) -> SystemParams:
     """Check the dimensional invariants of ``p``, returning it unchanged.
 
-    Raises DimensionError naming the violated constraint.
+    P, noise_var and beta_default must be positive and finite. Raises
+    DimensionError naming the violated constraint.
     """
     for name in ("M", "K", "K_B", "T"):
         v = getattr(p, name)
@@ -88,12 +89,9 @@ def validate_params(p: SystemParams) -> SystemParams:
         raise DimensionError(f"K_B must satisfy 1 <= K_B <= K, got K_B={p.K_B}, K={p.K}")
     if p.K != p.T * p.K_B:
         raise DimensionError(f"K must equal T*K_B, got K={p.K}, T*K_B={p.T * p.K_B}")
-    if not p.P > 0:
-        raise DimensionError(f"P must be positive, got {p.P}")
-    if not p.noise_var > 0:
-        raise DimensionError(f"noise_var must be positive, got {p.noise_var}")
-    if not p.beta_default > 0:
-        raise DimensionError(f"beta_default must be positive, got {p.beta_default}")
+    for name in ("P", "noise_var", "beta_default"):
+        if not 0 < getattr(p, name) < np.inf:
+            raise DimensionError(f"{name} must be positive and finite, got {getattr(p, name)}")
     return p
 
 
@@ -162,5 +160,8 @@ STRATEGY_TAGS = frozenset({
 })
 
 def db_to_linear(x_db: float) -> float:
-    """Convert a dB value to linear scale."""
-    return float(10.0 ** (float(x_db) / 10.0))
+    """Convert a dB value to linear scale; DomainError if it overflows a float."""
+    try:
+        return float(10.0 ** (float(x_db) / 10.0))
+    except OverflowError:
+        raise DomainError(f"{x_db} dB overflows a float") from None

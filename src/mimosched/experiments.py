@@ -18,7 +18,7 @@ import math
 import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,6 +51,9 @@ _HOM_STRATEGIES = frozenset({"none", "homogeneous_uniform"})
 _HET_STRATEGIES = frozenset({
     "none", "grouping_changed_under", "grouping_changed_over",
     "grouping_unchanged_under"})
+
+# what a layout variant may override, and its row-name label
+_VARIANT_KEYS = frozenset(f.name for f in fields(SystemParams)) | {"label"}
 
 # stream id layout: purpose(2) | variant(10) | drop(26) | trial(26)
 _TRIAL_BITS = 26
@@ -131,6 +134,12 @@ class ExperimentConfig:
         for name in ("grouping_rule", "strategy", "variants", "sweep_values"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
+        for variant in self.variants:
+            for key, v in (variant or {}).items():
+                if key not in _VARIANT_KEYS:
+                    raise ConfigError(f"unknown variant key {key!r}")
+                if key != "label" and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+                    raise ConfigError(f"variant {key} must be a number, got {v!r}")
         try:
             values = {float(v) for v in self.sweep_values}
         except (TypeError, ValueError):
@@ -144,8 +153,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be in [1, 2**{_TRIAL_BITS}), got {self.trials}")
         if not 1 <= self.drops < 2**_DROP_BITS:
             raise ConfigError(f"drops must be in [1, 2**{_DROP_BITS}), got {self.drops}")
-        if not self.delta > 0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError(f"delta must be positive and finite, got {self.delta}")
         # the SUS threshold doubles until a user passes it: at <= 0 it never does
         if not self.sus_alpha > 0:
             raise ConfigError(f"sus_alpha must be positive, got {self.sus_alpha}")
@@ -176,11 +185,12 @@ class ResultRow:
 
 
 def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None) -> np.ndarray:
-    """Serve E round-robin periods in one stacked call; return their (E, K) period rates.
+    """Serve E round-robin periods in one stacked call; return their period rates.
 
-    Period e runs on rows gains[trial[e]] (K, M) with plan members[e] (T, K_B),
-    misreport multipliers scale[e] (K,) and transmit power P[e] (p.P for every
-    period when P is None); a user's period rate is its block rate over T.
+    Period e runs on rows gains[trial[e]] (K, M) with plan members[e] (T, K_B)
+    and misreport multipliers scale[e] (K,); a user's period rate is its block
+    rate over T. P is one transmit power or an array of powers (p.P when
+    None), each applied to every period, and the rates are P.shape + (E, K).
     ``trial`` and ``members`` must be integer arrays, and every plan must order
     all K users 0..K-1, each once. A block's gains depend only on its member
     set, so each distinct (trial, sorted members) block is factorized once, in
@@ -221,15 +231,15 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
             err.index = (int(trial[err.period]), block)
             err.args = (f"block {block}:{err.args[0].partition(':')[2]}", *err.args[1:])
         raise
-    out = np.zeros(scale.shape)
-    out[at, members] = rates / p.T
+    out = np.zeros(rates.shape[:-3] + scale.shape)
+    out[..., at, members] = rates / p.T
     return out
 
 
 # one work unit: trials lo..hi - 1 of one drop of one variant, at every sweep
 # point. setup is the drop's _Drop: its large-scale gains, distinct misreport
-# profiles and distinct periods; keep names what _run_chunk returns: "means",
-# "trials" or "sum"
+# profiles and powers; keep names what _run_chunk returns: "means", "trials"
+# or "sum"
 _TrialChunk = collections.namedtuple("_TrialChunk", "p setup rules alpha seed vi drop lo hi keep")
 
 
@@ -313,22 +323,21 @@ def _run_chunk(u: _TrialChunk) -> np.ndarray:
     """Paired trials at every sweep point: the honest baseline plus every strategy, per rule.
 
     Each trial is drawn once and its magnitudes computed once; it is grouped
-    once per distinct profile, and all its distinct periods go through one
-    run_period call per slice of trials.
+    once per distinct profile, and its (profile, rule) periods go through one
+    run_period call per slice of trials, at every distinct power at once.
     Returns only what the cell reductions read, never every period's
     per-user rates of every trial at once:
-    - ``"means"`` (homogeneous): the (trials, periods) mean rate over the
-      honest users of each period's profile;
-    - ``"trials"`` (heterogeneous): the (trials, periods, K) per-user rates;
+    - ``"means"`` (homogeneous): the (trials, powers, profiles, rules) mean
+      rate over the honest users of each period's profile;
+    - ``"trials"`` (heterogeneous): the same axes' per-user rates, K last;
     - ``"sum"`` (heterogeneous): those rates added trial by trial in order,
-      as one (1, periods, K) row.
+      as one (1, powers, profiles, rules, K) row.
     """
     p, d = u.p, u.setup
-    power, rule_of, prof_of, point_of = zip(*d.periods)
-    power, rule_of, prof_of = np.array(power), np.array(rule_of), np.array(prof_of)
-    scales, honest = d.scales[prof_of], d.honest[prof_of]                 # (periods, K)
-    out = np.empty((u.hi - u.lo, len(power))) if u.keep == "means" else []
-    step = max(1, min(_SLICE, _SLICE_PAIRS // len(d.scales)))
+    n_prof, n_rule = len(d.scales), len(u.rules)
+    scales, honest = d.scales.repeat(n_rule, axis=0), d.honest[:, None]   # (F*R, K), (F, 1, K)
+    out = np.empty((u.hi - u.lo, len(d.powers), n_prof, n_rule)) if u.keep == "means" else []
+    step = max(1, min(_SLICE, _SLICE_PAIRS // n_prof))
     for lo in range(u.lo, u.hi, step):
         trials = range(lo, min(lo + step, u.hi))
         rngs = (RngStream(u.seed, pack_stream(0, u.vi, u.drop, t)).generator() for t in trials)
@@ -339,36 +348,37 @@ def _run_chunk(u: _TrialChunk) -> np.ndarray:
         # every rule's plan of each trial under each profile. The large-scale
         # plans are fixed per drop and broadcast over the trials; a trial's
         # random plan is broadcast over its profiles
-        members = np.empty((len(trials), len(u.rules), len(d.scales), p.T, p.K_B), dtype=np.intp)
+        members = np.empty((len(trials), n_prof, n_rule, p.T, p.K_B), dtype=np.intp)
         for r, rule in enumerate(u.rules):
             if rule == "large_scale":
-                members[:, r] = d.ls_plans
+                members[:, :, r] = d.ls_plans
             elif rule == "channel_magnitude":
-                members[:, r] = scheduling.group_by_magnitude(reported, p)
+                members[:, :, r] = scheduling.group_by_magnitude(reported, p)
             elif rule == "sus":
-                members[:, r] = scheduling.group_by_sus(reported, gains[:, None], d.scales, p,
-                                                        u.alpha)
+                members[:, :, r] = scheduling.group_by_sus(reported, gains[:, None], d.scales, p,
+                                                           u.alpha)
             else:
                 for n, t in enumerate(trials):
                     rng = RngStream(u.seed, pack_stream(1, u.vi, u.drop, t)).generator()
-                    members[n, r] = scheduling.group_randomly(p, rng)
-        # periods run trial by trial, then in the order of d.periods
+                    members[n, :, r] = scheduling.group_randomly(p, rng)
+        # periods run trial by trial, then profile by profile, then rule by rule
         try:
-            rates = run_period(gains, np.repeat(np.arange(len(trials)), len(power)),
-                               members[:, rule_of, prof_of].reshape(-1, p.T, p.K_B),
-                               np.tile(scales, (len(trials), 1)), p, np.tile(power, len(trials)))
+            rates = run_period(gains, np.repeat(np.arange(len(trials)), n_prof * n_rule),
+                               members.reshape(-1, p.T, p.K_B),
+                               np.tile(scales, (len(trials), 1)), p, d.powers)
         except SingularMatrixError as e:
             # the same object, re-raised: a failure is still counted once. One
             # raised outside the guard carries no period, so name the slice
             if hasattr(e, "period"):
-                where = f"trial {trials[e.period // len(power)]}"
-                point = f"sweep point {point_of[e.period % len(power)]}"
+                n, f = divmod(e.period // n_rule, n_prof)
+                where = f"trial {trials[n]}"
+                point = f"sweep point {d.points[np.argmax((d.profile == f).any(axis=1))]}"
             else:
                 where = f"trials {lo}-{trials[-1]}"
-                point = f"sweep points {', '.join(map(str, dict.fromkeys(point_of)))}"
+                point = f"sweep points {', '.join(map(str, d.points))}"
             e.args += (f"variant {u.vi}, drop {u.drop}, {where}", point)
             raise
-        rates = rates.reshape(len(trials), len(power), p.K)
+        rates = rates.reshape(len(d.powers), len(trials), n_prof, n_rule, p.K).swapaxes(0, 1)
         if u.keep == "means":
             # one fixed-order sum over all K users, whatever the slice holds
             with np.errstate(invalid="ignore"):
@@ -450,18 +460,19 @@ def _cells(cfg: ExperimentConfig) -> list:
 # the set-up of one drop of one variant, shared by all its sweep points.
 # scales and honest are the (F, K) multipliers and honest users of the
 # distinct misreport profiles of every sweep point, equal scale and reported
-# gains counting as one, honest first; ls_plans are their (F, T, K_B)
-# large-scale plans, or None. periods are the distinct (power, rule, profile,
-# sweep value) periods of a trial, in order of first appearance over (sweep
-# point, rule, honest then strategies), each naming the first sweep point
-# that serves it; column[j, r, i] is the period of sweep point j under rule r
-# and the honest profile (i = 0) or strategy i - 1.
-_Drop = collections.namedtuple("_Drop", "betas scales honest ls_plans periods column")
+# gains counting as one, in order of first appearance over (sweep point,
+# honest then strategies); ls_plans are their (F, T, K_B) large-scale plans,
+# or None. powers are the variant's distinct transmit powers and points its
+# sweep values; sweep point j runs at powers[power[j]], and profile[j, i] is
+# its honest profile (i = 0) or that of strategy i - 1.
+_Drop = collections.namedtuple("_Drop", "betas scales honest ls_plans powers points power profile")
 
 
 def _drops(cfg, vi, cells) -> list:
     """The ``_Drop`` of each drop of variant ``vi``, whose cells are ``cells``."""
     p = cells[0][1]             # the sweep points of a variant differ in P or K_M only
+    points = tuple(v for v, *_ in cells)
+    powers, power = np.unique([pv.P for _, pv, *_ in cells], return_inverse=True)
     if cfg.scenario == "homogeneous":
         all_betas = [np.full(p.K, p.beta_default)]
     else:
@@ -487,13 +498,9 @@ def _drops(cfg, vi, cells) -> list:
         if "large_scale" in cfg.grouping_rule:
             ls_plans = scheduling.group_by_large_scale(
                 np.stack([prof.reported_beta for prof in profiles]), p)
-        periods = {}
-        column = np.array([[[periods.setdefault((pv.P, r, f), (len(periods), v))[0] for f in row]
-                            for r in range(len(cfg.grouping_rule))]
-                           for (v, pv, *_), row in zip(cells, index)], dtype=np.intp)
         honest = np.stack([prof.honest_mask() for prof in profiles])
-        drops.append(_Drop(betas, scales, honest, ls_plans,
-                           tuple((*key, v) for key, (_, v) in periods.items()), column))
+        drops.append(_Drop(betas, scales, honest, ls_plans, powers, points, power,
+                           np.array(index, dtype=np.intp)))
     return drops
 
 
@@ -538,31 +545,32 @@ def _run(cfg, variants, workers, pool) -> list:
         # trials followed by the rates of the rest
         results = [np.concatenate([next(chunks) for _ in bounds]) for _ in range(per_variant)]
         drops = setups.popleft()
+        first = drops[0]
         if cfg.scenario == "homogeneous":
             for j, (v, p, k_m, vsuf) in enumerate(cells):
                 rows[j, vi] = _homogeneous_cell(cfg, p, k_m, vsuf, v,
-                                                results[0][:, drops[0].column[j]])
+                                                results[0][:, first.power[j], first.profile[j]])
             continue
-        sums = [functools.reduce(np.add, res) for res in results]      # (periods, K) per drop
+        sums = [functools.reduce(np.add, res) for res in results]      # (W, F, R, K) per drop
         for j, (v, p, k_m, vsuf) in enumerate(cells):
-            honest = np.stack([d.honest[[d.periods[e][2] for e in d.column[j, 0, 1:]]]
-                               for d in drops])
             rows[j, vi] = _heterogeneous_cell(
-                cfg, p, k_m, vsuf, v, np.stack([s[d.column[j]] for s, d in zip(sums, drops)]),
-                results[0][:, drops[0].column[j]], honest)
+                cfg, p, k_m, vsuf, v,
+                np.stack([s[d.power[j], d.profile[j]] for s, d in zip(sums, drops)]),
+                results[0][:, first.power[j], first.profile[j]],
+                np.stack([d.honest[d.profile[j, 1:]] for d in drops]))
     return [row for key in sorted(rows) for row in rows[key]]
 
 
 def _homogeneous_cell(cfg, p, k_m, vsuf, sweep_value, means):
-    # means: (trials, rules, 1 + strategies) per-trial mean rate over the
+    # means: (trials, 1 + strategies, rules) per-trial mean rate over the
     # honest users of the honest baseline (all users) and of each strategy
     rows = []
     for ri, rule in enumerate(cfg.grouping_rule):
         short = RULE_SHORT[rule]
-        base_mean = means[:, ri, 0]                               # per-trial all-user mean
+        base_mean = means[:, 0, ri]                               # per-trial all-user mean
         for si, tag in enumerate(cfg.strategy):
             ssuf = f"__{tag}" if len(cfg.strategy) > 1 else ""
-            att_honest = means[:, ri, si + 1]                     # per-trial honest mean
+            att_honest = means[:, si + 1, ri]                     # per-trial honest mean
             theta_trials = 1.0 - att_honest / base_mean
             theta_ratio = float(1.0 - np.mean(att_honest) / np.mean(base_mean))
             std, ci = _std_ci(theta_trials)
@@ -585,18 +593,18 @@ def _homogeneous_cell(cfg, p, k_m, vsuf, sweep_value, means):
 
 
 def _heterogeneous_cell(cfg, p, k_m, vsuf, sweep_value, sums, first, honest):
-    # sums: (drops, rules, 1 + strategies, K) per-user rates summed over each
-    # drop's trials; first: the (trials, rules, 1 + strategies, K) rates of
+    # sums: (drops, 1 + strategies, rules, K) per-user rates summed over each
+    # drop's trials; first: the (trials, 1 + strategies, rules, K) rates of
     # drop 0; honest: (drops, strategies, K) honest users of each strategy
     tracked = (range(1, p.K + 1) if cfg.track_users is None
                else [u for u in cfg.track_users if 1 <= u <= p.K])
     rows = []
     for ri, rule in enumerate(cfg.grouping_rule):
         short = RULE_SHORT[rule]
-        base_sum = sums[:, ri, 0]                         # (drops, K)
+        base_sum = sums[:, 0, ri]                         # (drops, K)
         for si, tag in enumerate(cfg.strategy):
             ssuf = f"__{tag}" if len(cfg.strategy) > 1 else ""
-            att_sum = sums[:, ri, si + 1]
+            att_sum = sums[:, si + 1, ri]
             user_loss = 1.0 - att_sum / base_sum          # (drops, K)
             # loss of the honest users' average rate, not the average of
             # per-user loss ratios: strong users carry their rate weight
@@ -608,7 +616,7 @@ def _heterogeneous_cell(cfg, p, k_m, vsuf, sweep_value, sums, first, honest):
                 f"avg_honest_loss_{short}{ssuf}{vsuf}",
                 float(avg.mean()), std, ci, cfg.trials, cfg.drops, cfg.seed))
             # per-user rows: drop 0 is the representative drop for the per-trial spread
-            tstd = ((1.0 - first[:, ri, si + 1] / first[:, ri, 0]).std(axis=0, ddof=1)
+            tstd = ((1.0 - first[:, si + 1, ri] / first[:, 0, ri]).std(axis=0, ddof=1)
                     if cfg.trials > 1 else np.zeros(p.K))
             tci = 1.96 * tstd / math.sqrt(cfg.trials) if cfg.trials > 1 else tstd
             for u in tracked:

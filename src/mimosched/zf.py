@@ -107,9 +107,9 @@ def evaluate_block(rows: np.ndarray, scale: np.ndarray, block_of, p: SystemParam
     blocks), each factorized once. block_of is an integer array of any shape
     S whose entries index rows; entry i runs on rows[block_of[i]], members
     in row order, with their (..., K_B) misreport multipliers scale[i], so
-    scale has shape S + rows.shape[1:-1]. P is one power for every entry
-    (p.P when None) or an array over the leading axes of S, e.g. (E,) for
-    block_of (E, T). Returns each member's block rate, shaped like scale.
+    scale has shape S + rows.shape[1:-1]. P is one transmit power or an
+    array of powers (p.P when None), each applied to every entry. Returns
+    each member's block rate at each power, shaped P.shape + scale.shape.
 
     The base station beamforms and splits power using the misreported rows
     sqrt(scale_k) g_k. Misreporting rescales magnitudes only, so the
@@ -122,6 +122,7 @@ def evaluate_block(rows: np.ndarray, scale: np.ndarray, block_of, p: SystemParam
     scale = np.asarray(scale, dtype=np.float64)
     if rows.shape[-2] != p.K_B or scale.shape != np.shape(block_of) + rows.shape[1:-1]:
         raise DimensionError(f"rows {rows.shape} (K_B={p.K_B}) do not match scales {scale.shape}")
-    gains = zf_effective_gains(rows)[block_of]
-    _, snr_bs = maxmin_power(scale * gains, p.P if P is None else P, p.noise_var)
+    P = np.asarray(p.P if P is None else P, dtype=np.float64)
+    gains = scale * zf_effective_gains(rows)[block_of]
+    _, snr_bs = maxmin_power(np.broadcast_to(gains, P.shape + gains.shape), P, p.noise_var)
     return np.log2(1.0 + snr_bs[..., None] / scale)

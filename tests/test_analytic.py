@@ -64,6 +64,9 @@ def test_accurate_rate_reference_points():
     (64, 32, 0.0, 1.0),
     (64, 32, -3.0, 1.0),
     (64, 32, 10.0, 0.0),
+    (64, 32, math.inf, 1.0),
+    (64, 32, math.nan, 1.0),
+    (64, 32, 10.0, math.inf),
 ])
 def test_accurate_rate_rejects(args):
     with pytest.raises(DomainError):

@@ -146,6 +146,37 @@ def test_run_rejects_bad_inputs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"variants": [{"foo": 1}]}, "unknown variant key 'foo'"),
+    ({"variants": [{"P": "abc"}]}, "variant P must be a number"),
+    ({"P": "inf"}, "P must be positive and finite"),            # wrote nan,0,0 rows
+    ({"beta_default": "inf"}, "beta_default must be positive and finite"),
+    ({"noise_var": "inf"}, "noise_var must be positive and finite"),
+    ({"P_dB": 4000}, "overflows"),
+    ({"delta_dB": 4000}, "overflows"),
+    ({"sweep": "P_dB", "sweep_values": [0, 4000]}, "overflows"),
+])
+def test_run_rejects_bad_physical_inputs(tmp_path, capsys, config, message):
+    # each ended in a traceback or wrote a CSV; now a configuration error
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps({**config, "trials": 2}))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--formula", "eq6", "--P", "inf"], "snr must be positive and finite"),   # printed inf
+    (["--formula", "eq6", "--P_dB", "4000"], "overflows"),
+    (["--formula", "eq11", "--delta_dB", "4000"], "overflows"),
+    (["--formula", "eq17", "--P", "inf"], "P must be positive and finite"),
+])
+def test_analytic_rejects_bad_physical_inputs(capsys, argv, message):
+    code, out, err = _run(capsys, "analytic", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_run_rejects_bad_worker_count(tmp_path, capsys, workers):
     out = tmp_path / "x.csv"

@@ -39,6 +39,10 @@ def test_validate_params_rejects_tiny_m():
     dict(M=64, K=32, K_B=8, T=4, P=0.0),
     dict(M=64, K=32, K_B=8, T=4, noise_var=0.0),
     dict(M=64, K=32, K_B=8, T=4, beta_default=-1.0),
+    dict(M=64, K=32, K_B=8, T=4, P=np.inf),
+    dict(M=64, K=32, K_B=8, T=4, P=np.nan),
+    dict(M=64, K=32, K_B=8, T=4, noise_var=np.inf),
+    dict(M=64, K=32, K_B=8, T=4, beta_default=np.inf),
 ])
 def test_validate_params_rejects_bad_fields(kwargs):
     with pytest.raises(DimensionError):
@@ -59,6 +63,15 @@ def test_db_to_linear_reference_points():
     assert db_to_linear(-20.0) == pytest.approx(0.01, rel=1e-14)
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("x_db", [4000.0, 3300])
+def test_db_to_linear_overflow_is_a_domain_error(x_db):
+    # past about 3083 dB a float overflows (an OverflowError traceback before)
+    with pytest.raises(DomainError, match="overflows"):
+        db_to_linear(x_db)
+    # far below 0 dB it only underflows to 0, which the positivity checks reject
+    assert db_to_linear(-x_db) == 0.0
 
 
 def test_db_round_trip():

@@ -129,6 +129,10 @@ def test_config_normalizes_scalars(p_default):
     {"sweep": "P_dB", "sweep_values": (0, 5.0, 0.0)},
     {"sweep_values": (0.0, 5.0)},                       # no sweep, two points
     {"sweep": "P_dB", "sweep_values": ("high",)},
+    {"delta": float("inf")},                            # every attacked rate read 0
+    {"variants": ({"foo": 1},)},                        # was a TypeError mid-run
+    {"variants": (None, {"P": "abc"})},
+    {"variants": ({"T": True, "K_B": 9},)},
 ])
 def test_config_rejects(p_default, kwargs):
     # construction only: a config that got through could hang when run
@@ -367,6 +371,44 @@ def test_each_distinct_block_is_factorized_once(monkeypatch):
     assert sum(blocks) < sum(plan_blocks)
 
 
+def test_power_sweep_serves_each_period_once_at_every_power(monkeypatch):
+    # reduced fig2: no rule reads the transmit power, so a P_dB sweep serves
+    # each (trial, honest or attacked profile, rule) period once per slice,
+    # at all seven powers in one call, not once per power
+    cfg = replace(preset("fig2"), trials=12)
+    calls = []
+    period = experiments.run_period
+
+    def counted(g, trial, members, scale, p, P):
+        calls.append((len(g), len(trial), np.shape(P)))
+        rates = period(g, trial, members, scale, p, P)
+        # every power's rates are those of a call at that power alone
+        for w in (0, -1):
+            np.testing.assert_array_equal(rates[w], period(g, trial, members, scale, p, P[w]))
+        return rates
+
+    monkeypatch.setattr(experiments, "run_period", counted)
+    run_experiment(cfg)
+    profiles, rules = 2, len(cfg.grouping_rule)
+    assert [e for _, e, _ in calls] == [n * profiles * rules for n, _, _ in calls]
+    assert sum(n for n, _, _ in calls) == cfg.trials
+    assert {shape for *_, shape in calls} == {(len(cfg.sweep_values),)}
+
+
+def test_run_period_returns_one_rate_array_per_power(p_nine):
+    # P of any shape leads the (E, K) rates, each power applied to every period
+    gains = np.stack([draw_channels(p_nine, np.ones(9), RngStream(6, n).generator())
+                      for n in range(2)])
+    members = np.stack([np.arange(9).reshape(3, 3), np.arange(9)[::-1].reshape(3, 3)])
+    scale = np.r_[0.1, np.ones(8)][None].repeat(2, axis=0)
+    P = np.array([[0.5, 5.0], [50.0, 500.0]])
+    rates = run_period(gains, [1, 0], members, scale, p_nine, P)
+    assert rates.shape == (2, 2, 2, 9)
+    for w in np.ndindex(P.shape):
+        np.testing.assert_array_equal(rates[w], run_period(gains, [1, 0], members, scale,
+                                                           replace(p_nine, P=P[w])))
+
+
 def _csv_text(rows):
     buf = io.StringIO()
     emit_csv(rows, buf)
@@ -592,7 +634,7 @@ def test_run_experiment_restores_blas_threads(p_nine, monkeypatch):
 
     def watched_chunk(u):
         during.append(_blas_threads())
-        if u.vi == 1 and 3 in [v for *_, v in u.setup.periods]:
+        if u.vi == 1 and 3 in u.setup.points:
             raise CountError("planted failure inside the run")
         return real_chunk(u)
 

@@ -350,8 +350,9 @@ def test_evaluate_block_stack_equals_single_blocks():
 
 
 def test_evaluate_block_per_entry_power_equals_scalar_calls():
-    # three entries on two plans at three powers: each entry's rates are the
-    # rates of a call at its own power alone, by P and by p.P
+    # three entries on two plans at an array of three powers: the rates at
+    # each power are those of a call at that power alone, by P and by p.P,
+    # and each entry's rates are those of the entry served on its own
     p = SystemParams(M=16, K=12, K_B=4, T=3, P=10.0)
     ch = draw_channels(p, np.ones(12), RngStream(13, 3).generator())
     plans = np.array([np.arange(12).reshape(3, 4), np.arange(12)[::-1].reshape(3, 4)])
@@ -360,14 +361,23 @@ def test_evaluate_block_per_entry_power_equals_scalar_calls():
     entry_scale = scale[plans[plan_of]]
     P = np.array([0.1, 10.0, 1000.0])
     rates = evaluate_block(ch[plans], entry_scale, plan_of, p, P)
-    for e in range(3):
-        one = ch[plans[plan_of[e]]][None]
-        np.testing.assert_array_equal(rates[e], evaluate_block(one, entry_scale[[e]], [0], p, P[e])[0])
+    assert rates.shape == P.shape + entry_scale.shape
+    np.testing.assert_array_equal(evaluate_block(ch[plans], entry_scale, plan_of, p, P[:, None]),
+                                  rates[:, None])
+    for w in range(3):
+        np.testing.assert_array_equal(rates[w],
+                                      evaluate_block(ch[plans], entry_scale, plan_of, p, P[w]))
         np.testing.assert_array_equal(
-            rates[e], evaluate_block(one, entry_scale[[e]], [0], replace(p, P=P[e]))[0])
+            rates[w], evaluate_block(ch[plans], entry_scale, plan_of, replace(p, P=P[w])))
+        for e in range(3):
+            one = ch[plans[plan_of[e]]][None]
+            np.testing.assert_array_equal(rates[w, e],
+                                          evaluate_block(one, entry_scale[[e]], [0], p, P[w])[0])
     for bad in (0.0, -10.0, np.nan):
         with pytest.raises(DomainError):
             evaluate_block(ch[plans], entry_scale, plan_of, p, np.array([10.0, bad, 1.0]))
+        with pytest.raises(DomainError):
+            evaluate_block(ch[plans], entry_scale, plan_of, p, bad)
 
 
 def test_evaluate_block_member_count_enforced():
