@@ -55,8 +55,8 @@ def rate_misreport_single_block(M: int, K: int, K_M: int, delta: float,
     _check_rate_args(M, K, snr, beta)
     if not (0 <= K_M <= K):
         raise CountError(f"K_M must lie in [0, {K}], got {K_M}")
-    if not delta > 0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise DomainError(f"delta must be positive and finite, got {delta}")
     eff_users = K - K_M + K_M / delta
     return float(np.log2(1.0 + snr * beta * (M - K) / eff_users))
 
@@ -230,8 +230,8 @@ def rate_heterogeneous_block(M: int, K_B: int, snr: float, betas_in_block) -> fl
         raise DomainError(f"betas_in_block must have shape ({K_B},), got {betas.shape}")
     if M <= K_B:
         raise DomainError(f"closed form requires M > K_B, got M={M}, K_B={K_B}")
-    if not np.all(betas > 0):
-        raise DomainError("every large-scale gain must be positive")
-    if not snr > 0:
-        raise DomainError(f"snr must be positive, got {snr}")
+    if not np.all((betas > 0) & (betas < np.inf)):
+        raise DomainError("every large-scale gain must be positive and finite")
+    if not 0 < snr < np.inf:
+        raise DomainError(f"snr must be positive and finite, got {snr}")
     return float(np.log2(1.0 + snr * (M - K_B) / (1.0 / betas).sum()))

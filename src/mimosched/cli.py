@@ -78,6 +78,9 @@ def _cmd_run(args) -> int:
 def _cmd_analytic(args) -> int:
     power = args.P if args.P is not None else db_to_linear(
         args.P_dB if args.P_dB is not None else 10.0)
+    # an infinite noise_var leaves snr 0, which every formula rejects
+    if not args.noise_var > 0:
+        raise DomainError(f"noise_var must be positive, got {args.noise_var}")
     snr = power / args.noise_var
     delta = args.delta if args.delta is not None else db_to_linear(
         args.delta_dB if args.delta_dB is not None else -20.0)

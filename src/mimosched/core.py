@@ -87,6 +87,8 @@ def validate_params(p: SystemParams) -> SystemParams:
         raise DimensionError(f"M must be >= 2, got {p.M}")
     if not (1 <= p.K_B <= p.K):
         raise DimensionError(f"K_B must satisfy 1 <= K_B <= K, got K_B={p.K_B}, K={p.K}")
+    if p.K_B > p.M:
+        raise DimensionError(f"zero-forcing needs K_B <= M, got K_B={p.K_B}, M={p.M}")
     if p.K != p.T * p.K_B:
         raise DimensionError(f"K must equal T*K_B, got K={p.K}, T*K_B={p.T * p.K_B}")
     for name in ("P", "noise_var", "beta_default"):

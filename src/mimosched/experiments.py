@@ -187,14 +187,15 @@ class ResultRow:
 def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None) -> np.ndarray:
     """Serve E round-robin periods in one stacked call; return their period rates.
 
-    Period e runs on rows gains[trial[e]] (K, M) with plan members[e] (T, K_B)
-    and misreport multipliers scale[e] (K,); a user's period rate is its block
-    rate over T. P is one transmit power or an array of powers (p.P when
-    None), each applied to every period, and the rates are P.shape + (E, K).
-    ``trial`` and ``members`` must be integer arrays, and every plan must order
-    all K users 0..K-1, each once. A block's gains depend only on its member
-    set, so each distinct (trial, sorted members) block is factorized once, in
-    order of first appearance, and every block is served in sorted member
+    Period e runs on rows gains[trial[e]] (K, M) of gains (N, K, M) with plan
+    members[e] (T, K_B) and misreport multipliers scale[e] (K,); a user's
+    period rate is its block rate over T. P is one transmit power or an array
+    of powers (p.P when None), each applied to every period, and the rates
+    are P.shape + (E, K). ``trial`` and ``members`` must be integer arrays,
+    and every plan must order all K users 0..K-1, each once. A block's gains
+    depend only on its member set, so each distinct (trial, sorted members)
+    block is factorized once, in order of first appearance, from its part of
+    the trial's Gram matrix, and every block is served in sorted member
     order: plans with the same block sets get the same bits. A guard trip's
     ``index`` becomes (trial, block within the period) and its ``period`` the
     first period served on the failing block.
@@ -205,6 +206,8 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
                              f"and {members.dtype}")
     trial, members = trial.astype(np.intp, copy=False), members.astype(np.intp, copy=False)
     scale = np.asarray(scale, dtype=np.float64)
+    if np.shape(gains)[1:] != (p.K, p.M):
+        raise DimensionError(f"gains must be (N, {p.K}, {p.M}), got {np.shape(gains)}")
     e = trial.shape[0]
     if members.shape != (e, p.T, p.K_B) or scale.shape != (e, p.K):
         raise DimensionError(f"{e} periods need ({e}, {p.T}, {p.K_B}) members and ({e}, {p.K}) "
@@ -222,8 +225,11 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
     first = first[order]
     block_of = np.argsort(order)[block_of].reshape(e, p.T)
     at = np.arange(e)[:, None, None]
+    # each distinct block's Gram is a principal submatrix of its trial's
+    users = members.reshape(-1, p.K_B)[first, :, None]
+    gram = gains @ gains.conj().swapaxes(-1, -2)
     try:
-        rates = evaluate_block(gains[trial[first // p.T, None], members.reshape(-1, p.K_B)[first]],
+        rates = evaluate_block(gram[trial[first // p.T, None, None], users, users.swapaxes(1, 2)],
                                scale[at, members], block_of, p, P)
     except SingularMatrixError as err:
         if hasattr(err, "index"):
@@ -312,11 +318,10 @@ def _worker_pool(workers: int):
 
 
 # trials per batched SUS call and stacked factorization: a whole 50-trial fig2
-# chunk at once raised peak RSS by 11 MB, slices of 8 by under 1 MB. A slice
-# holds at most 8 x 3 (trial, profile) pairs, as fig6 at one sweep point does,
-# so a sweep of many distinct profiles serves fewer trials per slice
+# chunk at once raised peak RSS by 11 MB, slices of 8 by under 1 MB. A slice's
+# blocks are read from its trials' Gram matrices, so the profile count does
+# not grow what a slice copies per block
 _SLICE = 8
-_SLICE_PAIRS = 3 * _SLICE
 
 
 def _run_chunk(u: _TrialChunk) -> np.ndarray:
@@ -337,9 +342,8 @@ def _run_chunk(u: _TrialChunk) -> np.ndarray:
     n_prof, n_rule = len(d.scales), len(u.rules)
     scales, honest = d.scales.repeat(n_rule, axis=0), d.honest[:, None]   # (F*R, K), (F, 1, K)
     out = np.empty((u.hi - u.lo, len(d.powers), n_prof, n_rule)) if u.keep == "means" else []
-    step = max(1, min(_SLICE, _SLICE_PAIRS // n_prof))
-    for lo in range(u.lo, u.hi, step):
-        trials = range(lo, min(lo + step, u.hi))
+    for lo in range(u.lo, u.hi, _SLICE):
+        trials = range(lo, min(lo + _SLICE, u.hi))
         rngs = (RngStream(u.seed, pack_stream(0, u.vi, u.drop, t)).generator() for t in trials)
         gains = np.stack([draw_channels(p, d.betas, rng) for rng in rngs])        # (n, K, M)
         # only magnitude and SUS grouping read the (n, F, K) reported magnitudes

@@ -3,9 +3,9 @@
 For a block channel matrix G (K_B x M rows g_k), the precoder is
 W = G^H (G G^H)^{-1} with columns w_k normalized implicitly by the power
 control. The effective gain of user k is d_k^2 = 1 / ||w_k||^2, which equals
-1 / [(G G^H)^{-1}]_{kk}; max-min power control then equalizes every member's
-SNR at P / (noise * sum_j 1/d_j^2). Every function here takes one block or a
-stack of blocks along leading axes and works on the whole stack at once.
+1 / [(G G^H)^{-1}]_{kk}: a block needs only its Gram matrix G G^H. Max-min
+power control equalizes every member's SNR at P / (noise * sum_j 1/d_j^2).
+Each function takes one block or a stack along leading axes, all at once.
 """
 from __future__ import annotations
 
@@ -39,9 +39,8 @@ def _check_conditioning(gram: np.ndarray) -> None:
         raise err
 
 
-def _gram_inverse_diag(rows: np.ndarray) -> np.ndarray:
-    """diag((rows rows^H)^{-1}) of each block via Cholesky, with a conditioning guard."""
-    gram = rows @ rows.conj().swapaxes(-1, -2)
+def _gram_inverse_diag(gram: np.ndarray) -> np.ndarray:
+    """diag(gram^{-1}) of each block via Cholesky, with a conditioning guard."""
     # the eigenvalue check runs only where Cholesky fails (far past the limit)
     # or where cond(G) <= tr G * tr G^-1 is large. Near the limit both sides
     # carry rounding of about cond * eps = 1e-6, more than the bound's lead of
@@ -59,19 +58,16 @@ def _gram_inverse_diag(rows: np.ndarray) -> np.ndarray:
     return diag
 
 
-def zf_effective_gains(rows: np.ndarray) -> np.ndarray:
-    """Effective zero-forcing gains d_k^2 for the given block rows.
+def zf_effective_gains(gram: np.ndarray) -> np.ndarray:
+    """Effective zero-forcing gains d_k^2 of blocks given by their Gram matrices.
 
-    rows: (..., K_B, M) complex channel matrices with K_B <= M; returns
-    (..., K_B).
+    gram: (..., K_B, K_B) Hermitian Gram matrices G G^H of (K_B, M) block
+    rows, read from their lower triangles; returns (..., K_B).
     """
-    rows = np.asarray(rows, dtype=np.complex128)
-    if rows.ndim < 2:
-        raise DimensionError(f"rows must be at least 2-D, got shape {rows.shape}")
-    kb, m = rows.shape[-2:]
-    if kb < 1 or kb > m:
-        raise DimensionError(f"need 1 <= K_B <= M, got K_B={kb}, M={m}")
-    return 1.0 / _gram_inverse_diag(rows)
+    gram = np.asarray(gram, dtype=np.complex128)
+    if gram.ndim < 2 or gram.shape[-1] != gram.shape[-2] or gram.shape[-1] < 1:
+        raise DimensionError(f"need (..., K_B, K_B) Gram matrices, got shape {gram.shape}")
+    return 1.0 / _gram_inverse_diag(gram)
 
 
 def maxmin_power(eff_gain: np.ndarray, P, noise_var: float):
@@ -99,30 +95,30 @@ def maxmin_power(eff_gain: np.ndarray, P, noise_var: float):
     return powers, snr
 
 
-def evaluate_block(rows: np.ndarray, scale: np.ndarray, block_of, p: SystemParams,
+def evaluate_block(gram: np.ndarray, scale: np.ndarray, block_of, p: SystemParams,
                    P=None) -> np.ndarray:
     """Serve stacked blocks with power allocated from the reported CSI; return actual rates.
 
-    rows: (U, ..., K_B, M) true rows of U distinct blocks (or stacks of
-    blocks), each factorized once. block_of is an integer array of any shape
-    S whose entries index rows; entry i runs on rows[block_of[i]], members
-    in row order, with their (..., K_B) misreport multipliers scale[i], so
-    scale has shape S + rows.shape[1:-1]. P is one transmit power or an
-    array of powers (p.P when None), each applied to every entry. Returns
-    each member's block rate at each power, shaped P.shape + scale.shape.
+    gram: (U, ..., K_B, K_B) true Gram matrices of U distinct blocks (or
+    stacks), each factorized once. block_of is an integer array of any shape
+    S indexing gram; entry i runs on gram[block_of[i]], members in row order,
+    with their (..., K_B) misreport multipliers scale[i], so scale has shape
+    S + gram.shape[1:-1]. P is one transmit power or an array of powers (p.P
+    when None), each applied to every entry. Returns each member's block
+    rate at each power, shaped P.shape + scale.shape.
 
     The base station beamforms and splits power using the misreported rows
     sqrt(scale_k) g_k. Misreporting rescales magnitudes only, so the
     direction part of the precoder is unchanged: the base station's gain of
     member k is scale_k * d_k^2, with d_k^2 from one factorization of the
-    true rows, and member k's actual SNR is snr_bs / scale_k. Honest members
+    true Gram, and member k's actual SNR is snr_bs / scale_k. Honest members
     get exactly the SNR the base station intended, misreporters get it
     divided by their own scale factor.
     """
     scale = np.asarray(scale, dtype=np.float64)
-    if rows.shape[-2] != p.K_B or scale.shape != np.shape(block_of) + rows.shape[1:-1]:
-        raise DimensionError(f"rows {rows.shape} (K_B={p.K_B}) do not match scales {scale.shape}")
+    if gram.shape[-2:] != (p.K_B,) * 2 or scale.shape != np.shape(block_of) + gram.shape[1:-1]:
+        raise DimensionError(f"Grams {gram.shape} (K_B={p.K_B}) do not match scales {scale.shape}")
     P = np.asarray(p.P if P is None else P, dtype=np.float64)
-    gains = scale * zf_effective_gains(rows)[block_of]
+    gains = scale * zf_effective_gains(gram)[block_of]
     _, snr_bs = maxmin_power(np.broadcast_to(gains, P.shape + gains.shape), P, p.noise_var)
     return np.log2(1.0 + snr_bs[..., None] / scale)

@@ -14,19 +14,25 @@ from mimosched import DomainError, maxmin_power, zf_effective_gains
 from mimosched.zf import _check_conditioning
 
 
+def gram(rows: np.ndarray) -> np.ndarray:
+    """The (..., K_B, K_B) Gram matrices rows rows^H of (..., K_B, M) block rows."""
+    return rows @ rows.conj().swapaxes(-1, -2)
+
+
 def nullspace_gain_oracle(rows: np.ndarray, k: int) -> float:
     """Independent route to d_k^2: project g_k on the co-users' null space.
 
     Builds an orthonormal basis V of the orthogonal complement of the other
-    K_B - 1 rows and returns ||g_k V||^2. Agrees with zf_effective_gains for
-    well-conditioned inputs; kept separate as a cross-check, not merged.
+    K_B - 1 rows and returns ||g_k V||^2. Agrees with zf_effective_gains of
+    the rows' Gram matrix for well-conditioned inputs; kept separate as a
+    cross-check, not merged.
     """
     rows = np.asarray(rows, dtype=np.complex128)
     kb, m = rows.shape
     if not 0 <= k < kb:
         raise DomainError(f"row index {k} out of range for K_B={kb}")
     # same degeneracy guard as the production path
-    _check_conditioning(rows @ rows.conj().T)
+    _check_conditioning(gram(rows))
     if kb == 1:
         return float(np.vdot(rows[0], rows[0]).real)
     others = np.delete(rows, k, axis=0)
@@ -71,7 +77,8 @@ def orderstat_pdf_oracle(shape: int, scale: float, n: int, k: int, x):
     return k * math.comb(n, k) * parent.cdf(x) ** (k - 1) * parent.sf(x) ** (n - k) * parent.pdf(x)
 
 
-def period_rates_oracle(gains: np.ndarray, scale: np.ndarray, members, p) -> np.ndarray:
+def period_rates_oracle(gains: np.ndarray, scale: np.ndarray, members, p,
+                        block_rows: bool = False) -> np.ndarray:
     """(K,) period rates of one period on one realization, served on its own.
 
     gains: (K, M) channel rows; scale: (K,) misreport multipliers; members:
@@ -79,11 +86,16 @@ def period_rates_oracle(gains: np.ndarray, scale: np.ndarray, members, p) -> np.
     each block is served in sorted member order: one factorization of this
     period's T sorted blocks, then max-min power on the base station's
     gains scale_k * d_k^2, and each member's actual rate
-    log2(1 + snr_bs / scale_k) divided by T.
+    log2(1 + snr_bs / scale_k) divided by T. Each block's Gram matrix is
+    its principal submatrix of the realization's (K, K) Gram, or with
+    ``block_rows`` the Gram of its own (K_B, M) rows, which can differ from
+    it in the last bits.
     """
     members = np.sort(np.asarray(members, dtype=np.intp), axis=-1)
     s = np.asarray(scale, dtype=np.float64)[members]
-    _, snr_bs = maxmin_power(s * zf_effective_gains(gains[members]), p.P, p.noise_var)
+    g = gram(gains[members]) if block_rows else gram(gains)[members[:, :, None],
+                                                            members[:, None]]
+    _, snr_bs = maxmin_power(s * zf_effective_gains(g), p.P, p.noise_var)
     rates = np.zeros(gains.shape[0])
     rates[members] = np.log2(1.0 + snr_bs[..., None] / s) / p.T
     return rates

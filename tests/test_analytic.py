@@ -31,7 +31,7 @@ from mimosched import (
     run_experiment,
 )
 from mimosched.analytic import _log_orderstat_pdf, _orderstat_moments
-from oracles import inverse_moment_oracle, orderstat_pdf_oracle
+from oracles import gram, inverse_moment_oracle, orderstat_pdf_oracle
 
 # golden inverse moments of the k-th smallest of 32 Gamma(64, 1) draws,
 # k = 1..8, from a dedicated 2e7-sample Monte Carlo run
@@ -398,6 +398,26 @@ def test_heterogeneous_block_rejects():
         rate_heterogeneous_block(64, 8, 10.0, np.array([1.0] * 7 + [0.0]))
 
 
+@pytest.mark.parametrize("snr, betas", [
+    (10.0, [0.5, math.inf]),        # printed 8.28
+    (10.0, [0.5, math.nan]),
+    (math.inf, [0.5, 0.2]),         # printed inf
+    (math.nan, [0.5, 0.2]),
+])
+def test_heterogeneous_block_rejects_non_finite_inputs(snr, betas):
+    with pytest.raises(DomainError, match="finite"):
+        rate_heterogeneous_block(64, 2, snr, betas)
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_misreport_rate_rejects_non_finite_delta(delta):
+    # delta = inf printed 3.50 for eq11 and -0.012 for eq12
+    with pytest.raises(DomainError, match="delta must be positive and finite"):
+        rate_misreport_single_block(64, 32, 1, delta, 10.0)
+    with pytest.raises(DomainError, match="delta must be positive and finite"):
+        loss_single_block(64, 32, 1, delta, 10.0)
+
+
 def _ls_block_rate_gap(M, drops=10, trials=100, seed=5):
     """Median relative gap between Monte Carlo large-scale block rates and eq22.
 
@@ -412,7 +432,8 @@ def _ls_block_rate_gap(M, drops=10, trials=100, seed=5):
         plan = group_by_large_scale(betas, p)
         streams = (RngStream(seed, drops + d * trials + t) for t in range(trials))
         gains = np.stack([draw_channels(p, betas, s.generator()) for s in streams])
-        rates = evaluate_block(gains[:, plan], np.ones((trials, p.T, p.K_B)), np.arange(trials), p)
+        rates = evaluate_block(gram(gains[:, plan]), np.ones((trials, p.T, p.K_B)),
+                               np.arange(trials), p)
         hardened = np.array([rate_heterogeneous_block(M, p.K_B, p.snr, betas[b]) for b in plan])
         gaps.append(np.abs(rates[..., 0].mean(axis=0) - hardened) / hardened)
     return float(np.median(gaps))

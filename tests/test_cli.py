@@ -170,11 +170,37 @@ def test_run_rejects_bad_physical_inputs(tmp_path, capsys, config, message):
     (["--formula", "eq6", "--P_dB", "4000"], "overflows"),
     (["--formula", "eq11", "--delta_dB", "4000"], "overflows"),
     (["--formula", "eq17", "--P", "inf"], "P must be positive and finite"),
+    (["--formula", "eq22", "--betas", "0.5,inf"], "positive and finite"),        # printed 8.28
+    (["--formula", "eq22", "--P", "inf", "--betas", "0.5,0.2"],
+     "snr must be positive and finite"),                                        # printed inf
+    (["--formula", "eq11", "--delta", "inf"], "delta must be positive and finite"),  # 3.50
+    (["--formula", "eq12", "--delta", "inf"], "delta must be positive and finite"),  # -0.012
 ])
 def test_analytic_rejects_bad_physical_inputs(capsys, argv, message):
     code, out, err = _run(capsys, "analytic", *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("formula", ["eq6", "eq11", "eq12", "eq17", "eq21", "eq22"])
+def test_analytic_rejects_zero_noise_variance(capsys, formula):
+    # divided by zero before any check: a ZeroDivisionError traceback, exit 1
+    code, out, err = _run(capsys, "analytic", "--formula", formula, "--noise_var", "0",
+                          "--betas", "0.5,0.2")
+    assert code == 2 and out == ""
+    assert "noise_var must be positive" in err
+
+
+def test_run_rejects_more_block_members_than_antennas_before_any_trial(tmp_path, capsys,
+                                                                       monkeypatch):
+    # K_B > M was caught by the zero-forcing row check, after set-up; it is a
+    # configuration error before the first channel draw
+    monkeypatch.setattr(experiments, "draw_channels", lambda *a: pytest.fail("a trial ran"))
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps({"M": 4, "K": 16, "K_B": 8, "T": 2, "trials": 2}))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "K_B <= M" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -49,6 +49,15 @@ def test_validate_params_rejects_bad_fields(kwargs):
         validate_params(SystemParams(**kwargs))
 
 
+def test_validate_params_rejects_more_block_members_than_antennas():
+    # zero-forcing K_B users needs K_B <= M; the block Gram matrices no
+    # longer show M, so the layout is checked here
+    with pytest.raises(DimensionError, match="K_B <= M"):
+        validate_params(SystemParams(M=4, K=16, K_B=8, T=2))
+    p = SystemParams(M=8, K=16, K_B=8, T=2)
+    assert validate_params(p) is p
+
+
 def test_validate_params_requires_integer_dimensions():
     with pytest.raises(DimensionError):
         validate_params(SystemParams(M=64.0, K=32, K_B=8, T=4))

@@ -39,7 +39,7 @@ from mimosched import (
 from mimosched import SingularMatrixError, experiments, zf
 from mimosched.experiments import CSV_HEADER, pack_stream
 from mimosched.strategies import grouping_changed_under, grouping_unchanged_under
-from oracles import period_rates_oracle
+from oracles import gram, period_rates_oracle
 
 
 def _rows_by_metric(rows, name, sweep_value=None):
@@ -174,7 +174,7 @@ def test_run_period_block_consistency(p_nine):
     rates = run_period(ch[None], [0], plan[None], np.ones((1, 9)), p_nine)
     assert rates.shape == (1, 9)
     for members in plan:
-        _, snr = maxmin_power(zf_effective_gains(ch[members]), p_nine.P, p_nine.noise_var)
+        _, snr = maxmin_power(zf_effective_gains(gram(ch[members])), p_nine.P, p_nine.noise_var)
         np.testing.assert_allclose(rates[0, members] * p_nine.T, np.log2(1.0 + snr), rtol=1e-12)
 
 
@@ -188,7 +188,7 @@ def test_run_period_split_averages(p_nine):
     plan = group_by_large_scale(mp.reported_beta, p_nine)
     rates = run_period(ch[None], [0], plan[None], mp.scale[None], p_nine)[0]
     for members in plan:
-        block = evaluate_block(ch[members][None], mp.scale[members][None], [0], p_nine)
+        block = evaluate_block(gram(ch[members])[None], mp.scale[members][None], [0], p_nine)
         np.testing.assert_allclose(rates[members] * p_nine.T, block[0], rtol=1e-12)
     honest = mp.honest_mask()
     assert not honest[:2].any() and honest[2:].all()
@@ -236,13 +236,13 @@ def test_zf_gains_called_once_per_slice(monkeypatch):
     shapes, kernels = [], []
     gains = zf.zf_effective_gains
     monkeypatch.setattr(zf, "zf_effective_gains",
-                        lambda rows: shapes.append(rows.shape) or gains(rows))
+                        lambda g: shapes.append(g.shape) or gains(g))
     block = experiments.evaluate_block
     monkeypatch.setattr(experiments, "evaluate_block",
                         lambda *a: kernels.append(a[2].shape) or block(*a))
     cfg = replace(preset("fig6"), trials=10, drops=1, sweep_values=(2,))
     run_experiment(cfg)
-    assert shapes == [(96, 8, 64), (24, 8, 64)]
+    assert shapes == [(96, 8, 8), (24, 8, 8)]
     assert kernels == [(48, 4), (12, 4)]
 
 
@@ -286,7 +286,11 @@ def _slice(layout, n, e, p, rng):
 def test_stacked_periods_equal_the_per_period_oracle(t, kb, extra, n, e, layout, seed):
     # every period of a slice, served in one stacked call with each distinct
     # (realization, sorted members) block factorized once, gets exactly the
-    # rates it gets served on its own, for any K
+    # rates it gets served on its own, for any K. Both read each block's Gram
+    # from its realization's (K, K) Gram. The Gram of the block's own rows can
+    # differ from it in the last bits, which the condition number of the
+    # block's unit-norm rows amplifies: where it is <= 1e3 for every block of
+    # a period, the period's rates agree within 1e-12
     p = SystemParams(M=max(2, kb + extra), K=t * kb, K_B=kb, T=t, P=10.0)
     rng = np.random.default_rng(seed)
     if layout == "distinct":
@@ -303,6 +307,12 @@ def test_stacked_periods_equal_the_per_period_oracle(t, kb, extra, n, e, layout,
             run_period(gains, trial, members, scale, p)
         return
     np.testing.assert_array_equal(run_period(gains, trial, members, scale, p), want)
+    unit = gains / np.linalg.norm(gains, axis=-1, keepdims=True)
+    calm = [i for i in range(e) if np.linalg.cond(gram(unit[trial[i]][members[i]])).max() <= 1e3]
+    for i in calm:
+        np.testing.assert_allclose(
+            want[i], period_rates_oracle(gains[trial[i]], scale[i], members[i], p,
+                                         block_rows=True), rtol=1e-12)
 
 
 def _shuffled(plan, rng):
@@ -349,13 +359,14 @@ def test_grouping_preserving_attack_is_served_on_the_honest_blocks(p_default):
 
 
 def test_each_distinct_block_is_factorized_once(monkeypatch):
-    # reduced fig7: every slice factorizes one row stack per distinct
-    # (trial, sorted members) block of its periods, counted here with sets,
-    # and that is fewer than one per block of each distinct (trial, plan)
+    # reduced fig7: every slice (here both trials of a drop) factorizes one
+    # Gram matrix per distinct (trial, sorted members) block of its periods,
+    # counted here with sets, and that is fewer than one per block of each
+    # distinct (trial, plan)
     factorized, blocks, plan_blocks = [], [], []
     gains = zf.zf_effective_gains
     monkeypatch.setattr(zf, "zf_effective_gains",
-                        lambda rows: factorized.append(len(rows)) or gains(rows))
+                        lambda g: factorized.append(len(g)) or gains(g))
     period = experiments.run_period
 
     def counted(g, trial, members, *rest):
@@ -366,9 +377,28 @@ def test_each_distinct_block_is_factorized_once(monkeypatch):
         return period(g, trial, members, *rest)
 
     monkeypatch.setattr(experiments, "run_period", counted)
-    run_experiment(replace(preset("fig7"), trials=2, drops=3))
+    cfg = replace(preset("fig7"), trials=2, drops=3)
+    run_experiment(cfg)
+    assert len(blocks) == len(cfg.variants) * cfg.drops
     assert factorized == blocks
     assert sum(blocks) < sum(plan_blocks)
+
+
+def test_slices_hold_eight_trials_whatever_the_profile_count(monkeypatch):
+    # reduced fig7 sweeps 17 misreport profiles per variant: its 10 trials
+    # still run as slices of 8 and 2 trials, two run_period calls per variant
+    calls = []
+    period = experiments.run_period
+
+    def counted(g, *rest):
+        calls.append(len(g))
+        return period(g, *rest)
+
+    monkeypatch.setattr(experiments, "run_period", counted)
+    cfg = replace(preset("fig7"), trials=10, drops=1)
+    run_experiment(cfg)
+    assert len(cfg.variants) == 4
+    assert calls == [8, 2] * 4
 
 
 def test_power_sweep_serves_each_period_once_at_every_power(monkeypatch):

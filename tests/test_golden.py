@@ -3,8 +3,9 @@
 Each golden file holds the CSV one reduced configuration emitted when it was
 recorded. A run must reproduce every cell within a relative tolerance of
 1e-12, NaN where the golden has NaN, and every text and count field
-exactly. Rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``
-only when a change of numbers is intended.
+exactly, at one worker and at two, whose trial chunks and slices differ.
+Rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` only
+when a change of numbers is intended.
 """
 import csv
 import io
@@ -45,9 +46,9 @@ def _configs() -> dict:
 CONFIGS = _configs()
 
 
-def _csv(cfg) -> str:
+def _csv(cfg, workers=1) -> str:
     buf = io.StringIO()
-    emit_csv(run_experiment(cfg), buf)
+    emit_csv(run_experiment(cfg, workers), buf)
     return buf.getvalue()
 
 
@@ -58,10 +59,12 @@ def _close(a: str, b: str) -> bool:
     return x == y or abs(x - y) <= RTOL * max(abs(x), abs(y))
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_csv_matches_golden(name):
+@pytest.mark.parametrize("name, workers",
+                         [pytest.param(n, 1, id=n) for n in sorted(CONFIGS)]
+                         + [pytest.param(n, 2, id=f"{n}-workers2") for n in sorted(CONFIGS)])
+def test_csv_matches_golden(name, workers):
     want = list(csv.reader(io.StringIO((GOLDEN / f"{name}.csv").read_text())))
-    got = list(csv.reader(io.StringIO(_csv(CONFIGS[name]))))
+    got = list(csv.reader(io.StringIO(_csv(CONFIGS[name], workers))))
     assert got[0] == want[0]
     assert len(got) == len(want)
     bad = [(g[3], i) for g, w in zip(got[1:], want[1:])

@@ -20,7 +20,7 @@ from mimosched import (
 )
 from mimosched.channel import draw_channels
 from mimosched.strategies import honest_profile
-from oracles import sus_oracle
+from oracles import gram, sus_oracle
 
 
 def test_magnitude_grouping_sorts_descending():
@@ -237,7 +237,7 @@ def test_sus_rejects_nonpositive_alpha():
 def _mean_block_rate(ch, plan, p):
     # every member of an honest block gets the block's equalized rate
     members = np.asarray(plan)
-    rates = evaluate_block(ch[members][None], np.ones(members.shape)[None], [0], p)[0]
+    rates = evaluate_block(gram(ch[members])[None], np.ones(members.shape)[None], [0], p)[0]
     assert np.all(rates == rates[:, :1])
     return float(rates[:, 0].mean())
 

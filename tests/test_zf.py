@@ -20,7 +20,7 @@ from mimosched import (
 from mimosched.channel import draw_channels
 from mimosched.experiments import _single_blas_thread
 from mimosched.zf import _check_conditioning
-from oracles import nullspace_gain_oracle
+from oracles import gram, nullspace_gain_oracle
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -38,7 +38,7 @@ def _rand_rows(rng, kb, m):
 def test_single_row_gain_is_norm():
     rng = np.random.default_rng(0)
     g = _rand_rows(rng, 1, 8)
-    d2 = zf_effective_gains(g)
+    d2 = zf_effective_gains(gram(g))
     assert d2[0] == pytest.approx(np.vdot(g[0], g[0]).real, rel=1e-12)
     assert nullspace_gain_oracle(g, 0) == pytest.approx(d2[0], rel=1e-12)
 
@@ -48,7 +48,7 @@ def test_orthogonal_rows_keep_full_gain():
     rows[0, 0] = 2.0
     rows[1, 3] = 1.0 + 1.0j
     rows[2, 6] = 0.5j
-    d2 = zf_effective_gains(rows)
+    d2 = zf_effective_gains(gram(rows))
     norms = np.sum(np.abs(rows) ** 2, axis=1)
     assert np.allclose(d2, norms, rtol=1e-12)
 
@@ -56,11 +56,11 @@ def test_orthogonal_rows_keep_full_gain():
 def test_scaling_one_row_scales_one_gain():
     rng = np.random.default_rng(1)
     rows = _rand_rows(rng, 4, 16)
-    base = zf_effective_gains(rows)
+    base = zf_effective_gains(gram(rows))
     delta = 0.37
     scaled = rows.copy()
     scaled[2] *= np.sqrt(delta)
-    out = zf_effective_gains(scaled)
+    out = zf_effective_gains(gram(scaled))
     assert out[2] == pytest.approx(delta * base[2], rel=1e-10)
     keep = [0, 1, 3]
     assert np.allclose(out[keep], base[keep], rtol=1e-10)
@@ -71,7 +71,7 @@ def test_degenerate_rows_raise():
     rows = _rand_rows(rng, 3, 8)
     rows[1] = rows[0]
     with pytest.raises(SingularMatrixError, match="block 0"):
-        zf_effective_gains(rows)
+        zf_effective_gains(gram(rows))
     with pytest.raises(SingularMatrixError):
         nullspace_gain_oracle(rows, 2)
 
@@ -81,7 +81,7 @@ def test_guard_names_the_block_and_its_condition_number():
     stack = _rand_rows(rng, 3, 8)[None].repeat(4, axis=0)
     stack[2, 1] = stack[2, 0] * (1 + 1e-7)
     with pytest.raises(SingularMatrixError) as err:
-        zf_effective_gains(stack)
+        zf_effective_gains(gram(stack))
     msg = str(err.value)
     assert msg.startswith("block 2: ")
     cond = float(msg.split("condition number ")[1].split()[0])
@@ -111,15 +111,15 @@ def test_bound_gated_guard_trips_like_the_eigenvalue_check(u, t, kb, extra, seed
             if kind == "near":
                 rows[i, j, 1] += 10.0 ** log_eps * _rand_rows(rng, 1, kb + extra)[0]
     try:
-        _check_conditioning(rows @ rows.conj().swapaxes(-1, -2))
+        _check_conditioning(gram(rows))
         expected = None
     except SingularMatrixError as e:
         expected = e
     if expected is None:
-        assert zf_effective_gains(rows).shape == (u, t, kb)
+        assert zf_effective_gains(gram(rows)).shape == (u, t, kb)
         return
     with pytest.raises(SingularMatrixError) as err:
-        zf_effective_gains(rows)
+        zf_effective_gains(gram(rows))
     assert err.value.args == expected.args
     assert err.value.index == expected.index
     assert err.value.args[0].startswith(f"block {expected.index[-1]}: Gram matrix condition")
@@ -132,9 +132,9 @@ def test_rank_deficient_gram_is_a_singular_matrix_error():
     rows[:, :, :3] = np.eye(3)
     rows[1, 2] = rows[1, 0]
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(rows @ rows.conj().swapaxes(-1, -2))
+        np.linalg.cholesky(gram(rows))
     with pytest.raises(SingularMatrixError) as err:
-        zf_effective_gains(rows)
+        zf_effective_gains(gram(rows))
     assert err.value.index == (1,)
     assert err.value.args[0].startswith("block 1: Gram matrix condition number")
 
@@ -159,7 +159,7 @@ def test_nullspace_oracle_agrees_over_many_instances():
     while instances < 1000:
         m, kb = cases[instances % len(cases)]
         rows = _rand_rows(rng, kb, m)
-        d2 = zf_effective_gains(rows)
+        d2 = zf_effective_gains(gram(rows))
         for k in range(kb):
             ref = nullspace_gain_oracle(rows, k)
             worst = max(worst, abs(d2[k] - ref) / ref)
@@ -174,7 +174,7 @@ def test_zf_removes_inter_user_interference():
     w = rows.conj().T @ np.linalg.inv(rows @ rows.conj().T)
     assert np.max(np.abs(rows @ w - np.eye(8))) <= 1e-8
     # and the column norms are the inverse effective gains
-    d2 = zf_effective_gains(rows)
+    d2 = zf_effective_gains(gram(rows))
     assert np.allclose(1.0 / np.sum(np.abs(w) ** 2, axis=0), d2, rtol=1e-9)
 
 
@@ -274,8 +274,8 @@ def test_scaling_rows_scales_gains(kb, extra, seed, log_s):
     rows = _rand_stack(seed, 1, kb, kb + extra)[0]
     assume(_well_conditioned(rows))
     s = 10.0 ** (log_s * np.random.default_rng(seed).uniform(-1.0, 1.0, kb))
-    np.testing.assert_allclose(zf_effective_gains(np.sqrt(s)[:, None] * rows),
-                               s * zf_effective_gains(rows), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(zf_effective_gains(gram(np.sqrt(s)[:, None] * rows)),
+                               s * zf_effective_gains(gram(rows)), rtol=1e-12, atol=0)
 
 
 @settings(max_examples=40)
@@ -284,9 +284,9 @@ def test_scaling_rows_scales_gains(kb, extra, seed, log_s):
 def test_stacked_call_equals_per_block_calls(t, kb, extra, seed):
     stack = _rand_stack(seed, t, kb, kb + extra)
     assume(_well_conditioned(stack))
-    gains = zf_effective_gains(stack)
+    gains = zf_effective_gains(gram(stack))
     assert gains.shape == (t, kb)
-    np.testing.assert_allclose(gains, [zf_effective_gains(b) for b in stack],
+    np.testing.assert_allclose(gains, [zf_effective_gains(gram(b)) for b in stack],
                                rtol=1e-12, atol=0)
     powers, snr = maxmin_power(gains, 10.0, 1.0)
     assert powers.shape == (t, kb) and snr.shape == (t,)
@@ -305,7 +305,7 @@ def _orthonormal_rows():
 
 def test_evaluate_block_all_honest_reference():
     p = SystemParams(M=4, K=2, K_B=2, T=1, P=10.0)
-    rates = evaluate_block(_orthonormal_rows()[None], np.ones((1, 2)), [0], p)
+    rates = evaluate_block(gram(_orthonormal_rows())[None], np.ones((1, 2)), [0], p)
     assert rates.shape == (1, 2)
     assert np.allclose(rates, math.log2(6.0), rtol=1e-12)
 
@@ -314,7 +314,7 @@ def test_evaluate_block_misreporter_hand_case():
     # orthonormal rows, one member claiming half its true magnitude: the base
     # station sees gains [0.5, 1] and equalizes both at SNR 10/3
     p = SystemParams(M=4, K=2, K_B=2, T=1, P=10.0)
-    rates = evaluate_block(_orthonormal_rows()[None], np.array([[0.5, 1.0]]), [0], p)[0]
+    rates = evaluate_block(gram(_orthonormal_rows())[None], np.array([[0.5, 1.0]]), [0], p)[0]
     assert rates[0] == pytest.approx(math.log2(1.0 + 20.0 / 3.0), rel=1e-12)  # the liar gains
     assert rates[1] == pytest.approx(math.log2(1.0 + 10.0 / 3.0), rel=1e-12)  # honest pays
 
@@ -325,8 +325,8 @@ def test_evaluate_block_true_gains_ignore_misreport():
     p = SystemParams(M=16, K=4, K_B=4, T=1, P=10.0)
     ch = draw_channels(p, np.ones(4), RngStream(13, 0).generator())
     scale = np.array([0.01, 1.0, 0.3, 1.0])
-    rates = evaluate_block(ch[None], scale[None], [0], p)[0]
-    _, snr_bs = maxmin_power(zf_effective_gains(np.sqrt(scale)[:, None] * ch),
+    rates = evaluate_block(gram(ch)[None], scale[None], [0], p)[0]
+    _, snr_bs = maxmin_power(zf_effective_gains(gram(np.sqrt(scale)[:, None] * ch)),
                              p.P, p.noise_var)
     np.testing.assert_allclose(rates, np.log2(1.0 + snr_bs / scale), rtol=1e-12)
     assert rates[1] == rates[3]           # every honest member gets the common rate
@@ -339,10 +339,10 @@ def test_evaluate_block_stack_equals_single_blocks():
     members = np.array([[5, 0, 9, 2], [1, 6, 3, 11], [4, 10, 7, 8]])
     # two entries share the one plan: the second one is honest
     both = np.stack([scale[members], np.ones((3, 4))])
-    rates = evaluate_block(ch[members][None], both, [0, 0], p)
+    rates = evaluate_block(gram(ch[members])[None], both, [0, 0], p)
     assert rates.shape == (2, 3, 4)
     for t in range(3):
-        single = evaluate_block(ch[members[t]][None], both[:, t], [0, 0], p)
+        single = evaluate_block(gram(ch[members[t]])[None], both[:, t], [0, 0], p)
         np.testing.assert_allclose(rates[:, t], single, rtol=1e-12)
         honest = scale[members[t]] == 1.0
         assert np.ptp(rates[0, t][honest]) == 0.0
@@ -360,24 +360,25 @@ def test_evaluate_block_per_entry_power_equals_scalar_calls():
     plan_of = np.array([0, 1, 0])
     entry_scale = scale[plans[plan_of]]
     P = np.array([0.1, 10.0, 1000.0])
-    rates = evaluate_block(ch[plans], entry_scale, plan_of, p, P)
+    grams = gram(ch[plans])
+    rates = evaluate_block(grams, entry_scale, plan_of, p, P)
     assert rates.shape == P.shape + entry_scale.shape
-    np.testing.assert_array_equal(evaluate_block(ch[plans], entry_scale, plan_of, p, P[:, None]),
+    np.testing.assert_array_equal(evaluate_block(grams, entry_scale, plan_of, p, P[:, None]),
                                   rates[:, None])
     for w in range(3):
         np.testing.assert_array_equal(rates[w],
-                                      evaluate_block(ch[plans], entry_scale, plan_of, p, P[w]))
+                                      evaluate_block(grams, entry_scale, plan_of, p, P[w]))
         np.testing.assert_array_equal(
-            rates[w], evaluate_block(ch[plans], entry_scale, plan_of, replace(p, P=P[w])))
+            rates[w], evaluate_block(grams, entry_scale, plan_of, replace(p, P=P[w])))
         for e in range(3):
-            one = ch[plans[plan_of[e]]][None]
+            one = grams[plan_of[e]][None]
             np.testing.assert_array_equal(rates[w, e],
                                           evaluate_block(one, entry_scale[[e]], [0], p, P[w])[0])
     for bad in (0.0, -10.0, np.nan):
         with pytest.raises(DomainError):
-            evaluate_block(ch[plans], entry_scale, plan_of, p, np.array([10.0, bad, 1.0]))
+            evaluate_block(grams, entry_scale, plan_of, p, np.array([10.0, bad, 1.0]))
         with pytest.raises(DomainError):
-            evaluate_block(ch[plans], entry_scale, plan_of, p, bad)
+            evaluate_block(grams, entry_scale, plan_of, p, bad)
 
 
 def test_evaluate_block_member_count_enforced():
@@ -392,16 +393,16 @@ def test_evaluate_block_member_count_enforced():
     with pytest.raises(DimensionError):
         run_period(ch[None], [0], np.arange(4).reshape(1, 1, 4), np.ones((1, 5)), p)
     with pytest.raises(DimensionError):
-        evaluate_block(ch[None, :2], np.ones((1, 2)), [0], p)
+        evaluate_block(gram(ch[:2])[None], np.ones((1, 2)), [0], p)
     with pytest.raises(DimensionError):
-        evaluate_block(ch[None], np.ones((2, 4)), [0], p)
+        evaluate_block(gram(ch)[None], np.ones((2, 4)), [0], p)
 
 
 def test_power_conservation_across_random_blocks():
     p = SystemParams(M=64, K=8, K_B=8, T=1, P=10.0)
     stack = np.stack([draw_channels(p, np.ones(8), RngStream(19, t).generator())
                       for t in range(40)])
-    powers, _ = maxmin_power(zf_effective_gains(stack), p.P, p.noise_var)
+    powers, _ = maxmin_power(zf_effective_gains(gram(stack)), p.P, p.noise_var)
     assert np.max(np.abs(powers.sum(axis=-1) - p.P)) / p.P <= 1e-9
 
 
@@ -415,7 +416,7 @@ def test_single_block_rate_matches_hardened_prediction():
     n = 5000
     for t in range(n):
         ch = draw_channels(p, np.ones(32), RngStream(23, t).generator())
-        acc += evaluate_block(ch[members][None], scale[None], [0], p)[0, 1:].mean()
+        acc += evaluate_block(gram(ch[members])[None], scale[None], [0], p)[0, 1:].mean()
     assert abs(acc / n - math.log2(1.0 + 320.0 / 131.0)) < 0.05
 
 
@@ -425,7 +426,7 @@ def test_honest_block_rate_beats_hardened_lower_bound():
     rates = []
     for t in range(2000):
         ch = draw_channels(p, np.ones(8), RngStream(29, t).generator())
-        rates.append(evaluate_block(ch[None], np.ones((1, 8)), [0], p).mean())
+        rates.append(evaluate_block(gram(ch)[None], np.ones((1, 8)), [0], p).mean())
     rates = np.asarray(rates)
     bound = math.log2(1.0 + 10.0 * (64 - 8) / 8)
     sigma = rates.std(ddof=1) / np.sqrt(rates.size)
