@@ -7,7 +7,6 @@ from .core import (
     DimensionError,
     DomainError,
     LargeScaleModel,
-    MisreportProfile,
     QuadratureError,
     RangeError,
     RegimeError,

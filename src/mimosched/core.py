@@ -121,46 +121,6 @@ class LargeScaleModel:
             raise DomainError(f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db}")
 
 
-@dataclass(frozen=True)
-class MisreportProfile:
-    """Per-user magnitude misreport: user k reports scale[k] * ||g_k||^2.
-
-    Honest users have scale[k] == 1 and reported_beta[k] == true beta.
-    """
-
-    scale: np.ndarray          # (K,) positive multipliers delta_k
-    reported_beta: np.ndarray  # (K,) large-scale values as claimed to the scheduler
-    strategy_tag: str = "none"
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.scale, dtype=np.float64)
-        rb = np.asarray(self.reported_beta, dtype=np.float64)
-        s.setflags(write=False)
-        rb.setflags(write=False)
-        object.__setattr__(self, "scale", s)
-        object.__setattr__(self, "reported_beta", rb)
-        if s.shape != rb.shape or s.ndim != 1:
-            raise DimensionError(
-                f"scale {s.shape} and reported_beta {rb.shape} must be equal 1-D shapes")
-        if self.strategy_tag not in STRATEGY_TAGS:
-            raise ConfigError(f"unknown strategy_tag {self.strategy_tag!r}")
-
-    @property
-    def K(self) -> int:
-        return self.scale.shape[0]
-
-    def honest_mask(self) -> np.ndarray:
-        return self.scale == 1.0
-
-
-STRATEGY_TAGS = frozenset({
-    "none",
-    "homogeneous_uniform",
-    "grouping_changed_under",
-    "grouping_changed_over",
-    "grouping_unchanged_under",
-})
-
 def db_to_linear(x_db: float) -> float:
     """Convert a dB value to linear scale; DomainError if it overflows a float."""
     try:

@@ -29,7 +29,6 @@ from .core import (
     DomainError,
     LargeScaleModel,
     SingularMatrixError,
-    STRATEGY_TAGS,
     SystemParams,
     db_to_linear,
     validate_params,
@@ -121,7 +120,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown grouping rule {r!r}")
         allowed = _HOM_STRATEGIES if self.scenario == "homogeneous" else _HET_STRATEGIES
         for s in st:
-            if s not in STRATEGY_TAGS:
+            if s not in _HOM_STRATEGIES | _HET_STRATEGIES:
                 raise ConfigError(f"unknown strategy {s!r}")
             if s not in allowed:
                 raise ConfigError(f"strategy {s!r} not valid for {self.scenario} scenario")
@@ -155,6 +154,11 @@ class ExperimentConfig:
             raise ConfigError(f"drops must be in [1, 2**{_DROP_BITS}), got {self.drops}")
         if not 0 < self.delta < math.inf:
             raise ConfigError(f"delta must be positive and finite, got {self.delta}")
+        # beta_low must sort below the weakest user, beta_high above the strongest
+        if not 0 < self.beta_low_factor < 1:
+            raise ConfigError(f"beta_low_factor must lie in (0, 1), got {self.beta_low_factor}")
+        if not 1 < self.beta_high_factor < math.inf:
+            raise ConfigError(f"beta_high_factor must be finite and > 1, got {self.beta_high_factor}")
         # the SUS threshold doubles until a user passes it: at <= 0 it never does
         if not self.sus_alpha > 0:
             raise ConfigError(f"sus_alpha must be positive, got {self.sus_alpha}")
@@ -182,6 +186,16 @@ class ResultRow:
     trials: int
     drops: int
     seed: int
+
+
+def _distinct(rows: np.ndarray) -> tuple:
+    """The first index of each distinct row of 2-D ``rows``, in order of first
+    appearance, and each row's distinct index; rows compare as raw bytes."""
+    rows = np.ascontiguousarray(rows)
+    key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
 
 
 def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None) -> np.ndarray:
@@ -216,14 +230,10 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
                           np.broadcast_to(np.arange(p.K), (e, p.K))):
         raise DimensionError("every period's members must partition the users 0..K-1")
     members = np.sort(members, axis=-1)
-    # one (trial, sorted members) row per block, compared as raw bytes
-    key = np.concatenate([np.broadcast_to(trial[:, None, None], (e, p.T, 1)), members], axis=-1)
-    key = key.view(np.dtype((np.void, key.itemsize * (p.K_B + 1))))
-    _, first, block_of = np.unique(key.ravel(), return_index=True, return_inverse=True)
-    # renumber the distinct blocks in order of first appearance
-    order = np.argsort(first)
-    first = first[order]
-    block_of = np.argsort(order)[block_of].reshape(e, p.T)
+    # one (trial, sorted members) row per block
+    first, block_of = _distinct(np.concatenate(
+        [np.broadcast_to(trial[:, None, None], (e, p.T, 1)), members], axis=-1).reshape(e * p.T, -1))
+    block_of = block_of.reshape(e, p.T)
     at = np.arange(e)[:, None, None]
     # each distinct block's Gram is a principal submatrix of its trial's
     users = members.reshape(-1, p.K_B)[first, :, None]
@@ -416,18 +426,6 @@ def _variant_suffix(cfg: ExperimentConfig, variant, p: SystemParams) -> str:
     return f"__T{p.T}_KB{p.K_B}"
 
 
-def _build_profile(tag, p, k_m, betas, cfg):
-    if tag == "none":
-        return strategies.honest_profile(betas)
-    if tag == "homogeneous_uniform":
-        return strategies.homogeneous_uniform(p, k_m, cfg.delta)
-    if tag == "grouping_changed_under":
-        return strategies.grouping_changed_under(betas, k_m, cfg.beta_low_factor * betas[-1])
-    if tag == "grouping_changed_over":
-        return strategies.grouping_changed_over(betas, k_m, cfg.beta_high_factor * betas[0])
-    return strategies.grouping_unchanged_under(betas, p, k_m, cfg.beta_low_factor * betas[-1])
-
-
 def _std_ci(values: np.ndarray):
     n = values.shape[0]
     if n < 2 or not np.all(np.isfinite(values)):
@@ -447,6 +445,8 @@ def _cells(cfg: ExperimentConfig) -> list:
     Every cell is checked here, so a bad one fails before any trial runs.
     """
     variants = [[] for _ in cfg.variants]
+    # every heterogeneous attack demotes or promotes at least one user
+    lo = int(cfg.scenario == "heterogeneous" and set(cfg.strategy) != {"none"})
     for v in cfg.sweep_values:
         for cells, variant in zip(variants, cfg.variants):
             p = _effective_params(cfg, variant)
@@ -455,8 +455,8 @@ def _cells(cfg: ExperimentConfig) -> list:
                 p = validate_params(replace(p, P=db_to_linear(v)))
             elif cfg.sweep == "K_M":
                 k_m = int(v)
-            if not (0 <= k_m <= p.K):
-                raise CountError(f"K_M={k_m} out of range for K={p.K}")
+            if not (lo <= k_m <= p.K):
+                raise CountError(f"K_M={k_m} out of range [{lo}, {p.K}]")
             cells.append((v, p, k_m, _variant_suffix(cfg, variant, p)))
     return variants
 
@@ -477,6 +477,18 @@ def _drops(cfg, vi, cells) -> list:
     p = cells[0][1]             # the sweep points of a variant differ in P or K_M only
     points = tuple(v for v, *_ in cells)
     powers, power = np.unique([pv.P for _, pv, *_ in cells], return_inverse=True)
+    counts = np.array([k_m for *_, k_m, _ in cells], dtype=np.intp)
+    # each strategy's (scale, reported) rows at every sweep point's K_M
+    build = {
+        "none": strategies.honest_profile,
+        "homogeneous_uniform": lambda b, k: strategies.homogeneous_uniform(p, k, cfg.delta),
+        "grouping_changed_under": lambda b, k: strategies.grouping_changed_under(
+            b, k, cfg.beta_low_factor * b[-1]),
+        "grouping_changed_over": lambda b, k: strategies.grouping_changed_over(
+            b, k, cfg.beta_high_factor * b[0]),
+        "grouping_unchanged_under": lambda b, k: strategies.grouping_unchanged_under(
+            b, p, k, cfg.beta_low_factor * b[-1]),
+    }
     if cfg.scenario == "homogeneous":
         all_betas = [np.full(p.K, p.beta_default)]
     else:
@@ -485,26 +497,16 @@ def _drops(cfg, vi, cells) -> list:
                      for drop in range(cfg.drops))
     drops = []
     for betas in all_betas:
-        honest = strategies.honest_profile(betas)
-        found = {(honest.scale.tobytes(), honest.reported_beta.tobytes()): 0}
-        profiles, index = [honest], []
-        for _, pv, k_m, _ in cells:
-            index.append([0])
-            for tag in cfg.strategy:
-                prof = _build_profile(tag, pv, k_m, betas, cfg)
-                f = found.setdefault((prof.scale.tobytes(), prof.reported_beta.tobytes()),
-                                     len(profiles))
-                if f == len(profiles):
-                    profiles.append(prof)
-                index[-1].append(f)
-        scales = np.stack([prof.scale for prof in profiles])
+        # (points, 1 + strategies, 2, K): the honest profile, then each strategy's
+        rows = np.stack([np.stack(build[tag](betas, counts), axis=1)
+                         for tag in ("none", *cfg.strategy)], axis=1)
+        first, index = _distinct(rows.reshape(-1, 2 * p.K))
+        scales, reported = np.ascontiguousarray(rows.reshape(-1, 2, p.K)[first].swapaxes(0, 1))
         ls_plans = None
         if "large_scale" in cfg.grouping_rule:
-            ls_plans = scheduling.group_by_large_scale(
-                np.stack([prof.reported_beta for prof in profiles]), p)
-        honest = np.stack([prof.honest_mask() for prof in profiles])
-        drops.append(_Drop(betas, scales, honest, ls_plans, powers, points, power,
-                           np.array(index, dtype=np.intp)))
+            ls_plans = scheduling.group_by_large_scale(reported, p)
+        drops.append(_Drop(betas, scales, scales == 1.0, ls_plans, powers, points, power,
+                           index.reshape(rows.shape[:2])))
     return drops
 
 

@@ -1,20 +1,20 @@
-"""Misreport profile constructors.
+"""Misreport profile constructors, one array kernel per strategy.
 
-Heterogeneous strategies take the large-scale vector already sorted strongest
-first (user index equals rank). Each constructor returns a MisreportProfile
-whose scale factors are reported_beta / true_beta, so instantaneous magnitude
-reports and large-scale reports tell the scheduler the same story.
+Each constructor takes the (F,) misreporter counts K_M of a drop's profiles
+and returns their (F, K) scale factors and reported large-scale gains in one
+call, one row per count. Heterogeneous strategies take the large-scale
+vector already sorted strongest first (user index equals rank); their scale
+factors are reported_beta / true_beta, so instantaneous magnitude reports and
+large-scale reports tell the scheduler the same story.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .core import (
     CountError,
+    DimensionError,
     DomainError,
-    MisreportProfile,
     RangeError,
     ScaleError,
     SimulationError,
@@ -23,32 +23,39 @@ from .core import (
 from . import scheduling
 
 
-def honest_profile(betas: np.ndarray) -> MisreportProfile:
-    """Everyone reports truthfully."""
+def _counts(counts, lo: int, hi: int) -> np.ndarray:
+    """``counts`` as a 1-D intp array, checked to lie in [lo, hi]."""
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or not np.issubdtype(counts.dtype, np.integer):
+        raise DimensionError(f"misreporter counts must be a 1-D integer array, got {counts!r}")
+    if not np.all((lo <= counts) & (counts <= hi)):
+        raise CountError(f"K_M must lie in [{lo}, {hi}], got {counts.tolist()}")
+    return counts.astype(np.intp, copy=False)
+
+
+def honest_profile(betas: np.ndarray, counts) -> tuple:
+    """Everyone reports truthfully: unit scales and the true gains, one row per count."""
     betas = np.asarray(betas, dtype=np.float64)
-    return MisreportProfile(
-        scale=np.ones_like(betas), reported_beta=betas.copy(), strategy_tag="none")
+    reported = np.tile(betas, (len(counts), 1))
+    return np.ones_like(reported), reported
 
 
-def homogeneous_uniform(p: SystemParams, K_M: int, delta: float) -> MisreportProfile:
+def homogeneous_uniform(p: SystemParams, counts, delta: float) -> tuple:
     """Users 0..K_M-1 rescale their reports by a common factor delta.
 
     The homogeneous population makes the choice of which users misreport
-    irrelevant; the first K_M are used by convention.
+    irrelevant; the first K_M are used by convention. Every user reports
+    its scale times beta_default.
     """
-    if not (0 <= K_M <= p.K):
-        raise CountError(f"K_M must lie in [0, {p.K}], got {K_M}")
+    counts = _counts(counts, 0, p.K)
     if not delta > 0:
         raise ScaleError(f"delta must be positive, got {delta}")
-    scale = np.ones(p.K)
-    scale[:K_M] = delta
-    betas = np.full(p.K, p.beta_default)
-    return MisreportProfile(
-        scale=scale, reported_beta=scale * betas, strategy_tag="homogeneous_uniform")
+    scale = np.where(np.arange(p.K) < counts[:, None], float(delta), 1.0)
+    return scale, scale * p.beta_default
 
 
-def _check_sorted_betas(betas: np.ndarray, K_M: int) -> np.ndarray:
-    """``betas`` as float64, checked to be sorted strongest first, with 1 <= K_M <= K."""
+def _sorted_betas(betas: np.ndarray, counts) -> tuple:
+    """``betas`` as float64, checked to be sorted strongest first, and ``counts`` in [1, K]."""
     betas = np.asarray(betas, dtype=np.float64)
     if betas.ndim != 1 or betas.shape[0] < 1:
         raise DomainError("betas must be a nonempty 1-D vector")
@@ -56,49 +63,47 @@ def _check_sorted_betas(betas: np.ndarray, K_M: int) -> np.ndarray:
         raise DomainError("every large-scale gain must be positive")
     if np.any(np.diff(betas) >= 0):
         raise DomainError("betas must be sorted strictly descending (relabeled by rank)")
-    if not (1 <= K_M <= betas.shape[0]):
-        raise CountError(f"K_M must lie in [1, {betas.shape[0]}], got {K_M}")
-    return betas
+    return betas, _counts(counts, 1, betas.shape[0])
 
 
-def _claiming(betas: np.ndarray, reported: np.ndarray, tag: str) -> MisreportProfile:
-    """The profile whose users claim ``reported``: scale reported / betas."""
-    return MisreportProfile(scale=reported / betas, reported_beta=reported, strategy_tag=tag)
+def _beta_low(betas: np.ndarray, beta_low):
+    """``beta_low``, by default half the weakest gain, checked to sort below every user."""
+    if beta_low is None:
+        beta_low = betas[-1] / 2.0
+    if not 0 < beta_low < betas[-1]:
+        raise RangeError(
+            f"beta_low must lie in (0, {betas[-1]!r}) to sort below every honest user")
+    return beta_low
 
 
-def grouping_changed_under(betas: np.ndarray, K_M: int, beta_low: float | None = None) -> MisreportProfile:
+def grouping_changed_under(betas: np.ndarray, counts, beta_low: float | None = None) -> tuple:
     """The K_M strongest users underreport below everyone, demoting themselves.
 
     They all claim beta_low (default: half the weakest user's gain), so the
     large-scale scheduler pushes them into the final blocks and every honest
     user shifts K_M ranks upward.
     """
-    betas = _check_sorted_betas(betas, K_M)
-    if beta_low is None:
-        beta_low = betas[-1] / 2.0
-    if not 0 < beta_low < betas[-1]:
-        raise RangeError(
-            f"beta_low must lie in (0, {betas[-1]!r}) to sort below every honest user")
-    reported = betas.copy()
-    reported[:K_M] = beta_low
-    return _claiming(betas, reported, "grouping_changed_under")
+    betas, counts = _sorted_betas(betas, counts)
+    beta_low = _beta_low(betas, beta_low)
+    reported = np.where(np.arange(betas.shape[0]) < counts[:, None], beta_low, betas)
+    return reported / betas, reported
 
 
-def grouping_changed_over(betas: np.ndarray, K_M: int, beta_high: float | None = None) -> MisreportProfile:
+def grouping_changed_over(betas: np.ndarray, counts, beta_high: float | None = None) -> tuple:
     """The K_M weakest users overreport above everyone, promoting themselves."""
-    betas = _check_sorted_betas(betas, K_M)
+    betas, counts = _sorted_betas(betas, counts)
     if beta_high is None:
         beta_high = 2.0 * betas[0]
     if not beta_high > betas[0]:
         raise RangeError(
             f"beta_high must exceed {betas[0]!r} to sort above every honest user")
-    reported = betas.copy()
-    reported[-K_M:] = beta_high          # K_M >= 1, checked above
-    return _claiming(betas, reported, "grouping_changed_over")
+    k = betas.shape[0]
+    reported = np.where(np.arange(k) >= k - counts[:, None], beta_high, betas)
+    return reported / betas, reported
 
 
-def grouping_unchanged_under(betas: np.ndarray, p: SystemParams, K_M: int,
-                             beta_low: float | None = None) -> MisreportProfile:
+def grouping_unchanged_under(betas: np.ndarray, p: SystemParams, counts,
+                             beta_low: float | None = None) -> tuple:
     """Underreporting chain that leaves the large-scale grouping untouched.
 
     Misreporters are added one at a time, cycling through the blocks and
@@ -110,43 +115,27 @@ def grouping_unchanged_under(betas: np.ndarray, p: SystemParams, K_M: int,
     values therefore interleave strictly between the honest neighbours, so
     sorting by reported gain reproduces the honest partition exactly while
     every recruit's power share is computed from a deflated gain.
+
+    After K_M recruits each block's report follows from its recruit count
+    and the next block's alone, so every count's row is read off directly.
     """
     K_B, T = p.K_B, p.T
     if np.shape(betas) != (p.K,):
         raise DomainError(f"betas must have shape ({p.K},), got {np.shape(betas)}")
-    betas = _check_sorted_betas(betas, K_M)
-    if beta_low is None:
-        beta_low = betas[-1] / 2.0
-    if not 0 < beta_low < betas[-1]:
-        raise RangeError(
-            f"beta_low must lie in (0, {betas[-1]!r}) to sort below every honest user")
-
-    reported = betas.copy()
-    recruits: dict[int, list[int]] = {t: [] for t in range(1, T + 1)}
-    for m in range(1, K_M + 1):
-        t = m % T
-        if t == 0:
-            t = T
-        i_m = (t - 1) * K_B + math.ceil(m / T) - 1
-        recruits[t].append(i_m)
-        if t < T:
-            if recruits[t + 1]:
-                val = betas[recruits[t + 1][-1]]
-            else:
-                val = (betas[t * K_B - 1] + betas[t * K_B]) / 2.0
-            reported[recruits[t]] = val
-            if t > 1:
-                reported[recruits[t - 1]] = betas[i_m]
-        else:
-            reported[recruits[T]] = beta_low
-            if T > 1:
-                reported[recruits[T - 1]] = betas[i_m]
-
-    profile = _claiming(betas, reported, "grouping_unchanged_under")
+    betas, counts = _sorted_betas(betas, counts)
+    beta_low = _beta_low(betas, beta_low)
+    # recruit m joins block (m - 1) % T, so block t's recruits are its first
+    # n[:, t] members; they report what block t + 1's recruits set, in the
+    # last block beta_low
+    n = (counts[:, None] - 1 - np.arange(T)) // T + 1
+    below = np.where(n[:, 1:] > 0, betas[K_B * np.arange(1, T) + n[:, 1:] - 1],
+                     (betas[K_B - 1:-1:K_B] + betas[K_B::K_B]) / 2.0)
+    value = np.concatenate([below, np.full((len(counts), 1), beta_low)], axis=1)
+    recruited = (np.arange(K_B) < n[:, :, None]).reshape(-1, p.K)
+    reported = np.where(recruited, value.repeat(K_B, axis=1), betas)
     # defining postcondition: the large-scale scheduler must not notice
-    honest_plan = scheduling.group_by_large_scale(betas, p)
-    reported_plan = scheduling.group_by_large_scale(reported, p)
-    if not scheduling.same_grouping(honest_plan, reported_plan):
+    plans = scheduling.group_by_large_scale(np.vstack([betas, reported]), p)
+    if not scheduling.same_grouping(np.broadcast_to(plans[0], plans[1:].shape), plans[1:]):
         raise SimulationError(
             "internal error: grouping-preserving misreport changed the grouping")
-    return profile
+    return reported / betas, reported

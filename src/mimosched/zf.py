@@ -75,13 +75,16 @@ def maxmin_power(eff_gain: np.ndarray, P, noise_var: float):
 
     eff_gain: (..., K_B). P is one power for every block, or an array over
     the leading axes of eff_gain, e.g. (E,) for an (E, T, K_B) stack, whose
-    entry P[e] powers every block of eff_gain[e]. Returns (powers, snr):
+    entry P[e] powers every block of eff_gain[e]; a length-1 leading axis
+    of eff_gain is shared by every power along it, so (W,) powers of one
+    (1, E, T, K_B) stack reduce its gains once. Returns (powers, snr):
     P_k = P * (1/d_k^2) / sum_j (1/d_j^2), shape (..., K_B), and each
     block's common snr = P / (noise_var * sum_j 1/d_j^2), shape (...).
     """
     eff_gain = np.asarray(eff_gain, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
-    if P.ndim >= max(eff_gain.ndim, 1) or P.shape != eff_gain.shape[:P.ndim]:
+    if P.ndim >= max(eff_gain.ndim, 1) or not all(
+            g in (1, n) for g, n in zip(eff_gain.shape, P.shape)):
         raise DimensionError(f"P {P.shape} does not index the blocks of gains {eff_gain.shape}")
     if not np.all(eff_gain > 0):
         raise DomainError("effective gains must be strictly positive")
@@ -120,5 +123,5 @@ def evaluate_block(gram: np.ndarray, scale: np.ndarray, block_of, p: SystemParam
         raise DimensionError(f"Grams {gram.shape} (K_B={p.K_B}) do not match scales {scale.shape}")
     P = np.asarray(p.P if P is None else P, dtype=np.float64)
     gains = scale * zf_effective_gains(gram)[block_of]
-    _, snr_bs = maxmin_power(np.broadcast_to(gains, P.shape + gains.shape), P, p.noise_var)
+    _, snr_bs = maxmin_power(gains.reshape((1,) * P.ndim + gains.shape), P, p.noise_var)
     return np.log2(1.0 + snr_bs[..., None] / scale)

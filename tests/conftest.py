@@ -1,9 +1,8 @@
-"""Shared fixtures: canonical parameter sets and a misreport profile factory."""
-import numpy as np
+"""Shared fixtures: canonical parameter sets and a large-scale model."""
 import pytest
 from hypothesis import settings
 
-from mimosched import LargeScaleModel, MisreportProfile, SystemParams
+from mimosched import LargeScaleModel, SystemParams
 
 # one profile for every property test: example run times follow the load on
 # the machine, so a per-example deadline would fail slow runs, not slow code
@@ -28,11 +27,3 @@ def cell_model():
     return LargeScaleModel(cell_radius=500.0, ref_distance=200.0,
                            path_loss_exp=3.8, shadow_sigma_db=8.0)
 
-
-@pytest.fixture
-def profile_factory():
-    def make(scale, reported_beta=None, tag="homogeneous_uniform"):
-        scale = np.asarray(scale, dtype=np.float64)
-        rb = scale.copy() if reported_beta is None else np.asarray(reported_beta, float)
-        return MisreportProfile(scale=scale, reported_beta=rb, strategy_tag=tag)
-    return make

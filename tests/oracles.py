@@ -10,7 +10,9 @@ import numpy as np
 import scipy.linalg
 from scipy.stats import gamma as gamma_dist
 
-from mimosched import DomainError, maxmin_power, zf_effective_gains
+from mimosched import (DomainError, RngStream, draw_large_scale, group_by_large_scale,
+                       maxmin_power, zf_effective_gains)
+from mimosched.experiments import pack_stream
 from mimosched.zf import _check_conditioning
 
 
@@ -147,3 +149,91 @@ def sus_oracle(mags, rows, p, alpha: float = 0.3) -> np.ndarray:
                 basis.append(resid / rn)
         groups.append(selected)
     return np.array(groups, dtype=np.intp)
+
+
+def recruit_chain_oracle(betas: np.ndarray, p, k_m: int, beta_low: float) -> np.ndarray:
+    """(K,) reported gains of the grouping-preserving attack, one recruit at a time.
+
+    Recruit m joins block t = m mod T (T when 0) as its ceil(m / T)-th
+    member. Block t's recruits then report the true gain of block t + 1's
+    newest recruit, or the midpoint of the gap to block t + 1 while it has
+    none, and the last block's report beta_low; block t - 1's recruits are
+    refreshed to the new recruit's true gain.
+    """
+    K_B, T = p.K_B, p.T
+    reported = np.array(betas, dtype=np.float64)
+    recruits = {t: [] for t in range(1, T + 1)}
+    for m in range(1, k_m + 1):
+        t = m % T or T
+        i_m = (t - 1) * K_B + math.ceil(m / T) - 1
+        recruits[t].append(i_m)
+        if t < T:
+            if recruits[t + 1]:
+                val = betas[recruits[t + 1][-1]]
+            else:
+                val = (betas[t * K_B - 1] + betas[t * K_B]) / 2.0
+            reported[recruits[t]] = val
+            if t > 1:
+                reported[recruits[t - 1]] = betas[i_m]
+        else:
+            reported[recruits[T]] = beta_low
+            if T > 1:
+                reported[recruits[T - 1]] = betas[i_m]
+    return reported
+
+
+def profile_oracle(tag: str, betas: np.ndarray, p, k_m: int, cfg) -> tuple:
+    """(K,) scale and reported gains of one strategy at one count, as one profile.
+
+    ``cfg`` supplies delta and the beta_low / beta_high factors. The
+    homogeneous strategy reports its scale times a vector of beta_default;
+    every other strategy's scale is its reports over the true gains.
+    """
+    betas = np.asarray(betas, dtype=np.float64)
+    if tag == "none":
+        return np.ones_like(betas), betas.copy()
+    if tag == "homogeneous_uniform":
+        scale = np.ones(p.K)
+        scale[:k_m] = cfg.delta
+        return scale, scale * np.full(p.K, p.beta_default)
+    reported = betas.copy()
+    if tag == "grouping_changed_under":
+        reported[:k_m] = cfg.beta_low_factor * betas[-1]
+    elif tag == "grouping_changed_over":
+        reported[-k_m:] = cfg.beta_high_factor * betas[0]
+    else:
+        reported = recruit_chain_oracle(betas, p, k_m, cfg.beta_low_factor * betas[-1])
+    return reported / betas, reported
+
+
+def drop_setups_oracle(cfg, vi: int, cells) -> list:
+    """Each drop's (scales, honest, ls_plans, profile) of variant ``vi``, profile by profile.
+
+    ``cells`` are the variant's (sweep value, params, K_M, suffix) cells.
+    Every (sweep point, honest then each strategy) profile is built on its
+    own and looked up by its scale and reported bytes, so equal profiles
+    count once, in order of first appearance.
+    """
+    p = cells[0][1]
+    if cfg.scenario == "homogeneous":
+        all_betas = [np.full(p.K, p.beta_default)]
+    else:
+        all_betas = [draw_large_scale(p, cfg.large_scale,
+                                      RngStream(cfg.seed, pack_stream(2, vi, d, 0)).generator())
+                     for d in range(cfg.drops)]
+    setups = []
+    for betas in all_betas:
+        found, profiles, index = {}, [], []
+        for _, pv, k_m, _ in cells:
+            index.append([])
+            for tag in ("none", *cfg.strategy):
+                prof = profile_oracle(tag, betas, pv, k_m, cfg)
+                f = found.setdefault((prof[0].tobytes(), prof[1].tobytes()), len(profiles))
+                if f == len(profiles):
+                    profiles.append(prof)
+                index[-1].append(f)
+        scales = np.stack([s for s, _ in profiles])
+        ls_plans = (group_by_large_scale(np.stack([r for _, r in profiles]), p)
+                    if "large_scale" in cfg.grouping_rule else None)
+        setups.append((scales, scales == 1.0, ls_plans, np.array(index, dtype=np.intp)))
+    return setups

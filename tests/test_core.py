@@ -6,12 +6,13 @@ from mimosched import (
     ConfigError,
     DimensionError,
     DomainError,
+    ExperimentConfig,
     LargeScaleModel,
-    MisreportProfile,
     SystemParams,
     db_to_linear,
     validate_params,
 )
+from mimosched.strategies import homogeneous_uniform
 
 
 def test_validate_params_accepts_reference_layout():
@@ -101,18 +102,19 @@ def test_large_scale_model_validates(kwargs):
 
 
 def test_misreport_profile_masks():
-    mp = MisreportProfile(scale=np.array([0.01, 1.0, 1.0]),
-                          reported_beta=np.array([0.01, 1.0, 1.0]),
-                          strategy_tag="homogeneous_uniform")
-    assert mp.K == 3
-    assert list(mp.honest_mask()) == [False, True, True]
-    assert list(np.flatnonzero(mp.scale != 1.0)) == [0]
+    # one profile: a row of multipliers, honest users where it is 1
+    scale, reported = homogeneous_uniform(SystemParams(M=2, K=3, K_B=1, T=3), [1], 0.01)
+    assert scale.shape == reported.shape == (1, 3)
+    assert list(scale[0] == 1.0) == [False, True, True]
+    assert list(np.flatnonzero(scale[0] != 1.0)) == [0]
+    assert np.array_equal(reported, [[0.01, 1.0, 1.0]])
 
 
-def test_misreport_profile_rejects_bad_shapes_and_tags():
+def test_misreport_profile_rejects_bad_shapes_and_tags(p_nine):
+    # the kernels take one (F,) row of integer misreporter counts
     with pytest.raises(DimensionError):
-        MisreportProfile(scale=np.ones(3), reported_beta=np.ones(4))
+        homogeneous_uniform(p_nine, np.ones((3, 4), dtype=int), 0.01)
+    with pytest.raises(DimensionError):
+        homogeneous_uniform(p_nine, [1.0], 0.01)
     with pytest.raises(ConfigError):
-        MisreportProfile(scale=np.ones(3), reported_beta=np.ones(3),
-                         strategy_tag="nope")
-
+        ExperimentConfig(params=p_nine, strategy="nope")

@@ -37,9 +37,9 @@ from mimosched import (
     zf_effective_gains,
 )
 from mimosched import SingularMatrixError, experiments, zf
-from mimosched.experiments import CSV_HEADER, pack_stream
+from mimosched.experiments import CSV_HEADER, _cells, _drops, pack_stream
 from mimosched.strategies import grouping_changed_under, grouping_unchanged_under
-from oracles import gram, period_rates_oracle
+from oracles import drop_setups_oracle, gram, period_rates_oracle
 
 
 def _rows_by_metric(rows, name, sweep_value=None):
@@ -133,6 +133,8 @@ def test_config_normalizes_scalars(p_default):
     {"variants": ({"foo": 1},)},                        # was a TypeError mid-run
     {"variants": (None, {"P": "abc"})},
     {"variants": ({"T": True, "K_B": 9},)},
+    {"beta_low_factor": 1.5},                           # failed in the first drop's set-up
+    {"beta_high_factor": 1.0},
 ])
 def test_config_rejects(p_default, kwargs):
     # construction only: a config that got through could hang when run
@@ -184,13 +186,13 @@ def test_run_period_split_averages(p_nine):
     rng = RngStream(12, 0).generator()
     betas = np.linspace(2.0, 1.0, 9)
     ch = draw_channels(p_nine, betas, rng)
-    mp = grouping_changed_under(betas, 2)
-    plan = group_by_large_scale(mp.reported_beta, p_nine)
-    rates = run_period(ch[None], [0], plan[None], mp.scale[None], p_nine)[0]
+    (scale,), (reported,) = grouping_changed_under(betas, [2])
+    plan = group_by_large_scale(reported, p_nine)
+    rates = run_period(ch[None], [0], plan[None], scale[None], p_nine)[0]
     for members in plan:
-        block = evaluate_block(gram(ch[members])[None], mp.scale[members][None], [0], p_nine)
+        block = evaluate_block(gram(ch[members])[None], scale[members][None], [0], p_nine)
         np.testing.assert_allclose(rates[members] * p_nine.T, block[0], rtol=1e-12)
-    honest = mp.honest_mask()
+    honest = scale == 1.0
     assert not honest[:2].any() and honest[2:].all()
     assert np.all(rates[:2] > rates[plan[-1][honest[plan[-1]]]])
 
@@ -348,12 +350,12 @@ def test_grouping_preserving_attack_is_served_on_the_honest_blocks(p_default):
     for k_m in (1, 2, 4, 8):
         rng = RngStream(1, 0).generator()
         betas = np.sort(10.0 ** rng.uniform(-2.0, 1.0, p_default.K))[::-1]
-        attack = grouping_unchanged_under(betas, p_default, k_m)
+        (attack,), (reported,) = grouping_unchanged_under(betas, p_default, [k_m])
         plans = np.stack([group_by_large_scale(betas, p_default),
-                          group_by_large_scale(attack.reported_beta, p_default)])
+                          group_by_large_scale(reported, p_default)])
         assert same_grouping(plans[0], plans[1]) and not np.array_equal(plans[0], plans[1])
         gains = draw_channels(p_default, betas, rng)[None]
-        for scale in (np.ones(p_default.K), attack.scale):
+        for scale in (np.ones(p_default.K), attack):
             rates = run_period(gains, [0, 0], plans, np.stack([scale, scale]), p_default)
             np.testing.assert_array_equal(rates[0], rates[1])
 
@@ -887,3 +889,31 @@ def test_preset_shapes():
     assert f4.large_scale.cell_radius == 500.0
     f7 = preset("fig7")
     assert len(f7.variants) == 4
+
+
+@pytest.mark.parametrize("name, drops", [("fig4", 10), ("fig5", 5), ("fig6", 5), ("fig7", 3)])
+def test_drop_setups_equal_the_profile_by_profile_oracle(name, drops):
+    # one kernel call per strategy per drop gives the arrays that building
+    # each (sweep point, strategy) profile on its own gives, bit for bit
+    cfg = replace(preset(name), trials=2, drops=drops)
+    for vi, cells in enumerate(_cells(cfg)):
+        got = _drops(cfg, vi, cells)
+        want = drop_setups_oracle(cfg, vi, cells)
+        assert len(got) == len(want) == drops
+        for d, (scales, honest, ls_plans, profile) in zip(got, want):
+            for a, b in ((d.scales, scales), (d.honest, honest), (d.ls_plans, ls_plans),
+                         (d.profile, profile)):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_heterogeneous_attack_count_is_checked_before_any_set_up(p_nine, cell_model, monkeypatch):
+    # K_M = 0 leaves an attack nobody to move: it failed in the first drop's
+    # set-up, after the large-scale draws; now it fails with the other counts
+    monkeypatch.setattr(experiments, "_drops", lambda *a: pytest.fail("set-up ran"))
+    cfg = replace(_het_sweep(p_nine, cell_model), sweep_values=(1, 0))
+    with pytest.raises(CountError, match="out of range"):
+        run_experiment(cfg)
+    monkeypatch.undo()
+    # the honest strategy alone has no attack to check
+    rows = run_experiment(replace(cfg, strategy=("none",), trials=2, drops=1))
+    assert {r.sweep_value for r in rows} == {0.0, 1.0}

@@ -106,7 +106,7 @@ def test_random_grouping_is_uniform():
 def test_every_rule_partitions_users():
     p = SystemParams(M=16, K=8, K_B=2, T=4)
     ch = draw_channels(p, np.ones(8), RngStream(41, 0).generator())
-    scale = honest_profile(np.ones(8)).scale
+    scale = honest_profile(np.ones(8), [0])[0][0]
     mags = apply_misreport(channel_magnitudes(ch), scale[None])[0]
     for plan in (group_by_magnitude(mags, p),
                  group_by_large_scale(np.linspace(2, 1, 8), p),
@@ -194,7 +194,7 @@ def test_sus_sequence_call_equals_per_state_calls():
     p = SystemParams(M=64, K=32, K_B=8, T=4)
     scale = np.ones(32)
     scale[5] = 0.01
-    scales = np.stack([honest_profile(np.ones(32)).scale, scale])
+    scales = np.stack([honest_profile(np.ones(32), [0])[0][0], scale])
     gains = np.stack([draw_channels(p, np.ones(32), RngStream(47, trial).generator())
                       for trial in range(6)])
     mags = apply_misreport(channel_magnitudes(gains), scales)
@@ -249,7 +249,7 @@ def test_rule_rate_equivalences_honest():
     n = 2000
     for t in range(n):
         ch = draw_channels(p, np.ones(32), RngStream(43, t).generator())
-        scale = honest_profile(np.ones(32)).scale
+        scale = honest_profile(np.ones(32), [0])[0][0]
         mags = apply_misreport(channel_magnitudes(ch), scale[None])[0]
         sums["cm"] += _mean_block_rate(ch, group_by_magnitude(mags, p), p)
         sums["sus"] += _mean_block_rate(ch, group_by_sus(mags, ch, scale, p), p)

@@ -248,11 +248,32 @@ def test_maxmin_power_rejects_a_bad_entry_power(bad):
         maxmin_power(np.ones(4), bad, 1.0)
 
 
+@settings(max_examples=60)
+@given(w=st.integers(1, 7), e=st.integers(1, 6), kb=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), noise_var=st.floats(0.01, 10.0))
+def test_maxmin_power_shares_a_length_one_axis_across_powers(w, e, kb, seed, noise_var):
+    # (W,) powers of one (1, E, K_B) stack give the bits of the stack
+    # broadcast to (W, E, K_B): the gains are reduced once, not once per power
+    rng = np.random.default_rng(seed)
+    d2 = 10.0 ** rng.uniform(-6.0, 6.0, (1, e, kb))
+    P = 10.0 ** rng.uniform(-2.0, 3.0, w)
+    powers, snr = maxmin_power(d2, P, noise_var)
+    want_powers, want_snr = maxmin_power(np.broadcast_to(d2, (w, e, kb)), P, noise_var)
+    assert powers.shape == (w, e, kb) and snr.shape == (w, e)
+    np.testing.assert_array_equal(powers, want_powers)
+    np.testing.assert_array_equal(snr, want_snr)
+
+
 def test_maxmin_power_rejects_a_power_that_does_not_index_blocks():
     with pytest.raises(DimensionError):
         maxmin_power(np.ones((3, 2, 4)), np.ones(2), 1.0)
     with pytest.raises(DimensionError):
         maxmin_power(np.ones(4), np.ones(4), 1.0)
+    # a length-1 axis is shared by every power along it, a longer one is not
+    with pytest.raises(DimensionError):
+        maxmin_power(np.ones((1, 2, 4)), np.ones((2, 3)), 1.0)
+    with pytest.raises(DimensionError):
+        maxmin_power(np.ones((3, 4)), np.ones(1), 1.0)
 
 
 def _rand_stack(seed, t, kb, m):
