@@ -111,14 +111,12 @@ class LargeScaleModel:
     shadow_sigma_db: float = 8.0
 
     def __post_init__(self) -> None:
-        if not self.cell_radius > 0:
-            raise DomainError(f"cell_radius must be positive, got {self.cell_radius}")
-        if not self.ref_distance > 0:
-            raise DomainError(f"ref_distance must be positive, got {self.ref_distance}")
-        if not self.path_loss_exp > 0:
-            raise DomainError(f"path_loss_exp must be positive, got {self.path_loss_exp}")
-        if self.shadow_sigma_db < 0:
-            raise DomainError(f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db}")
+        # NaN fails every comparison, so each check rejects it
+        for name in ("cell_radius", "ref_distance", "path_loss_exp"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.shadow_sigma_db < np.inf:
+            raise DomainError(f"shadow_sigma_db must be >= 0 and finite, got {self.shadow_sigma_db}")
 
 
 def db_to_linear(x_db: float) -> float:

@@ -77,6 +77,20 @@ def _integer(name: str, v) -> int:
     return int(v)
 
 
+def _tuple(name: str, v) -> tuple:
+    """``v`` as a tuple: a tuple or a list passes, anything else is a ConfigError."""
+    if not isinstance(v, (tuple, list)):
+        raise ConfigError(f"{name} must be a list, got {v!r}")
+    return tuple(v)
+
+
+def _real(name: str, v) -> float:
+    """``v`` as a float: any real number passes, a bool, a string or anything else is a ConfigError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete, serializable description of one experiment."""
@@ -101,33 +115,39 @@ class ExperimentConfig:
     label: str = "custom"
 
     def __post_init__(self) -> None:
-        gr = (self.grouping_rule,) if isinstance(self.grouping_rule, str) else tuple(self.grouping_rule)
-        st = (self.strategy,) if isinstance(self.strategy, str) else tuple(self.strategy)
-        object.__setattr__(self, "grouping_rule", gr)
-        object.__setattr__(self, "strategy", st)
-        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
-        object.__setattr__(self, "variants",
-                           tuple(dict(v) if v else None for v in self.variants))
-        for name in ("K_M", "trials", "drops", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if not isinstance(self.params, SystemParams):
+            raise ConfigError(f"params must be a SystemParams, got {self.params!r}")
+        for name in ("grouping_rule", "strategy"):
+            v = getattr(self, name)
+            object.__setattr__(self, name, (v,) if isinstance(v, str) else _tuple(name, v))
+        object.__setattr__(self, "sweep_values", _tuple("sweep_values", self.sweep_values))
+        if not all(v is None or isinstance(v, dict) for v in _tuple("variants", self.variants)):
+            raise ConfigError(f"each variant must be a dict of overrides or None, got "
+                              f"{self.variants!r}")
+        object.__setattr__(self, "variants", tuple(dict(v) if v else None for v in self.variants))
+        kinds = {"int": _integer, "float": _real}
+        for f in fields(self):
+            if f.type in kinds:
+                object.__setattr__(self, f.name, kinds[f.type](f.name, getattr(self, f.name)))
         if self.track_users is not None:
-            object.__setattr__(self, "track_users",
-                               tuple(_integer("track_users", u) for u in self.track_users))
+            object.__setattr__(self, "track_users", tuple(
+                _integer("track_users", u) for u in _tuple("track_users", self.track_users)))
         if self.scenario not in ("homogeneous", "heterogeneous"):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        for r in gr:
-            if r not in RULE_SHORT:
+        for r in self.grouping_rule:
+            if not isinstance(r, str) or r not in RULE_SHORT:
                 raise ConfigError(f"unknown grouping rule {r!r}")
         allowed = _HOM_STRATEGIES if self.scenario == "homogeneous" else _HET_STRATEGIES
-        for s in st:
-            if s not in _HOM_STRATEGIES | _HET_STRATEGIES:
+        for s in self.strategy:
+            if not isinstance(s, str) or s not in _HOM_STRATEGIES | _HET_STRATEGIES:
                 raise ConfigError(f"unknown strategy {s!r}")
             if s not in allowed:
                 raise ConfigError(f"strategy {s!r} not valid for {self.scenario} scenario")
-        if self.scenario == "homogeneous" and "large_scale" in gr:
+        if self.scenario == "homogeneous" and "large_scale" in self.grouping_rule:
             raise ConfigError("large_scale grouping needs the heterogeneous scenario")
-        if self.scenario == "heterogeneous" and self.large_scale is None:
-            raise ConfigError("heterogeneous scenario needs a large_scale model")
+        if self.scenario == "heterogeneous" and not isinstance(self.large_scale, LargeScaleModel):
+            raise ConfigError(f"heterogeneous scenario needs a large_scale model, got "
+                              f"{self.large_scale!r}")
         if self.sweep not in ("none", "P_dB", "K_M"):
             raise ConfigError(f"unknown sweep {self.sweep!r}")
         for name in ("grouping_rule", "strategy", "variants", "sweep_values"):
@@ -139,13 +159,12 @@ class ExperimentConfig:
                     raise ConfigError(f"unknown variant key {key!r}")
                 if key != "label" and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
                     raise ConfigError(f"variant {key} must be a number, got {v!r}")
-        try:
-            values = {float(v) for v in self.sweep_values}
-        except (TypeError, ValueError):
-            raise ConfigError(f"sweep values must be numbers, got {self.sweep_values!r}") from None
-        if len(values) < len(self.sweep_values):
+        # checked, not converted: a sweep value is written to the rows as given
+        if not all(math.isfinite(_real("sweep value", v)) for v in self.sweep_values):
+            raise ConfigError(f"sweep values must be finite, got {self.sweep_values!r}")
+        if len({float(v) for v in self.sweep_values}) < len(self.sweep_values):
             raise ConfigError(f"duplicate sweep values in {self.sweep_values!r}")
-        if self.sweep == "none" and len(values) > 1:
+        if self.sweep == "none" and len(self.sweep_values) > 1:
             raise ConfigError(f"sweep 'none' takes one sweep value, got {self.sweep_values!r}")
         # trial and drop indices must fit their fields of the stream id
         if not 1 <= self.trials < 2**_TRIAL_BITS:
@@ -687,73 +706,51 @@ def emit_csv(rows, dest) -> None:
             fh.close()
 
 
-_CONFIG_KEYS = {
-    "M", "K", "K_B", "T", "P", "P_dB", "noise_var", "beta_default",
-    "scenario", "grouping_rule", "strategy", "K_M", "delta", "delta_dB",
-    "beta_low_factor", "beta_high_factor", "cell_radius", "ref_distance",
-    "path_loss_exp", "shadow_sigma_db", "sweep", "sweep_values", "trials",
-    "drops", "seed", "sus_alpha", "track_users", "variants", "label",
-}
+# the flat keys of a JSON config: every field of the three dataclasses but the
+# two built from the others, plus the dB forms of P and delta
+_CONFIG_KEYS = (frozenset(f.name for cls in (SystemParams, LargeScaleModel, ExperimentConfig)
+                          for f in fields(cls)) - {"params", "large_scale"} | {"P_dB", "delta_dB"})
+
+
+def _json_real(name: str, v) -> float:
+    """A float-kind JSON value: a number, or a string such as "inf" that JSON cannot spell."""
+    if isinstance(v, str):
+        with contextlib.suppress(ValueError):
+            v = float(v)
+    return _real(name, v)
+
+
+def _from_json(cls, d: dict) -> dict:
+    """The fields of ``cls`` that ``d`` gives, int-kind ones as ints and float-kind ones as floats."""
+    kinds = {"int": _integer, "float": _json_real}
+    return {f.name: kinds[f.type](f.name, d[f.name]) if f.type in kinds else d[f.name]
+            for f in fields(cls) if f.name in d}
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a flat JSON-style mapping.
 
-    dB-suffixed keys (P_dB, delta_dB) are converted to linear here, at the
-    boundary; everything downstream is linear.
+    Its keys, their kinds and their defaults are the fields of SystemParams,
+    LargeScaleModel and ExperimentConfig. Only M 64, T 4, K_B 8, K = T * K_B
+    and the heterogeneous scenario's strategy, drop count and cell model are
+    defaults of JSON alone. dB-suffixed keys (P_dB, delta_dB) are converted
+    to linear here, at the boundary; everything downstream is linear.
     """
     if not isinstance(d, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(d) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "P" in d and "P_dB" in d:
-        raise ConfigError("give P or P_dB, not both")
-    if "delta" in d and "delta_dB" in d:
-        raise ConfigError("give delta or delta_dB, not both")
-    try:
-        t = _integer("T", d.get("T", 4))
-        kb = _integer("K_B", d.get("K_B", 8))
-        k = _integer("K", d.get("K", t * kb))
-        params = SystemParams(
-            M=_integer("M", d.get("M", 64)), K=k, K_B=kb, T=t,
-            P=float(d["P"]) if "P" in d else db_to_linear(d.get("P_dB", 10.0)),
-            noise_var=float(d.get("noise_var", 1.0)),
-            beta_default=float(d.get("beta_default", 1.0)),
-        )
-        validate_params(params)
-        scenario = d.get("scenario", "homogeneous")
-        lsm = None
-        if scenario == "heterogeneous":
-            lsm = LargeScaleModel(
-                cell_radius=float(d.get("cell_radius", 500.0)),
-                ref_distance=float(d.get("ref_distance", 200.0)),
-                path_loss_exp=float(d.get("path_loss_exp", 3.8)),
-                shadow_sigma_db=float(d.get("shadow_sigma_db", 8.0)),
-            )
-        delta = float(d["delta"]) if "delta" in d else db_to_linear(d.get("delta_dB", -20.0))
-        cfg = ExperimentConfig(
-            params=params,
-            scenario=scenario,
-            grouping_rule=d.get("grouping_rule", "channel_magnitude"),
-            strategy=d.get("strategy",
-                           "homogeneous_uniform" if scenario == "homogeneous"
-                           else "grouping_changed_under"),
-            K_M=d.get("K_M", 1),
-            delta=delta,
-            beta_low_factor=float(d.get("beta_low_factor", 0.5)),
-            beta_high_factor=float(d.get("beta_high_factor", 2.0)),
-            large_scale=lsm,
-            sweep=d.get("sweep", "none"),
-            sweep_values=tuple(d.get("sweep_values", (0.0,))),
-            trials=d.get("trials", 2000),
-            drops=d.get("drops", 200 if scenario == "heterogeneous" else 1),
-            seed=d.get("seed", 42),
-            sus_alpha=float(d.get("sus_alpha", 0.3)),
-            track_users=d.get("track_users"),
-            variants=tuple(d["variants"]) if d.get("variants") else (None,),
-            label=d.get("label", "custom"),
-        )
-    except (TypeError, ValueError, KeyError) as e:
-        raise ConfigError(f"malformed config: {e}") from e
-    return cfg
+    d = dict(d)
+    for name in ("P", "delta"):
+        if name in d and f"{name}_dB" in d:
+            raise ConfigError(f"give {name} or {name}_dB, not both")
+        if f"{name}_dB" in d:
+            d[name] = db_to_linear(_json_real(f"{name}_dB", d.pop(f"{name}_dB")))
+    p = {"M": 64, "T": 4, "K_B": 8, **_from_json(SystemParams, d)}
+    params = validate_params(SystemParams(**{"K": p["T"] * p["K_B"], **p}))
+    het = {}
+    if d.get("scenario") == "heterogeneous":
+        het = {"strategy": "grouping_changed_under", "drops": 200,
+               "large_scale": LargeScaleModel(**_from_json(LargeScaleModel, d))}
+    return ExperimentConfig(params=params, **{**het, **_from_json(ExperimentConfig, d)})

@@ -156,6 +156,8 @@ def test_run_rejects_bad_inputs(tmp_path, capsys):
     ({"delta_dB": 4000}, "overflows"),
     ({"sweep": "P_dB", "sweep_values": [0, 4000]}, "overflows"),
     ({"scenario": "heterogeneous", "beta_low_factor": 1.5}, "beta_low_factor must lie in (0, 1)"),
+    ({"scenario": "heterogeneous", "cell_radius": "inf"},                # OverflowError, exit 1
+     "cell_radius must be positive and finite"),
 ])
 def test_run_rejects_bad_physical_inputs(tmp_path, capsys, config, message):
     # each ended in a traceback or wrote a CSV; now a configuration error

@@ -95,6 +95,11 @@ def test_db_round_trip():
     dict(ref_distance=-1.0),
     dict(path_loss_exp=0.0),
     dict(shadow_sigma_db=-0.1),
+    dict(cell_radius=float("inf")),                 # overflowed in drop set-up
+    dict(ref_distance=float("nan")),
+    dict(path_loss_exp=float("inf")),
+    dict(shadow_sigma_db=float("nan")),             # passed the >= 0 test
+    dict(shadow_sigma_db=float("inf")),
 ])
 def test_large_scale_model_validates(kwargs):
     with pytest.raises(DomainError):

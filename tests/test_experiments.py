@@ -4,7 +4,9 @@ import io
 import itertools
 import multiprocessing
 import os
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +18,14 @@ from mimosched import (
     DimensionError,
     DomainError,
     ExperimentConfig,
+    LargeScaleModel,
     ResultRow,
     RngStream,
     SimulationError,
     SystemParams,
     UnknownPresetError,
     config_from_dict,
+    db_to_linear,
     draw_channels,
     emit_csv,
     evaluate_block,
@@ -135,11 +139,36 @@ def test_config_normalizes_scalars(p_default):
     {"variants": ({"T": True, "K_B": 9},)},
     {"beta_low_factor": 1.5},                           # failed in the first drop's set-up
     {"beta_high_factor": 1.0},
+    {"delta": "0.1"},                                   # each string was a TypeError
+    {"beta_low_factor": "0.5"},
+    {"beta_high_factor": "2"},
+    {"sus_alpha": "0.3"},
+    {"delta": True},                                    # ran as delta = 1.0
+    {"grouping_rule": 5},                               # each was a TypeError or ValueError
+    {"sweep_values": 5},
+    {"variants": 5},
+    {"variants": ("ab",)},
+    {"track_users": 5},
+    {"strategy": (["none"],)},
+    {"scenario": "heterogeneous", "grouping_rule": ("large_scale",),   # died in set-up
+     "strategy": ("grouping_changed_under",), "large_scale": "x"},
+    {"sweep_values": ("5",)},                           # each was taken as a sweep point
+    {"sweep_values": (True,)},
+    {"sweep": "P_dB", "sweep_values": (float("nan"), float("nan"))},
+    {"sweep_values": (float("nan"),)},                  # wrote a nan sweep_value row
+    {"sweep": "P_dB", "sweep_values": (0.0, float("inf"))},
 ])
 def test_config_rejects(p_default, kwargs):
     # construction only: a config that got through could hang when run
     with pytest.raises(ConfigError):
         ExperimentConfig(params=p_default, **kwargs)
+
+
+@pytest.mark.parametrize("params", [None, {"M": 64, "K": 32, "K_B": 8, "T": 4}])
+def test_config_rejects_params_that_are_not_system_params(params):
+    # None was accepted and died with an AttributeError when run
+    with pytest.raises(ConfigError, match="params must be a SystemParams"):
+        ExperimentConfig(params=params)
 
 
 @pytest.mark.parametrize("variant", [{"T": 1.5, "K_B": 3}, {"T": 3, "K_B": 3.2}])
@@ -789,6 +818,13 @@ def test_config_from_dict_db_conversions():
     {"trials": "many"},
     {"delta": -1.0},
     "not a dict",
+    {"variants": []},                                   # each ran the base layout
+    {"variants": None},
+    {"grouping_rule": [["sus"]]},                       # each was a TypeError in construction
+    {"track_users": 5},
+    {"delta": True},                                    # ran as delta = 1.0
+    {"P": "abc"},
+    {"P_dB": [10]},
 ])
 def test_config_from_dict_rejects(d):
     with pytest.raises(ConfigError):
@@ -816,6 +852,95 @@ def test_config_from_dict_accepts_integral_floats():
 def test_config_from_dict_dimension_mismatch_propagates():
     with pytest.raises(SimulationError):
         config_from_dict({"K": 30})
+
+
+def _flatten(cfg):
+    # a preset as a flat JSON config: its params fields, its cell-model fields and the rest
+    flat = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+            if f.name not in ("params", "large_scale")}
+    for part in (cfg.params, cfg.large_scale):
+        if part is not None:
+            flat.update((f.name, getattr(part, f.name)) for f in fields(part))
+    return flat
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_config_from_dict_round_trips_every_preset(name):
+    assert config_from_dict(_flatten(preset(name))) == preset(name)
+
+
+@st.composite
+def _flat_configs(draw):
+    """A valid flat JSON config: a random subset of the keys, with valid values."""
+    het = draw(st.booleans())
+    sweep, values = draw(st.sampled_from([
+        ("none", st.lists(st.floats(-20, 30), min_size=1, max_size=1)),
+        ("P_dB", st.lists(st.floats(-20, 30), min_size=1, max_size=3, unique=True)),
+        ("K_M", st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))]))
+    keys = {
+        "M": st.integers(8, 64), "T": st.integers(1, 4), "K_B": st.integers(1, 8),
+        "noise_var": st.floats(0.1, 10), "beta_default": st.floats(0.1, 10),
+        "grouping_rule": st.lists(st.sampled_from(
+            ["channel_magnitude", "sus", "random"] + ["large_scale"] * het),
+            min_size=1, max_size=2, unique=True),
+        "strategy": st.sampled_from(sorted(
+            experiments._HET_STRATEGIES if het else experiments._HOM_STRATEGIES)),
+        "K_M": st.integers(1, 8), "beta_low_factor": st.floats(0.1, 0.9),
+        "beta_high_factor": st.floats(1.1, 10), "sweep": st.just(sweep), "sweep_values": values,
+        "trials": st.integers(1, 5000), "drops": st.integers(1, 500),
+        "seed": st.integers(0, 2**32), "sus_alpha": st.floats(0.01, 1),
+        "track_users": st.none() | st.lists(st.integers(1, 32), max_size=3),
+        "variants": st.lists(st.none() | st.fixed_dictionaries(
+            {"T": st.integers(1, 4), "K_B": st.integers(1, 4)}), min_size=1, max_size=2),
+        "label": st.text(max_size=8),
+        "P": st.floats(0.1, 1e3), "P_dB": st.floats(-20, 30),
+        "delta": st.floats(1e-3, 1), "delta_dB": st.floats(-30, 0),
+        "scenario": st.just("heterogeneous" if het else "homogeneous"),
+    }
+    if het:
+        keys.update(cell_radius=st.floats(100, 1000), ref_distance=st.floats(10, 500),
+                    path_loss_exp=st.floats(2, 5), shadow_sigma_db=st.floats(0, 10))
+    chosen = draw(st.sets(st.sampled_from(sorted(keys))))
+    # a linear value or its dB form, not both; a sweep and its values together
+    chosen -= {draw(st.sampled_from(["P", "P_dB"])), draw(st.sampled_from(["delta", "delta_dB"]))}
+    if "sweep" in chosen or "sweep_values" in chosen:
+        chosen |= {"sweep", "sweep_values"}
+    if het:
+        chosen.add("scenario")
+    return {k: draw(keys[k]) for k in sorted(chosen)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=_flat_configs())
+def test_config_from_dict_matches_the_hand_built_config(d):
+    het = d.get("scenario") == "heterogeneous"
+    t, kb = d.get("T", 4), d.get("K_B", 8)
+    params = SystemParams(
+        M=d.get("M", 64), K=t * kb, K_B=kb, T=t,
+        P=d["P"] if "P" in d else db_to_linear(d.get("P_dB", 10.0)),
+        noise_var=d.get("noise_var", 1.0), beta_default=d.get("beta_default", 1.0))
+    cell = LargeScaleModel(
+        cell_radius=d.get("cell_radius", 500.0), ref_distance=d.get("ref_distance", 200.0),
+        path_loss_exp=d.get("path_loss_exp", 3.8), shadow_sigma_db=d.get("shadow_sigma_db", 8.0))
+    assert config_from_dict(d) == ExperimentConfig(
+        params=params, scenario=d.get("scenario", "homogeneous"),
+        grouping_rule=d.get("grouping_rule", "channel_magnitude"),
+        strategy=d.get("strategy", "grouping_changed_under" if het else "homogeneous_uniform"),
+        K_M=d.get("K_M", 1),
+        delta=d["delta"] if "delta" in d else db_to_linear(d.get("delta_dB", -20.0)),
+        beta_low_factor=d.get("beta_low_factor", 0.5),
+        beta_high_factor=d.get("beta_high_factor", 2.0),
+        large_scale=cell if het else None, sweep=d.get("sweep", "none"),
+        sweep_values=d.get("sweep_values", (0.0,)), trials=d.get("trials", 2000),
+        drops=d.get("drops", 200 if het else 1), seed=d.get("seed", 42),
+        sus_alpha=d.get("sus_alpha", 0.3), track_users=d.get("track_users"),
+        variants=d.get("variants", (None,)), label=d.get("label", "custom"))
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## JSON config", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^\| `(\w+)` \|", section, re.M)) == experiments._CONFIG_KEYS
 
 
 def test_variant_suffixes(p_default):
