@@ -92,8 +92,10 @@ def validate_params(p: SystemParams) -> SystemParams:
     if p.K != p.T * p.K_B:
         raise DimensionError(f"K must equal T*K_B, got K={p.K}, T*K_B={p.T * p.K_B}")
     for name in ("P", "noise_var", "beta_default"):
-        if not 0 < getattr(p, name) < np.inf:
-            raise DimensionError(f"{name} must be positive and finite, got {getattr(p, name)}")
+        v = getattr(p, name)
+        if (isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
+                or not 0 < v < np.inf):
+            raise DimensionError(f"{name} must be positive and finite, got {v!r}")
     return p
 
 

@@ -145,6 +145,9 @@ class ExperimentConfig:
                 raise ConfigError(f"strategy {s!r} not valid for {self.scenario} scenario")
         if self.scenario == "homogeneous" and "large_scale" in self.grouping_rule:
             raise ConfigError("large_scale grouping needs the heterogeneous scenario")
+        # the homogeneous run reads no cell model and writes no per-user row
+        if self.scenario == "homogeneous" and (self.large_scale is not None or self.track_users):
+            raise ConfigError("large_scale and track_users need the heterogeneous scenario")
         if self.scenario == "heterogeneous" and not isinstance(self.large_scale, LargeScaleModel):
             raise ConfigError(f"heterogeneous scenario needs a large_scale model, got "
                               f"{self.large_scale!r}")
@@ -153,6 +156,10 @@ class ExperimentConfig:
         for name in ("grouping_rule", "strategy", "variants", "sweep_values"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
+        # a label names the CSV rows: it is never converted to text
+        for label in (self.label, *(v["label"] for v in self.variants if v and "label" in v)):
+            if not isinstance(label, str):
+                raise ConfigError(f"a label must be text, got {label!r}")
         for variant in self.variants:
             for key, v in (variant or {}).items():
                 if key not in _VARIANT_KEYS:
@@ -445,14 +452,6 @@ def _variant_suffix(cfg: ExperimentConfig, variant, p: SystemParams) -> str:
     return f"__T{p.T}_KB{p.K_B}"
 
 
-def _std_ci(values: np.ndarray):
-    n = values.shape[0]
-    if n < 2 or not np.all(np.isfinite(values)):
-        return 0.0, 0.0
-    s = float(values.std(ddof=1))
-    return s, 1.96 * s / math.sqrt(n)
-
-
 def run_cell(cfg: ExperimentConfig, sweep_value, workers: int = 1) -> list:
     """Run every variant, rule, and strategy of ``cfg`` at one sweep point, as ``run_experiment``."""
     return run_experiment(replace(cfg, sweep_values=(sweep_value,)), workers)
@@ -477,6 +476,8 @@ def _cells(cfg: ExperimentConfig) -> list:
             if not (lo <= k_m <= p.K):
                 raise CountError(f"K_M={k_m} out of range [{lo}, {p.K}]")
             cells.append((v, p, k_m, _variant_suffix(cfg, variant, p)))
+    if not all(1 <= u <= max(c[0][1].K for c in variants) for u in cfg.track_users or ()):
+        raise ConfigError(f"track_users {cfg.track_users} holds a rank past K of every variant")
     return variants
 
 
@@ -569,95 +570,87 @@ def _run(cfg, variants, workers, pool) -> list:
         # each drop's rows: per-trial rates or means, or a sum of its first
         # trials followed by the rates of the rest
         results = [np.concatenate([next(chunks) for _ in bounds]) for _ in range(per_variant)]
-        drops = setups.popleft()
-        first = drops[0]
-        if cfg.scenario == "homogeneous":
-            for j, (v, p, k_m, vsuf) in enumerate(cells):
-                rows[j, vi] = _homogeneous_cell(cfg, p, k_m, vsuf, v,
-                                                results[0][:, first.power[j], first.profile[j]])
-            continue
-        sums = [functools.reduce(np.add, res) for res in results]      # (W, F, R, K) per drop
-        for j, (v, p, k_m, vsuf) in enumerate(cells):
-            rows[j, vi] = _heterogeneous_cell(
-                cfg, p, k_m, vsuf, v,
-                np.stack([s[d.power[j], d.profile[j]] for s, d in zip(sums, drops)]),
-                results[0][:, first.power[j], first.profile[j]],
-                np.stack([d.honest[d.profile[j, 1:]] for d in drops]))
+        for j, cell in enumerate(_variant_rows(cfg, cells, setups.popleft(), results)):
+            rows[j, vi] = cell
     return [row for key in sorted(rows) for row in rows[key]]
 
 
-def _homogeneous_cell(cfg, p, k_m, vsuf, sweep_value, means):
-    # means: (trials, 1 + strategies, rules) per-trial mean rate over the
-    # honest users of the honest baseline (all users) and of each strategy
-    rows = []
-    for ri, rule in enumerate(cfg.grouping_rule):
-        short = RULE_SHORT[rule]
-        base_mean = means[:, 0, ri]                               # per-trial all-user mean
-        for si, tag in enumerate(cfg.strategy):
-            ssuf = f"__{tag}" if len(cfg.strategy) > 1 else ""
-            att_honest = means[:, si + 1, ri]                     # per-trial honest mean
-            theta_trials = 1.0 - att_honest / base_mean
-            theta_ratio = float(1.0 - np.mean(att_honest) / np.mean(base_mean))
-            std, ci = _std_ci(theta_trials)
-            name = f"theta_{short}{ssuf}{vsuf}"
-            rows.append(ResultRow(cfg.label, cfg.sweep, float(sweep_value), name,
-                                  theta_ratio, std, ci, cfg.trials, 1, cfg.seed))
-            rows.append(ResultRow(cfg.label, cfg.sweep, float(sweep_value),
-                                  name.replace(f"theta_{short}", f"theta_{short}_paired", 1),
-                                  float(np.mean(theta_trials)) if np.all(np.isfinite(theta_trials)) else float("nan"),
-                                  std, ci, cfg.trials, 1, cfg.seed))
-    # eq17 and eq21 cover K_M <= K_B underreporters only
-    if "homogeneous_uniform" in cfg.strategy and cfg.delta <= 1:
-        for name, loss, k_lo in (("analytic_eq17", analytic.loss_rr_cm, 0),
-                                 ("upper_bound_eq21", analytic.loss_upper_bound, 1)):
-            if k_lo <= k_m <= p.K_B:
-                rows.append(ResultRow(cfg.label, cfg.sweep, float(sweep_value), f"{name}{vsuf}",
-                                      loss(p, k_m, cfg.delta, p.beta_default), 0.0, 0.0, 0, 1,
-                                      cfg.seed))
-    return rows
+def _loss(att, base):
+    """The honest users' rate loss 1 - R_attacked / R_honest that every figure plots."""
+    return 1.0 - att / base
 
 
-def _heterogeneous_cell(cfg, p, k_m, vsuf, sweep_value, sums, first, honest):
-    # sums: (drops, 1 + strategies, rules, K) per-user rates summed over each
-    # drop's trials; first: the (trials, 1 + strategies, rules, K) rates of
-    # drop 0; honest: (drops, strategies, K) honest users of each strategy
-    tracked = (range(1, p.K + 1) if cfg.track_users is None
-               else [u for u in cfg.track_users if 1 <= u <= p.K])
-    rows = []
-    for ri, rule in enumerate(cfg.grouping_rule):
-        short = RULE_SHORT[rule]
-        base_sum = sums[:, 0, ri]                         # (drops, K)
-        for si, tag in enumerate(cfg.strategy):
-            ssuf = f"__{tag}" if len(cfg.strategy) > 1 else ""
-            att_sum = sums[:, si + 1, ri]
-            user_loss = 1.0 - att_sum / base_sum          # (drops, K)
-            # loss of the honest users' average rate, not the average of
-            # per-user loss ratios: strong users carry their rate weight
-            avg = np.array([1.0 - a[h].sum() / b[h].sum() if h.any() else np.nan
-                            for a, b, h in zip(att_sum, base_sum, honest[:, si])])
-            std, ci = _std_ci(avg)
-            rows.append(ResultRow(
-                cfg.label, cfg.sweep, float(sweep_value),
-                f"avg_honest_loss_{short}{ssuf}{vsuf}",
-                float(avg.mean()), std, ci, cfg.trials, cfg.drops, cfg.seed))
-            # per-user rows: drop 0 is the representative drop for the per-trial spread
-            tstd = ((1.0 - first[:, si + 1, ri] / first[:, 0, ri]).std(axis=0, ddof=1)
-                    if cfg.trials > 1 else np.zeros(p.K))
-            tci = 1.96 * tstd / math.sqrt(cfg.trials) if cfg.trials > 1 else tstd
-            for u in tracked:
-                i = u - 1
-                rows.append(ResultRow(
-                    cfg.label, cfg.sweep, float(sweep_value),
-                    f"per_user_loss_{short}{ssuf}{vsuf}[{u}]",
-                    float(user_loss[0, i]), float(tstd[i]), float(tci[i]),
-                    cfg.trials, 1, cfg.seed))
-                dstd, dci = _std_ci(user_loss[:, i])
-                rows.append(ResultRow(
-                    cfg.label, cfg.sweep, float(sweep_value),
-                    f"per_user_loss_{short}{ssuf}{vsuf}_drops[{u}]",
-                    float(user_loss[:, i].mean()), dstd, dci,
-                    cfg.trials, cfg.drops, cfg.seed))
-    return rows
+def _std_ci(values: np.ndarray) -> tuple:
+    """Sample std s of the n ``values`` along axis 0, and the 95 % half-width 1.96 s / sqrt(n).
+
+    Each column is one pairwise sum. Both are 0 below two values, and in a
+    column that holds a non-finite value.
+    """
+    cols = np.moveaxis(values, 0, -1).copy()        # contiguous, values last
+    n = cols.shape[-1]
+    s = np.zeros(cols.shape[:-1])
+    if n > 1:
+        s = np.where(np.isfinite(cols).all(axis=-1), cols.std(axis=-1, ddof=1), s)
+    return s, 1.96 * s / math.sqrt(n)
+
+
+def _variant_rows(cfg, cells, drops, results):
+    """Yield the rows of each sweep point of one variant, from its ``drops`` and units.
+
+    ``results`` holds each drop's unit results, trials first: the honest
+    means of the one homogeneous drop, or a heterogeneous drop's per-user
+    rates (K last), trial by trial for drop 0 and otherwise summed over its
+    first trials. theta and per_user_loss[u] spread over the trials of drop
+    0, avg_honest_loss and the _drops rows over drops.
+    """
+    het = cfg.scenario == "heterogeneous"
+    sums = [functools.reduce(np.add, res) for res in results] if het else None
+    for j, (v, p, k_m, vsuf) in enumerate(cells):
+        rows = []
+
+        def row(name, mean, std, ci, trials=cfg.trials, drops=1):
+            rows.append(ResultRow(cfg.label, cfg.sweep, float(v), name, float(mean), float(std),
+                                  float(ci), trials, drops, cfg.seed))
+
+        # drop 0's (trials, 1 + strategies, rules[, K]) baseline and attacked runs
+        trial = results[0][:, drops[0].power[j], drops[0].profile[j]]
+        if het:
+            # (drops, 1 + strategies, rules, K) rates summed over each drop's
+            # trials, and the (drops, strategies, K) honest users of each attack
+            total = np.stack([s[d.power[j], d.profile[j]] for s, d in zip(sums, drops)])
+            honest = np.stack([d.honest[d.profile[j, 1:]] for d in drops])
+            tracked = (range(1, p.K + 1) if cfg.track_users is None
+                       else [u for u in cfg.track_users if u <= p.K])
+        for ri, rule in enumerate(cfg.grouping_rule):
+            short = RULE_SHORT[rule]
+            for si, tag in enumerate(cfg.strategy):
+                tail = (f"__{tag}" if len(cfg.strategy) > 1 else "") + vsuf
+                att, base = trial[:, si + 1, ri], trial[:, 0, ri]
+                per_trial = _loss(att, base)
+                std, ci = _std_ci(per_trial)
+                if not het:
+                    row(f"theta_{short}{tail}", _loss(att.mean(), base.mean()), std, ci)
+                    row(f"theta_{short}_paired{tail}", per_trial.mean(), std, ci)
+                    continue
+                att, base = total[:, si + 1, ri], total[:, 0, ri]
+                # loss of the honest users' average rate, not the average of
+                # per-user loss ratios: strong users carry their rate weight
+                avg = np.array([_loss(a[h].sum(), b[h].sum()) if h.any() else np.nan
+                                for a, b, h in zip(att, base, honest[:, si])])
+                row(f"avg_honest_loss_{short}{tail}", avg.mean(), *_std_ci(avg), drops=cfg.drops)
+                user = _loss(att, base)                                 # (drops, K)
+                dstd, dci = _std_ci(user)
+                for u in tracked:
+                    row(f"per_user_loss_{short}{tail}[{u}]", user[0, u - 1], std[u - 1], ci[u - 1])
+                    row(f"per_user_loss_{short}{tail}_drops[{u}]", user[:, u - 1].mean(),
+                        dstd[u - 1], dci[u - 1], drops=cfg.drops)
+        # eq17 and eq21 cover K_M <= K_B underreporters only
+        if "homogeneous_uniform" in cfg.strategy and cfg.delta <= 1:
+            for name, loss, k_lo in (("analytic_eq17", analytic.loss_rr_cm, 0),
+                                     ("upper_bound_eq21", analytic.loss_upper_bound, 1)):
+                if k_lo <= k_m <= p.K_B:
+                    row(f"{name}{vsuf}", loss(p, k_m, cfg.delta, p.beta_default), 0.0, 0.0, trials=0)
+        yield rows
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
@@ -753,4 +746,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if d.get("scenario") == "heterogeneous":
         het = {"strategy": "grouping_changed_under", "drops": 200,
                "large_scale": LargeScaleModel(**_from_json(LargeScaleModel, d))}
+    elif cell := sorted(f.name for f in fields(LargeScaleModel) if f.name in d):
+        raise ConfigError(f"{', '.join(cell)} apply to the heterogeneous scenario only")
     return ExperimentConfig(params=params, **{**het, **_from_json(ExperimentConfig, d)})

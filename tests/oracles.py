@@ -4,15 +4,18 @@ None is part of the package: each recomputes a production result by a
 different or plainer route, one block, one state or one period at a time.
 """
 import math
+import statistics
 
 import mpmath
 import numpy as np
 import scipy.linalg
 from scipy.stats import gamma as gamma_dist
 
-from mimosched import (DomainError, RngStream, draw_large_scale, group_by_large_scale,
-                       maxmin_power, zf_effective_gains)
-from mimosched.experiments import pack_stream
+from mimosched import (DomainError, RngStream, channel_magnitudes, draw_channels,
+                       draw_large_scale, group_by_large_scale, group_by_magnitude, group_by_sus,
+                       group_randomly, loss_rr_cm, loss_upper_bound, maxmin_power,
+                       zf_effective_gains)
+from mimosched.experiments import RULE_SHORT, _cells, pack_stream
 from mimosched.zf import _check_conditioning
 
 
@@ -207,7 +210,7 @@ def profile_oracle(tag: str, betas: np.ndarray, p, k_m: int, cfg) -> tuple:
 
 
 def drop_setups_oracle(cfg, vi: int, cells) -> list:
-    """Each drop's (scales, honest, ls_plans, profile) of variant ``vi``, profile by profile.
+    """Each drop's (betas, scales, honest, ls_plans, profile) of variant ``vi``, profile by profile.
 
     ``cells`` are the variant's (sweep value, params, K_M, suffix) cells.
     Every (sweep point, honest then each strategy) profile is built on its
@@ -235,5 +238,95 @@ def drop_setups_oracle(cfg, vi: int, cells) -> list:
         scales = np.stack([s for s, _ in profiles])
         ls_plans = (group_by_large_scale(np.stack([r for _, r in profiles]), p)
                     if "large_scale" in cfg.grouping_rule else None)
-        setups.append((scales, scales == 1.0, ls_plans, np.array(index, dtype=np.intp)))
+        setups.append((betas, scales, scales == 1.0, ls_plans, np.array(index, dtype=np.intp)))
     return setups
+
+
+def _drop_rates(cfg, vi: int, drop: int, cells, setup) -> np.ndarray:
+    """(sweep points, 1 + strategies, rules, trials, K) period rates of one drop.
+
+    Each trial is drawn on its own stream; each (profile, rule) plan comes
+    from the package's grouping rule and is served on its own at the power
+    of every sweep point that uses the profile.
+    """
+    betas, scales, _, ls_plans, profile = setup
+    p = cells[0][1]
+    rates = np.empty(profile.shape + (len(cfg.grouping_rule), cfg.trials, p.K))
+    for t in range(cfg.trials):
+        gains = draw_channels(p, betas, RngStream(cfg.seed, pack_stream(0, vi, drop, t)).generator())
+        mags = channel_magnitudes(gains)
+        for ri, rule in enumerate(cfg.grouping_rule):
+            for f, scale in enumerate(scales):
+                if rule == "channel_magnitude":
+                    plan = group_by_magnitude(mags * scale, p)
+                elif rule == "sus":
+                    plan = group_by_sus(mags * scale, gains, scale, p, cfg.sus_alpha)
+                elif rule == "large_scale":
+                    plan = ls_plans[f]
+                else:
+                    plan = group_randomly(
+                        p, RngStream(cfg.seed, pack_stream(1, vi, drop, t)).generator())
+                for j, (_, pj, _, _) in enumerate(cells):
+                    for i in np.flatnonzero(profile[j] == f):
+                        rates[j, i, ri, t] = period_rates_oracle(gains, scale, plan, pj)
+    return rates
+
+
+def rows_oracle(cfg) -> dict:
+    """Every row of a run as {(sweep value, metric): (mean, std, ci95, trials, drops)}.
+
+    Replays the run one period at a time: each drop's set-up from
+    drop_setups_oracle, each trial's channels drawn on its own stream, each
+    (profile, rule) plan from the package's grouping functions, and each
+    period served on its own by period_rates_oracle at its sweep point's
+    power. Every mean and spread then comes from statistics.fmean and
+    statistics.stdev, with ci95 = 1.96 s / sqrt(n) and s = 0 below two
+    values.
+    """
+    rows = {}
+
+    def put(v, name, mean, values=(), trials=cfg.trials, drops=1):
+        n = len(values)
+        s = statistics.stdev(values) if n > 1 else 0.0
+        rows[float(v), name] = (mean, s, 1.96 * s / math.sqrt(n) if n > 1 else 0.0, trials, drops)
+
+    for vi, cells in enumerate(_cells(cfg)):
+        setups = drop_setups_oracle(cfg, vi, cells)
+        # (drops, sweep points, 1 + strategies, rules, trials, K)
+        rates = np.stack([_drop_rates(cfg, vi, d, cells, setup) for d, setup in enumerate(setups)])
+        for j, (v, p, k_m, vsuf) in enumerate(cells):
+            for ri, rule in enumerate(cfg.grouping_rule):
+                name = RULE_SHORT[rule]
+                for si, tag in enumerate(cfg.strategy):
+                    tail = (f"__{tag}" if len(cfg.strategy) > 1 else "") + vsuf
+                    base, att = rates[:, j, 0, ri], rates[:, j, si + 1, ri]
+                    honest = [h[prof[j, si + 1]] for _, _, h, _, prof in setups]
+                    if cfg.scenario == "homogeneous":
+                        b = [statistics.fmean(r) for r in base[0]]
+                        a = [statistics.fmean(r[honest[0]]) for r in att[0]]
+                        paired = [1.0 - x / y for x, y in zip(a, b)]
+                        put(v, f"theta_{name}{tail}", 1.0 - statistics.fmean(a) / statistics.fmean(b),
+                            paired)
+                        put(v, f"theta_{name}_paired{tail}", statistics.fmean(paired), paired)
+                        continue
+                    avg = [1.0 - statistics.fmean(a[:, h].ravel()) / statistics.fmean(b[:, h].ravel())
+                           for a, b, h in zip(att, base, honest)]
+                    put(v, f"avg_honest_loss_{name}{tail}", statistics.fmean(avg), avg,
+                        drops=cfg.drops)
+                    for u in (range(1, p.K + 1) if cfg.track_users is None
+                              else [u for u in cfg.track_users if u <= p.K]):
+                        user = [1.0 - statistics.fmean(a[:, u - 1]) / statistics.fmean(b[:, u - 1])
+                                for a, b in zip(att, base)]
+                        per_trial = [1.0 - x / y for x, y in zip(att[0, :, u - 1], base[0, :, u - 1])]
+                        put(v, f"per_user_loss_{name}{tail}[{u}]", user[0], per_trial)
+                        put(v, f"per_user_loss_{name}{tail}_drops[{u}]", statistics.fmean(user), user,
+                            drops=cfg.drops)
+            # the closed forms cover K_M <= K_B underreporters only
+            if "homogeneous_uniform" in cfg.strategy and cfg.delta <= 1:
+                if k_m <= p.K_B:
+                    put(v, f"analytic_eq17{vsuf}", loss_rr_cm(p, k_m, cfg.delta, p.beta_default),
+                        trials=0)
+                if 1 <= k_m <= p.K_B:
+                    put(v, f"upper_bound_eq21{vsuf}",
+                        loss_upper_bound(p, k_m, cfg.delta, p.beta_default), trials=0)
+    return rows

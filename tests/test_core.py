@@ -44,6 +44,11 @@ def test_validate_params_rejects_tiny_m():
     dict(M=64, K=32, K_B=8, T=4, P=np.nan),
     dict(M=64, K=32, K_B=8, T=4, noise_var=np.inf),
     dict(M=64, K=32, K_B=8, T=4, beta_default=np.inf),
+    dict(M=64, K=32, K_B=8, T=4, P="10"),               # a TypeError at the first comparison
+    dict(M=64, K=32, K_B=8, T=4, noise_var="1"),
+    dict(M=64, K=32, K_B=8, T=4, P=True),               # ran as P = 1
+    dict(M=64, K=32, K_B=8, T=4, beta_default=True),
+    dict(M=64, K=32, K_B=8, T=4, P=None),
 ])
 def test_validate_params_rejects_bad_fields(kwargs):
     with pytest.raises(DimensionError):

@@ -43,7 +43,7 @@ from mimosched import (
 from mimosched import SingularMatrixError, experiments, zf
 from mimosched.experiments import CSV_HEADER, _cells, _drops, pack_stream
 from mimosched.strategies import grouping_changed_under, grouping_unchanged_under
-from oracles import drop_setups_oracle, gram, period_rates_oracle
+from oracles import drop_setups_oracle, gram, period_rates_oracle, rows_oracle
 
 
 def _rows_by_metric(rows, name, sweep_value=None):
@@ -157,6 +157,10 @@ def test_config_normalizes_scalars(p_default):
     {"sweep": "P_dB", "sweep_values": (float("nan"), float("nan"))},
     {"sweep_values": (float("nan"),)},                  # wrote a nan sweep_value row
     {"sweep": "P_dB", "sweep_values": (0.0, float("inf"))},
+    {"label": 5},                                       # wrote 5 to the scenario column
+    {"variants": ({"label": 5}, None)},                 # became the suffix __5
+    {"track_users": (1,)},                              # each was ignored by the homogeneous run
+    {"large_scale": LargeScaleModel()},
 ])
 def test_config_rejects(p_default, kwargs):
     # construction only: a config that got through could hang when run
@@ -586,6 +590,23 @@ def _het_sweep(p_nine, cell_model):
         trials=4, drops=3, seed=21, track_users=(1, 9))
 
 
+@pytest.mark.parametrize("ranks", [(99, 0, -3), (10,), (0,), (1, 9, -1)])
+def test_run_rejects_ranks_past_every_variant(p_nine, cell_model, monkeypatch, ranks):
+    # K is 9 in both layouts: each run wrote no row for the bad ranks
+    monkeypatch.setattr(experiments, "_drops", lambda *a: pytest.fail("set-up ran"))
+    with pytest.raises(ConfigError, match="track_users"):
+        run_experiment(replace(_het_sweep(p_nine, cell_model), track_users=ranks))
+
+
+def test_a_rank_of_one_variant_is_tracked_in_that_variant(p_nine, cell_model):
+    # as in fig7, whose layouts have K = 32 and K = 16
+    cfg = replace(_het_sweep(p_nine, cell_model), variants=(None, {"T": 2, "K_B": 3}),
+                  track_users=(8,), trials=2, drops=1)
+    names = {r.metric for r in run_experiment(cfg)}
+    assert "per_user_loss_ls__grouping_changed_under__T3_KB3[8]" in names
+    assert not [n for n in names if n.endswith("[8]") and "T2_KB3" in n]
+
+
 def _hom_split(p_nine, cell_model):
     # two drops in the whole run, one per layout, fewer than 4 per worker:
     # each is split
@@ -825,6 +846,11 @@ def test_config_from_dict_db_conversions():
     {"delta": True},                                    # ran as delta = 1.0
     {"P": "abc"},
     {"P_dB": [10]},
+    {"label": 5},                                       # wrote 5 to the scenario column
+    {"variants": [{"label": 5}, None]},                 # became the suffix __5
+    {"cell_radius": "abc"},                             # each was ignored by the homogeneous run
+    {"shadow_sigma_db": 8.0},
+    {"track_users": [1]},
 ])
 def test_config_from_dict_rejects(d):
     with pytest.raises(ConfigError):
@@ -843,7 +869,8 @@ def test_config_from_dict_rejects_fractional_integers(d):
 
 def test_config_from_dict_accepts_integral_floats():
     cfg = config_from_dict({"M": 64.0, "T": 4.0, "K_B": np.int64(8), "trials": 3.0,
-                            "seed": 7.0, "K_M": 2.0, "track_users": [1.0]})
+                            "seed": 7.0, "K_M": 2.0, "track_users": [1.0],
+                            "scenario": "heterogeneous"})
     assert cfg.params == SystemParams(M=64, K=32, K_B=8, T=4, P=pytest.approx(10.0))
     assert (cfg.trials, cfg.seed, cfg.K_M, cfg.track_users) == (3, 7, 2, (1,))
     assert all(type(v) is int for v in (cfg.params.M, cfg.trials, cfg.seed, cfg.K_M))
@@ -889,7 +916,8 @@ def _flat_configs(draw):
         "beta_high_factor": st.floats(1.1, 10), "sweep": st.just(sweep), "sweep_values": values,
         "trials": st.integers(1, 5000), "drops": st.integers(1, 500),
         "seed": st.integers(0, 2**32), "sus_alpha": st.floats(0.01, 1),
-        "track_users": st.none() | st.lists(st.integers(1, 32), max_size=3),
+        # a homogeneous run writes no per-user row, so it takes no rank
+        "track_users": st.none() | st.lists(st.integers(1, 32), max_size=3 if het else 0),
         "variants": st.lists(st.none() | st.fixed_dictionaries(
             {"T": st.integers(1, 4), "K_B": st.integers(1, 4)}), min_size=1, max_size=2),
         "label": st.text(max_size=8),
@@ -1025,10 +1053,29 @@ def test_drop_setups_equal_the_profile_by_profile_oracle(name, drops):
         got = _drops(cfg, vi, cells)
         want = drop_setups_oracle(cfg, vi, cells)
         assert len(got) == len(want) == drops
-        for d, (scales, honest, ls_plans, profile) in zip(got, want):
-            for a, b in ((d.scales, scales), (d.honest, honest), (d.ls_plans, ls_plans),
-                         (d.profile, profile)):
+        for d, (betas, scales, honest, ls_plans, profile) in zip(got, want):
+            for a, b in ((d.betas, betas), (d.scales, scales), (d.honest, honest),
+                         (d.ls_plans, ls_plans), (d.profile, profile)):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("config", [
+    dict(grouping_rule=("sus", "random"), strategy=("none", "homogeneous_uniform"), K_M=2,
+         delta=0.1, sweep="P_dB", sweep_values=(0.0, 10.0), variants=(None, {"T": 1, "K_B": 9})),
+    dict(scenario="heterogeneous", grouping_rule=("large_scale", "channel_magnitude"),
+         strategy=("grouping_changed_under", "grouping_changed_over"), sweep="K_M",
+         sweep_values=(1, 3), drops=3, large_scale=LargeScaleModel()),
+], ids=["homogeneous", "heterogeneous"])
+def test_rows_equal_the_period_by_period_oracle(p_nine, config):
+    # 10 trials: numpy sums more than 8 values pairwise, the oracle exactly; atol
+    # 1e-14 covers the rounding of values near 0, such as the std of a tiny loss
+    cfg = ExperimentConfig(params=p_nine, trials=10, seed=5, **config)
+    got = {(r.sweep_value, r.metric): (r.mean, r.std, r.ci95, r.trials, r.drops)
+           for r in run_experiment(cfg)}
+    want = rows_oracle(cfg)
+    assert got.keys() == want.keys()
+    for key, row in want.items():
+        np.testing.assert_allclose(got[key], row, rtol=1e-12, atol=1e-14, err_msg=str(key))
 
 
 def test_heterogeneous_attack_count_is_checked_before_any_set_up(p_nine, cell_model, monkeypatch):

@@ -4,13 +4,14 @@ Each golden file holds the CSV one reduced configuration emitted when it was
 recorded. A run must reproduce every cell within a relative tolerance of
 1e-12, NaN where the golden has NaN, and every text and count field
 exactly, at one worker and at two, whose trial chunks and slices differ.
-Rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` only
-when a change of numbers is intended.
+Rewrite the named files with ``PYTHONPATH=src python tests/test_golden.py
+NAME...`` only when a change of their numbers is intended.
 """
 import csv
 import io
 import math
 import pathlib
+import sys
 from dataclasses import replace
 
 import pytest
@@ -33,6 +34,8 @@ def _configs() -> dict:
         "fig7": dict(trials=2, drops=3),
     }
     cfgs = {name: replace(preset(name), **kw) for name, kw in reduced.items()}
+    # more than 8 trials with per-user rows: their per-trial spread sums pairwise
+    cfgs["fig4_spread"] = replace(preset("fig4"), trials=12, drops=3)
     # no preset promotes weak users under magnitude grouping
     cfgs["het_over_cm"] = ExperimentConfig(
         params=SystemParams(M=64, K=32, K_B=8, T=4, P=10.0),
@@ -74,6 +77,8 @@ def test_csv_matches_golden(name, workers):
 
 
 if __name__ == "__main__":
+    if not sys.argv[1:] or set(sys.argv[1:]) - set(CONFIGS):
+        sys.exit(f"usage: test_golden.py NAME...; names: {' '.join(sorted(CONFIGS))}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, cfg in CONFIGS.items():
-        (GOLDEN / f"{name}.csv").write_text(_csv(cfg))
+    for name in sys.argv[1:]:
+        (GOLDEN / f"{name}.csv").write_text(_csv(CONFIGS[name]))
