@@ -16,7 +16,6 @@ from .core import (
     SystemParams,
     UnknownPresetError,
     db_to_linear,
-    validate_params,
 )
 from .channel import (
     RngStream,

@@ -16,7 +16,6 @@ from .core import (
     SingularMatrixError,
     SystemParams,
     db_to_linear,
-    validate_params,
 )
 from . import analytic
 from .experiments import config_from_dict, emit_csv, run_experiment
@@ -99,11 +98,11 @@ def _cmd_analytic(args) -> int:
         betas = [float(x) for x in args.betas.split(",")]
         value = analytic.rate_heterogeneous_block(args.M, len(betas), snr, betas)
     else:
-        if args.K % args.K_B != 0:
+        # a K_B below 1 is SystemParams' to name, before T is checked
+        if args.K_B > 0 and args.K % args.K_B != 0:
             raise DomainError(f"K={args.K} must be a multiple of K_B={args.K_B}")
-        p = validate_params(SystemParams(
-            M=args.M, K=args.K, K_B=args.K_B, T=args.K // args.K_B,
-            P=power, noise_var=args.noise_var, beta_default=args.beta))
+        p = SystemParams(M=args.M, K=args.K, K_B=args.K_B, T=args.K // max(args.K_B, 1),
+                         P=power, noise_var=args.noise_var, beta_default=args.beta)
         if f == "eq17":
             value = analytic.loss_rr_cm(p, args.K_M, delta, args.beta)
         else:

@@ -58,7 +58,12 @@ class ConfigError(SimulationError):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Downlink system dimensions and per-block power budget."""
+    """Downlink system dimensions and per-block power budget.
+
+    Checked when built, so every instance, and every ``replace`` of one, is
+    valid: DimensionError names the violated constraint. P, noise_var and
+    beta_default must be positive and finite.
+    """
 
     M: int                      # base-station antennas
     K: int                      # users in the cell
@@ -68,35 +73,28 @@ class SystemParams:
     noise_var: float = 1.0      # receiver noise variance (linear)
     beta_default: float = 1.0   # common large-scale gain for the homogeneous case
 
+    def __post_init__(self) -> None:
+        for name in ("M", "K", "K_B", "T"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+                raise DimensionError(f"{name} must be an integer, got {v!r}")
+        if self.M < 2:
+            raise DimensionError(f"M must be >= 2, got {self.M}")
+        if not (1 <= self.K_B <= self.K):
+            raise DimensionError(f"K_B must satisfy 1 <= K_B <= K, got K_B={self.K_B}, K={self.K}")
+        if self.K_B > self.M:
+            raise DimensionError(f"zero-forcing needs K_B <= M, got K_B={self.K_B}, M={self.M}")
+        if self.K != self.T * self.K_B:
+            raise DimensionError(f"K must equal T*K_B, got K={self.K}, T*K_B={self.T * self.K_B}")
+        for name in ("P", "noise_var", "beta_default"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
+                    or not 0 < v < np.inf):
+                raise DimensionError(f"{name} must be positive and finite, got {v!r}")
+
     @property
     def snr(self) -> float:
         return self.P / self.noise_var
-
-
-def validate_params(p: SystemParams) -> SystemParams:
-    """Check the dimensional invariants of ``p``, returning it unchanged.
-
-    P, noise_var and beta_default must be positive and finite. Raises
-    DimensionError naming the violated constraint.
-    """
-    for name in ("M", "K", "K_B", "T"):
-        v = getattr(p, name)
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise DimensionError(f"{name} must be an integer, got {v!r}")
-    if p.M < 2:
-        raise DimensionError(f"M must be >= 2, got {p.M}")
-    if not (1 <= p.K_B <= p.K):
-        raise DimensionError(f"K_B must satisfy 1 <= K_B <= K, got K_B={p.K_B}, K={p.K}")
-    if p.K_B > p.M:
-        raise DimensionError(f"zero-forcing needs K_B <= M, got K_B={p.K_B}, M={p.M}")
-    if p.K != p.T * p.K_B:
-        raise DimensionError(f"K must equal T*K_B, got K={p.K}, T*K_B={p.T * p.K_B}")
-    for name in ("P", "noise_var", "beta_default"):
-        v = getattr(p, name)
-        if (isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
-                or not 0 < v < np.inf):
-            raise DimensionError(f"{name} must be positive and finite, got {v!r}")
-    return p
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .core import (
     SingularMatrixError,
     SystemParams,
     db_to_linear,
-    validate_params,
 )
 from .channel import (RngStream, apply_misreport, channel_magnitudes, draw_channels,
                       draw_large_scale)
@@ -132,6 +131,8 @@ class ExperimentConfig:
         if self.track_users is not None:
             object.__setattr__(self, "track_users", tuple(
                 _integer("track_users", u) for u in _tuple("track_users", self.track_users)))
+            if len(set(self.track_users)) < len(self.track_users):
+                raise ConfigError(f"track_users repeats a rank: {self.track_users}")
         if self.scenario not in ("homogeneous", "heterogeneous"):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         for r in self.grouping_rule:
@@ -173,11 +174,16 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate sweep values in {self.sweep_values!r}")
         if self.sweep == "none" and len(self.sweep_values) > 1:
             raise ConfigError(f"sweep 'none' takes one sweep value, got {self.sweep_values!r}")
-        # trial and drop indices must fit their fields of the stream id
+        # trial, drop and variant indices must fit their fields of the stream
+        # id, and the seed its 64-bit word of the Philox key
         if not 1 <= self.trials < 2**_TRIAL_BITS:
             raise ConfigError(f"trials must be in [1, 2**{_TRIAL_BITS}), got {self.trials}")
         if not 1 <= self.drops < 2**_DROP_BITS:
             raise ConfigError(f"drops must be in [1, 2**{_DROP_BITS}), got {self.drops}")
+        if len(self.variants) > 2**_VARIANT_BITS:
+            raise ConfigError(f"at most 2**{_VARIANT_BITS} variants, got {len(self.variants)}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if not 0 < self.delta < math.inf:
             raise ConfigError(f"delta must be positive and finite, got {self.delta}")
         # beta_low must sort below the weakest user, beta_high above the strongest
@@ -278,11 +284,9 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
     return out
 
 
-# one work unit: trials lo..hi - 1 of one drop of one variant, at every sweep
-# point. setup is the drop's _Drop: its large-scale gains, distinct misreport
-# profiles and powers; keep names what _run_chunk returns: "means", "trials"
-# or "sum"
-_TrialChunk = collections.namedtuple("_TrialChunk", "p setup rules alpha seed vi drop lo hi keep")
+# one work unit: trials lo..hi - 1 of drop ``drop`` of variant ``vi`` of
+# ``cfg``, at every sweep point of its _Variant ``var``; setup is the drop's _Drop
+_TrialChunk = collections.namedtuple("_TrialChunk", "cfg vi var setup drop lo hi")
 
 
 # extension modules linked against the OpenBLAS builds the engine calls into:
@@ -368,88 +372,69 @@ def _run_chunk(u: _TrialChunk) -> np.ndarray:
     run_period call per slice of trials, at every distinct power at once.
     Returns only what the cell reductions read, never every period's
     per-user rates of every trial at once:
-    - ``"means"`` (homogeneous): the (trials, powers, profiles, rules) mean
-      rate over the honest users of each period's profile;
-    - ``"trials"`` (heterogeneous): the same axes' per-user rates, K last;
-    - ``"sum"`` (heterogeneous): those rates added trial by trial in order,
-      as one (1, powers, profiles, rules, K) row.
+    - homogeneous: the (trials, powers, profiles, rules) mean rate over the
+      honest users of each period's profile;
+    - heterogeneous: the same axes' per-user rates, K last;
+    - heterogeneous, from trial 0 of a drop past drop 0: those rates added
+      trial by trial in order, as one (1, powers, profiles, rules, K) row.
     """
-    p, d = u.p, u.setup
-    n_prof, n_rule = len(d.scales), len(u.rules)
-    scales, honest = d.scales.repeat(n_rule, axis=0), d.honest[:, None]   # (F*R, K), (F, 1, K)
-    out = np.empty((u.hi - u.lo, len(d.powers), n_prof, n_rule)) if u.keep == "means" else []
+    cfg, p, d = u.cfg, u.var.p, u.setup
+    rules, means = cfg.grouping_rule, cfg.scenario == "homogeneous"
+    summed = not means and u.drop > 0 and u.lo == 0
+    n_prof, n_rule = len(d.scales), len(rules)
+    scales, honest = d.scales.repeat(n_rule, axis=0), (d.scales == 1.0)[:, None]  # (F*R, K), (F, 1, K)
+    out = np.empty((u.hi - u.lo, len(u.var.powers), n_prof, n_rule)) if means else []
     for lo in range(u.lo, u.hi, _SLICE):
         trials = range(lo, min(lo + _SLICE, u.hi))
-        rngs = (RngStream(u.seed, pack_stream(0, u.vi, u.drop, t)).generator() for t in trials)
+        rngs = (RngStream(cfg.seed, pack_stream(0, u.vi, u.drop, t)).generator() for t in trials)
         gains = np.stack([draw_channels(p, d.betas, rng) for rng in rngs])        # (n, K, M)
         # only magnitude and SUS grouping read the (n, F, K) reported magnitudes
-        if {"channel_magnitude", "sus"} & set(u.rules):
+        if {"channel_magnitude", "sus"} & set(rules):
             reported = apply_misreport(channel_magnitudes(gains), d.scales)
         # every rule's plan of each trial under each profile. The large-scale
         # plans are fixed per drop and broadcast over the trials; a trial's
         # random plan is broadcast over its profiles
         members = np.empty((len(trials), n_prof, n_rule, p.T, p.K_B), dtype=np.intp)
-        for r, rule in enumerate(u.rules):
+        for r, rule in enumerate(rules):
             if rule == "large_scale":
                 members[:, :, r] = d.ls_plans
             elif rule == "channel_magnitude":
                 members[:, :, r] = scheduling.group_by_magnitude(reported, p)
             elif rule == "sus":
                 members[:, :, r] = scheduling.group_by_sus(reported, gains[:, None], d.scales, p,
-                                                           u.alpha)
+                                                           cfg.sus_alpha)
             else:
                 for n, t in enumerate(trials):
-                    rng = RngStream(u.seed, pack_stream(1, u.vi, u.drop, t)).generator()
+                    rng = RngStream(cfg.seed, pack_stream(1, u.vi, u.drop, t)).generator()
                     members[n, :, r] = scheduling.group_randomly(p, rng)
         # periods run trial by trial, then profile by profile, then rule by rule
         try:
             rates = run_period(gains, np.repeat(np.arange(len(trials)), n_prof * n_rule),
                                members.reshape(-1, p.T, p.K_B),
-                               np.tile(scales, (len(trials), 1)), p, d.powers)
+                               np.tile(scales, (len(trials), 1)), p, u.var.powers)
         except SingularMatrixError as e:
             # the same object, re-raised: a failure is still counted once. One
             # raised outside the guard carries no period, so name the slice
             if hasattr(e, "period"):
                 n, f = divmod(e.period // n_rule, n_prof)
                 where = f"trial {trials[n]}"
-                point = f"sweep point {d.points[np.argmax((d.profile == f).any(axis=1))]}"
+                point = f"sweep point {u.var.points[np.argmax((d.profile == f).any(axis=1))]}"
             else:
                 where = f"trials {lo}-{trials[-1]}"
-                point = f"sweep points {', '.join(map(str, d.points))}"
+                point = f"sweep points {', '.join(map(str, u.var.points))}"
             e.args += (f"variant {u.vi}, drop {u.drop}, {where}", point)
             raise
-        rates = rates.reshape(len(d.powers), len(trials), n_prof, n_rule, p.K).swapaxes(0, 1)
-        if u.keep == "means":
+        rates = rates.reshape(len(u.var.powers), len(trials), n_prof, n_rule, p.K).swapaxes(0, 1)
+        if means:
             # one fixed-order sum over all K users, whatever the slice holds
             with np.errstate(invalid="ignore"):
                 out[lo - u.lo:trials[-1] + 1 - u.lo] = (np.where(honest, rates, 0.0).sum(axis=-1)
                                                         / honest.sum(axis=-1))
-        elif u.keep == "sum":
+        elif summed:
             out = [functools.reduce(np.add, rates, *out)]     # trial by trial, in order
         else:
             out.extend(rates)
-    return out if u.keep == "means" else np.stack(out)
-
-
-def _effective_params(cfg: ExperimentConfig, variant) -> SystemParams:
-    p = cfg.params
-    if variant:
-        fields = dict(variant)
-        fields.pop("label", None)
-        if "T" in fields or "K_B" in fields:
-            t = _integer("T", fields.get("T", p.T))
-            kb = _integer("K_B", fields.get("K_B", p.K_B))
-            fields.update(T=t, K_B=kb, K=t * kb)
-        p = replace(p, **fields)
-    return validate_params(p)
-
-
-def _variant_suffix(cfg: ExperimentConfig, variant, p: SystemParams) -> str:
-    if len(cfg.variants) <= 1:
-        return ""
-    if variant and "label" in variant:
-        return f"__{variant['label']}"
-    return f"__T{p.T}_KB{p.K_B}"
+    return out if means else np.stack(out)
 
 
 def run_cell(cfg: ExperimentConfig, sweep_value, workers: int = 1) -> list:
@@ -457,47 +442,55 @@ def run_cell(cfg: ExperimentConfig, sweep_value, workers: int = 1) -> list:
     return run_experiment(replace(cfg, sweep_values=(sweep_value,)), workers)
 
 
-def _cells(cfg: ExperimentConfig) -> list:
-    """Each variant's (sweep value, params, K_M, suffix) cells, one per sweep point.
+# the run plan of one layout variant: its params, the suffix of its row
+# names, and its sweep values; sweep point j runs at powers[power[j]], the
+# variant's distinct transmit powers, with counts[j] misreporters
+_Variant = collections.namedtuple("_Variant", "p suffix points powers power counts")
 
-    Every cell is checked here, so a bad one fails before any trial runs.
-    """
-    variants = [[] for _ in cfg.variants]
+
+def _variants(cfg: ExperimentConfig) -> list:
+    """The ``_Variant`` of each layout of ``cfg``, every one checked before any set-up."""
     # every heterogeneous attack demotes or promotes at least one user
     lo = int(cfg.scenario == "heterogeneous" and set(cfg.strategy) != {"none"})
-    for v in cfg.sweep_values:
-        for cells, variant in zip(variants, cfg.variants):
-            p = _effective_params(cfg, variant)
-            k_m = cfg.K_M
-            if cfg.sweep == "P_dB":
-                p = validate_params(replace(p, P=db_to_linear(v)))
-            elif cfg.sweep == "K_M":
-                k_m = int(v)
-            if not (lo <= k_m <= p.K):
+    out = []
+    for variant in cfg.variants:
+        given = _from_json(SystemParams, variant or {})
+        if cfg.sweep == "P_dB" and "P" in given:
+            raise ConfigError(f"a variant's P={given['P']} conflicts with the P_dB sweep")
+        if {"T", "K_B"} & set(given) and "K" not in given:
+            given["K"] = given.get("T", cfg.params.T) * given.get("K_B", cfg.params.K_B)
+        p = replace(cfg.params, **given)
+        at = [replace(p, P=db_to_linear(v)) if cfg.sweep == "P_dB" else p for v in cfg.sweep_values]
+        counts = [int(v) if cfg.sweep == "K_M" else cfg.K_M for v in cfg.sweep_values]
+        for k_m in counts:
+            if not lo <= k_m <= p.K:
                 raise CountError(f"K_M={k_m} out of range [{lo}, {p.K}]")
-            cells.append((v, p, k_m, _variant_suffix(cfg, variant, p)))
-    if not all(1 <= u <= max(c[0][1].K for c in variants) for u in cfg.track_users or ()):
-        raise ConfigError(f"track_users {cfg.track_users} holds a rank past K of every variant")
-    return variants
+        suffix = ("" if len(cfg.variants) == 1 else f"__{variant['label']}"
+                  if variant and "label" in variant else f"__T{p.T}_KB{p.K_B}")
+        out.append(_Variant(p, suffix, cfg.sweep_values,
+                            *np.unique([q.P for q in at], return_inverse=True),
+                            np.array(counts, dtype=np.intp)))
+    if len({var.suffix for var in out}) < len(out):
+        raise ConfigError(f"variants repeat a row suffix: {[var.suffix for var in out]}")
+    k = max(var.p.K for var in out)
+    if not all(1 <= u <= k for u in cfg.track_users or ()):
+        raise ConfigError(f"each track_users rank must lie in [1, K], K={k} in the widest "
+                          f"variant, got {cfg.track_users}")
+    return out
 
 
 # the set-up of one drop of one variant, shared by all its sweep points.
-# scales and honest are the (F, K) multipliers and honest users of the
-# distinct misreport profiles of every sweep point, equal scale and reported
-# gains counting as one, in order of first appearance over (sweep point,
-# honest then strategies); ls_plans are their (F, T, K_B) large-scale plans,
-# or None. powers are the variant's distinct transmit powers and points its
-# sweep values; sweep point j runs at powers[power[j]], and profile[j, i] is
-# its honest profile (i = 0) or that of strategy i - 1.
-_Drop = collections.namedtuple("_Drop", "betas scales honest ls_plans powers points power profile")
+# scales are the (F, K) multipliers of the distinct misreport profiles of
+# every sweep point, equal scale and reported gains counting as one, in
+# order of first appearance over (sweep point, honest then strategies);
+# ls_plans are their (F, T, K_B) large-scale plans, or None. profile[j, i]
+# is sweep point j's honest profile (i = 0) or that of strategy i - 1
+_Drop = collections.namedtuple("_Drop", "betas scales ls_plans profile")
 
 
-def _drops(cfg, vi, cells) -> list:
-    """The ``_Drop`` of each drop of variant ``vi``, whose cells are ``cells``."""
-    p = cells[0][1]             # the sweep points of a variant differ in P or K_M only
-    points = tuple(v for v, *_ in cells)
-    powers, power = np.unique([pv.P for _, pv, *_ in cells], return_inverse=True)
-    counts = np.array([k_m for *_, k_m, _ in cells], dtype=np.intp)
+def _drops(cfg, vi, var) -> list:
+    """The ``_Drop`` of each drop of variant ``vi``, whose plan is ``var``."""
+    p, counts = var.p, var.counts
     # each strategy's (scale, reported) rows at every sweep point's K_M
     build = {
         "none": strategies.honest_profile,
@@ -525,13 +518,12 @@ def _drops(cfg, vi, cells) -> list:
         ls_plans = None
         if "large_scale" in cfg.grouping_rule:
             ls_plans = scheduling.group_by_large_scale(reported, p)
-        drops.append(_Drop(betas, scales, scales == 1.0, ls_plans, powers, points, power,
-                           index.reshape(rows.shape[:2])))
+        drops.append(_Drop(betas, scales, ls_plans, index.reshape(rows.shape[:2])))
     return drops
 
 
 def _run(cfg, variants, workers, pool) -> list:
-    """The rows of each variant's cells: one map over every trial chunk of every variant.
+    """The rows of each of ``variants``: one map over every trial chunk of every variant.
 
     A unit covers one drop of one variant at every sweep point, so each
     trial is drawn, grouped and factorized once per run. Units are made
@@ -550,14 +542,11 @@ def _run(cfg, variants, workers, pool) -> list:
     setups = collections.deque()        # the drops of each variant reached, until reduced
 
     def units():
-        for vi, cells in enumerate(variants):
-            setups.append(_drops(cfg, vi, cells))
+        for vi, var in enumerate(variants):
+            setups.append(_drops(cfg, vi, var))
             for drop, d in enumerate(setups[-1]):
                 for lo, hi in bounds:
-                    keep = ("means" if cfg.scenario == "homogeneous"
-                            else "trials" if drop == 0 or lo > 0 else "sum")
-                    yield _TrialChunk(cells[0][1], d, cfg.grouping_rule, cfg.sus_alpha,
-                                      cfg.seed, vi, drop, lo, hi, keep)
+                    yield _TrialChunk(cfg, vi, var, d, drop, lo, hi)
 
     if pool is None:
         chunks = map(_run_chunk, units())
@@ -566,11 +555,11 @@ def _run(cfg, variants, workers, pool) -> list:
         chunks = pool.map(_run_chunk, units(),
                           chunksize=-(-n_drops * len(bounds) // (4 * workers)))
     rows = {}
-    for vi, cells in enumerate(variants):
+    for vi, var in enumerate(variants):
         # each drop's rows: per-trial rates or means, or a sum of its first
         # trials followed by the rates of the rest
         results = [np.concatenate([next(chunks) for _ in bounds]) for _ in range(per_variant)]
-        for j, cell in enumerate(_variant_rows(cfg, cells, setups.popleft(), results)):
+        for j, cell in enumerate(_variant_rows(cfg, var, setups.popleft(), results)):
             rows[j, vi] = cell
     return [row for key in sorted(rows) for row in rows[key]]
 
@@ -594,8 +583,8 @@ def _std_ci(values: np.ndarray) -> tuple:
     return s, 1.96 * s / math.sqrt(n)
 
 
-def _variant_rows(cfg, cells, drops, results):
-    """Yield the rows of each sweep point of one variant, from its ``drops`` and units.
+def _variant_rows(cfg, var, drops, results):
+    """Yield the rows of each sweep point of the variant ``var``, from its ``drops`` and units.
 
     ``results`` holds each drop's unit results, trials first: the honest
     means of the one homogeneous drop, or a heterogeneous drop's per-user
@@ -605,7 +594,9 @@ def _variant_rows(cfg, cells, drops, results):
     """
     het = cfg.scenario == "heterogeneous"
     sums = [functools.reduce(np.add, res) for res in results] if het else None
-    for j, (v, p, k_m, vsuf) in enumerate(cells):
+    tracked = (range(1, var.p.K + 1) if cfg.track_users is None
+               else [u for u in cfg.track_users if u <= var.p.K])
+    for j, v in enumerate(var.points):
         rows = []
 
         def row(name, mean, std, ci, trials=cfg.trials, drops=1):
@@ -613,18 +604,16 @@ def _variant_rows(cfg, cells, drops, results):
                                   float(ci), trials, drops, cfg.seed))
 
         # drop 0's (trials, 1 + strategies, rules[, K]) baseline and attacked runs
-        trial = results[0][:, drops[0].power[j], drops[0].profile[j]]
+        trial = results[0][:, var.power[j], drops[0].profile[j]]
         if het:
             # (drops, 1 + strategies, rules, K) rates summed over each drop's
             # trials, and the (drops, strategies, K) honest users of each attack
-            total = np.stack([s[d.power[j], d.profile[j]] for s, d in zip(sums, drops)])
-            honest = np.stack([d.honest[d.profile[j, 1:]] for d in drops])
-            tracked = (range(1, p.K + 1) if cfg.track_users is None
-                       else [u for u in cfg.track_users if u <= p.K])
+            total = np.stack([s[var.power[j], d.profile[j]] for s, d in zip(sums, drops)])
+            honest = np.stack([d.scales[d.profile[j, 1:]] == 1.0 for d in drops])
         for ri, rule in enumerate(cfg.grouping_rule):
             short = RULE_SHORT[rule]
             for si, tag in enumerate(cfg.strategy):
-                tail = (f"__{tag}" if len(cfg.strategy) > 1 else "") + vsuf
+                tail = (f"__{tag}" if len(cfg.strategy) > 1 else "") + var.suffix
                 att, base = trial[:, si + 1, ri], trial[:, 0, ri]
                 per_trial = _loss(att, base)
                 std, ci = _std_ci(per_trial)
@@ -646,10 +635,12 @@ def _variant_rows(cfg, cells, drops, results):
                         dstd[u - 1], dci[u - 1], drops=cfg.drops)
         # eq17 and eq21 cover K_M <= K_B underreporters only
         if "homogeneous_uniform" in cfg.strategy and cfg.delta <= 1:
+            p, k_m = replace(var.p, P=var.powers[var.power[j]]), int(var.counts[j])
             for name, loss, k_lo in (("analytic_eq17", analytic.loss_rr_cm, 0),
                                      ("upper_bound_eq21", analytic.loss_upper_bound, 1)):
                 if k_lo <= k_m <= p.K_B:
-                    row(f"{name}{vsuf}", loss(p, k_m, cfg.delta, p.beta_default), 0.0, 0.0, trials=0)
+                    row(f"{name}{var.suffix}", loss(p, k_m, cfg.delta, p.beta_default), 0.0, 0.0,
+                        trials=0)
         yield rows
 
 
@@ -663,7 +654,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
-    variants = _cells(cfg)
+    variants = _variants(cfg)
     with _single_blas_thread(), _worker_pool(workers) as pool:
         return _run(cfg, variants, workers, pool)
 
@@ -741,7 +732,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         if f"{name}_dB" in d:
             d[name] = db_to_linear(_json_real(f"{name}_dB", d.pop(f"{name}_dB")))
     p = {"M": 64, "T": 4, "K_B": 8, **_from_json(SystemParams, d)}
-    params = validate_params(SystemParams(**{"K": p["T"] * p["K_B"], **p}))
+    params = SystemParams(**{"K": p["T"] * p["K_B"], **p})
     het = {}
     if d.get("scenario") == "heterogeneous":
         het = {"strategy": "grouping_changed_under", "drops": 200,

@@ -5,17 +5,18 @@ different or plainer route, one block, one state or one period at a time.
 """
 import math
 import statistics
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import scipy.linalg
 from scipy.stats import gamma as gamma_dist
 
-from mimosched import (DomainError, RngStream, channel_magnitudes, draw_channels,
+from mimosched import (DomainError, RngStream, channel_magnitudes, db_to_linear, draw_channels,
                        draw_large_scale, group_by_large_scale, group_by_magnitude, group_by_sus,
                        group_randomly, loss_rr_cm, loss_upper_bound, maxmin_power,
                        zf_effective_gains)
-from mimosched.experiments import RULE_SHORT, _cells, pack_stream
+from mimosched.experiments import RULE_SHORT, pack_stream
 from mimosched.zf import _check_conditioning
 
 
@@ -209,10 +210,32 @@ def profile_oracle(tag: str, betas: np.ndarray, p, k_m: int, cfg) -> tuple:
     return reported / betas, reported
 
 
+def cells_oracle(cfg) -> list:
+    """Each variant's (sweep value, params at its power, K_M, row suffix) cells, one per point.
+
+    Read off the config's fields one cell at a time: a variant's T or K_B
+    sets K = T * K_B unless it gives K, and a run of several variants
+    suffixes each variant's row names with its label, or else T{T}_KB{K_B}.
+    """
+    out = []
+    for variant in cfg.variants:
+        over = {k: v for k, v in (variant or {}).items() if k != "label"}
+        if ("T" in over or "K_B" in over) and "K" not in over:
+            over["K"] = over.get("T", cfg.params.T) * over.get("K_B", cfg.params.K_B)
+        p = replace(cfg.params, **over)
+        suffix = ("" if len(cfg.variants) == 1 else
+                  f"__{variant['label']}" if variant and "label" in variant else
+                  f"__T{p.T}_KB{p.K_B}")
+        out.append([(v, replace(p, P=db_to_linear(v)) if cfg.sweep == "P_dB" else p,
+                     int(v) if cfg.sweep == "K_M" else cfg.K_M, suffix)
+                    for v in cfg.sweep_values])
+    return out
+
+
 def drop_setups_oracle(cfg, vi: int, cells) -> list:
     """Each drop's (betas, scales, honest, ls_plans, profile) of variant ``vi``, profile by profile.
 
-    ``cells`` are the variant's (sweep value, params, K_M, suffix) cells.
+    ``cells`` are the variant's cells from cells_oracle.
     Every (sweep point, honest then each strategy) profile is built on its
     own and looked up by its scale and reported bytes, so equal profiles
     count once, in order of first appearance.
@@ -290,7 +313,7 @@ def rows_oracle(cfg) -> dict:
         s = statistics.stdev(values) if n > 1 else 0.0
         rows[float(v), name] = (mean, s, 1.96 * s / math.sqrt(n) if n > 1 else 0.0, trials, drops)
 
-    for vi, cells in enumerate(_cells(cfg)):
+    for vi, cells in enumerate(cells_oracle(cfg)):
         setups = drop_setups_oracle(cfg, vi, cells)
         # (drops, sweep points, 1 + strategies, rules, trials, K)
         rates = np.stack([_drop_rates(cfg, vi, d, cells, setup) for d, setup in enumerate(setups)])

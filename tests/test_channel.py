@@ -73,7 +73,7 @@ def test_batched_magnitudes_equal_per_realization_calls(lead):
 
 def test_channel_norm_mean_matches_gamma():
     # ||g||^2 ~ Gamma(M, beta): mean M*beta, variance M*beta^2
-    p = SystemParams(M=64, K=100, K_B=100, T=1)
+    p = SystemParams(M=64, K=100, K_B=50, T=2)
     mags = []
     for t in range(100):
         ch = draw_channels(p, np.ones(p.K), RngStream(11, t).generator())
@@ -84,7 +84,7 @@ def test_channel_norm_mean_matches_gamma():
 
 
 def test_channel_norm_distribution_ks():
-    p = SystemParams(M=64, K=100, K_B=100, T=1)
+    p = SystemParams(M=64, K=100, K_B=50, T=2)
     mags = []
     for t in range(100):
         ch = draw_channels(p, np.ones(p.K), RngStream(5, t).generator())
@@ -126,7 +126,7 @@ def test_draw_large_scale_sorted_and_deterministic():
 
 
 def test_draw_large_scale_median_against_independent_sampler():
-    p = SystemParams(M=64, K=100, K_B=100, T=1)
+    p = SystemParams(M=64, K=100, K_B=50, T=2)
     m = LargeScaleModel()
     draws = []
     for t in range(1000):

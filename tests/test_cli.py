@@ -93,6 +93,14 @@ def test_eq17_rejects_ragged_layout(capsys):
     assert "multiple" in err
 
 
+@pytest.mark.parametrize("formula", ["eq17", "eq21"])
+def test_round_robin_formulas_reject_empty_blocks(capsys, formula):
+    # K % K_B divided by zero: a ZeroDivisionError traceback, exit 1
+    code, out, err = _run(capsys, "analytic", "--formula", formula, "--K_B", "0")
+    assert code == 2 and out == ""
+    assert "configuration error" in err and "K_B must satisfy" in err
+
+
 def test_unknown_formula_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["analytic", "--formula", "eq99"])

@@ -1,4 +1,6 @@
 """Value types, validation, and unit conversions."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,28 +12,34 @@ from mimosched import (
     LargeScaleModel,
     SystemParams,
     db_to_linear,
-    validate_params,
 )
 from mimosched.strategies import homogeneous_uniform
 
 
+# SystemParams checks itself when built: the validate_params tests below
+# build one inside each raises block
+
+
 def test_validate_params_accepts_reference_layout():
     p = SystemParams(M=64, K=32, K_B=8, T=4, P=10.0, noise_var=1.0)
-    assert validate_params(p) is p
+    assert (p.M, p.K, p.K_B, p.T, p.P) == (64, 32, 8, 4, 10.0)
+    # a replace is built, and so checked, like any other instance
+    assert replace(p, K=16, T=2) == SystemParams(M=64, K=16, K_B=8, T=2, P=10.0)
+    with pytest.raises(DimensionError, match="T\\*K_B"):
+        replace(p, T=3)
 
 
 def test_validate_params_rejects_non_divisible_k():
-    p = SystemParams(M=64, K=30, K_B=8, T=4)
     with pytest.raises(DimensionError) as e:
-        validate_params(p)
+        SystemParams(M=64, K=30, K_B=8, T=4)
     assert "T*K_B" in str(e.value)
 
 
 def test_validate_params_rejects_tiny_m():
     with pytest.raises(DimensionError):
-        validate_params(SystemParams(M=0, K=32, K_B=8, T=4))
+        SystemParams(M=0, K=32, K_B=8, T=4)
     with pytest.raises(DimensionError):
-        validate_params(SystemParams(M=1, K=1, K_B=1, T=1))
+        SystemParams(M=1, K=1, K_B=1, T=1)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -52,21 +60,20 @@ def test_validate_params_rejects_tiny_m():
 ])
 def test_validate_params_rejects_bad_fields(kwargs):
     with pytest.raises(DimensionError):
-        validate_params(SystemParams(**kwargs))
+        SystemParams(**kwargs)
 
 
 def test_validate_params_rejects_more_block_members_than_antennas():
     # zero-forcing K_B users needs K_B <= M; the block Gram matrices no
     # longer show M, so the layout is checked here
     with pytest.raises(DimensionError, match="K_B <= M"):
-        validate_params(SystemParams(M=4, K=16, K_B=8, T=2))
-    p = SystemParams(M=8, K=16, K_B=8, T=2)
-    assert validate_params(p) is p
+        SystemParams(M=4, K=16, K_B=8, T=2)
+    assert SystemParams(M=8, K=16, K_B=8, T=2).K_B == 8
 
 
 def test_validate_params_requires_integer_dimensions():
     with pytest.raises(DimensionError):
-        validate_params(SystemParams(M=64.0, K=32, K_B=8, T=4))
+        SystemParams(M=64.0, K=32, K_B=8, T=4)
 
 
 def test_snr_property():

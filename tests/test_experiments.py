@@ -41,9 +41,9 @@ from mimosched import (
     zf_effective_gains,
 )
 from mimosched import SingularMatrixError, experiments, zf
-from mimosched.experiments import CSV_HEADER, _cells, _drops, pack_stream
+from mimosched.experiments import CSV_HEADER, _drops, _variants, pack_stream
 from mimosched.strategies import grouping_changed_under, grouping_unchanged_under
-from oracles import drop_setups_oracle, gram, period_rates_oracle, rows_oracle
+from oracles import cells_oracle, drop_setups_oracle, gram, period_rates_oracle, rows_oracle
 
 
 def _rows_by_metric(rows, name, sweep_value=None):
@@ -161,11 +161,19 @@ def test_config_normalizes_scalars(p_default):
     {"variants": ({"label": 5}, None)},                 # became the suffix __5
     {"track_users": (1,)},                              # each was ignored by the homogeneous run
     {"large_scale": LargeScaleModel()},
+    {"seed": -1},                                       # drew as seed 2**64 - 1
+    {"seed": 2**64},                                    # drew as seed 0
+    {"variants": (None,) * (2**10 + 1)},                # failed after the first 1024 variants ran
 ])
 def test_config_rejects(p_default, kwargs):
     # construction only: a config that got through could hang when run
     with pytest.raises(ConfigError):
         ExperimentConfig(params=p_default, **kwargs)
+
+
+def test_config_accepts_the_largest_seed_and_variant_count(p_default):
+    cfg = ExperimentConfig(params=p_default, seed=2**64 - 1, variants=(None,) * 2**10)
+    assert (cfg.seed, len(cfg.variants)) == (2**64 - 1, 2**10)
 
 
 @pytest.mark.parametrize("params", [None, {"M": 64, "K": 32, "K_B": 8, "T": 4}])
@@ -590,12 +598,34 @@ def _het_sweep(p_nine, cell_model):
         trials=4, drops=3, seed=21, track_users=(1, 9))
 
 
-@pytest.mark.parametrize("ranks", [(99, 0, -3), (10,), (0,), (1, 9, -1)])
+@pytest.mark.parametrize("ranks", [(99, 0, -3), (10,), (0,), (1, 9, -1), (1, 1)])
 def test_run_rejects_ranks_past_every_variant(p_nine, cell_model, monkeypatch, ranks):
     # K is 9 in both layouts: each run wrote no row for the bad ranks
     monkeypatch.setattr(experiments, "_drops", lambda *a: pytest.fail("set-up ran"))
     with pytest.raises(ConfigError, match="track_users"):
         run_experiment(replace(_het_sweep(p_nine, cell_model), track_users=ranks))
+
+
+def test_rank_zero_is_rejected_as_outside_one_to_k(p_nine, cell_model):
+    # was reported as "a rank past K of every variant"
+    with pytest.raises(ConfigError, match=r"must lie in \[1, K\]"):
+        run_experiment(replace(_het_sweep(p_nine, cell_model), track_users=(0,)))
+
+
+@pytest.mark.parametrize("kwargs, error, match", [
+    # each wrote its variant's rows twice, under one name
+    (dict(variants=({"label": "a"}, {"label": "a"})), ConfigError, "suffix"),
+    (dict(variants=({"T": 3, "K_B": 3}, None)), ConfigError, "suffix"),
+    # ran with K = 4: T * K_B overwrote the variant's own K
+    (dict(variants=(None, {"T": 2, "K_B": 2, "K": 100})), DimensionError, r"T\*K_B"),
+    # ran at the sweep's powers, not at the variant's P
+    (dict(sweep="P_dB", sweep_values=(0.0, 10.0), variants=(None, {"P": 5.0})), ConfigError,
+     "P_dB"),
+], ids=["label", "layout", "K", "P"])
+def test_run_rejects_variants_it_would_coerce_or_repeat(p_nine, monkeypatch, kwargs, error, match):
+    monkeypatch.setattr(experiments, "_drops", lambda *a: pytest.fail("set-up ran"))
+    with pytest.raises(error, match=match):
+        run_experiment(ExperimentConfig(params=p_nine, trials=2, **kwargs))
 
 
 def test_a_rank_of_one_variant_is_tracked_in_that_variant(p_nine, cell_model):
@@ -716,7 +746,7 @@ def test_run_experiment_restores_blas_threads(p_nine, monkeypatch):
 
     def watched_chunk(u):
         during.append(_blas_threads())
-        if u.vi == 1 and 3 in u.setup.points:
+        if u.vi == 1 and 3 in u.var.points:
             raise CountError("planted failure inside the run")
         return real_chunk(u)
 
@@ -811,7 +841,8 @@ def test_emit_csv_rejects_empty():
 
 def test_config_from_dict_defaults():
     cfg = config_from_dict({})
-    assert cfg.params == SystemParams(M=64, K=32, K_B=8, T=4, P=pytest.approx(10.0))
+    assert replace(cfg.params, P=10.0) == SystemParams(M=64, K=32, K_B=8, T=4, P=10.0)
+    assert cfg.params.P == pytest.approx(10.0)
     assert cfg.delta == pytest.approx(0.01, rel=1e-12)
     assert cfg.trials == 2000 and cfg.drops == 1
     assert cfg.strategy == ("homogeneous_uniform",)
@@ -871,7 +902,8 @@ def test_config_from_dict_accepts_integral_floats():
     cfg = config_from_dict({"M": 64.0, "T": 4.0, "K_B": np.int64(8), "trials": 3.0,
                             "seed": 7.0, "K_M": 2.0, "track_users": [1.0],
                             "scenario": "heterogeneous"})
-    assert cfg.params == SystemParams(M=64, K=32, K_B=8, T=4, P=pytest.approx(10.0))
+    assert replace(cfg.params, P=10.0) == SystemParams(M=64, K=32, K_B=8, T=4, P=10.0)
+    assert cfg.params.P == pytest.approx(10.0)
     assert (cfg.trials, cfg.seed, cfg.K_M, cfg.track_users) == (3, 7, 2, (1,))
     assert all(type(v) is int for v in (cfg.params.M, cfg.trials, cfg.seed, cfg.K_M))
 
@@ -917,7 +949,8 @@ def _flat_configs(draw):
         "trials": st.integers(1, 5000), "drops": st.integers(1, 500),
         "seed": st.integers(0, 2**32), "sus_alpha": st.floats(0.01, 1),
         # a homogeneous run writes no per-user row, so it takes no rank
-        "track_users": st.none() | st.lists(st.integers(1, 32), max_size=3 if het else 0),
+        "track_users": st.none() | st.lists(st.integers(1, 32), max_size=3 if het else 0,
+                                            unique=True),
         "variants": st.lists(st.none() | st.fixed_dictionaries(
             {"T": st.integers(1, 4), "K_B": st.integers(1, 4)}), min_size=1, max_size=2),
         "label": st.text(max_size=8),
@@ -1049,12 +1082,12 @@ def test_drop_setups_equal_the_profile_by_profile_oracle(name, drops):
     # one kernel call per strategy per drop gives the arrays that building
     # each (sweep point, strategy) profile on its own gives, bit for bit
     cfg = replace(preset(name), trials=2, drops=drops)
-    for vi, cells in enumerate(_cells(cfg)):
-        got = _drops(cfg, vi, cells)
+    for vi, (var, cells) in enumerate(zip(_variants(cfg), cells_oracle(cfg), strict=True)):
+        got = _drops(cfg, vi, var)
         want = drop_setups_oracle(cfg, vi, cells)
         assert len(got) == len(want) == drops
         for d, (betas, scales, honest, ls_plans, profile) in zip(got, want):
-            for a, b in ((d.betas, betas), (d.scales, scales), (d.honest, honest),
+            for a, b in ((d.betas, betas), (d.scales, scales), (d.scales == 1.0, honest),
                          (d.ls_plans, ls_plans), (d.profile, profile)):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 

@@ -19,7 +19,7 @@ from mimosched import (
     same_grouping,
 )
 from mimosched.channel import draw_large_scale
-from mimosched.experiments import _cells, _drops
+from mimosched.experiments import _drops, _variants
 from mimosched.strategies import (
     grouping_changed_over,
     grouping_changed_under,
@@ -41,7 +41,7 @@ def _block_sets(plan):
 
 def _profile_of(cfg):
     # each sweep point's profile index of the honest baseline, then of each strategy
-    return _drops(cfg, 0, _cells(cfg)[0])[0].profile.tolist()
+    return _drops(cfg, 0, _variants(cfg)[0])[0].profile.tolist()
 
 
 def test_honest_profile_is_all_ones(p_nine, cell_model):
