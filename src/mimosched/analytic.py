@@ -16,8 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln, xlogy
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammainc, gammaincc, gammaincinv, gammaln, xlogy
 
 from .core import CountError, DomainError, QuadratureError, RegimeError, SystemParams
 
@@ -125,7 +124,7 @@ def _orderstat_moments(shape: int, scale: float, n: int, ranks: np.ndarray,
         raise DomainError(f"scale must be positive, got {scale}")
     if not np.all((1 <= ranks) & (ranks <= n)):
         raise DomainError(f"ranks must lie in [1, {n}], got {ranks}")
-    lo, hi = gamma_dist.ppf([_TAIL, 1.0 - _TAIL], shape, scale=scale)
+    lo, hi = gammaincinv(shape, [_TAIL, 1.0 - _TAIL]) * scale
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     where = f"for shape={shape}, scale={scale}, n={n}"
     prev = np.inf

@@ -18,8 +18,6 @@ import numpy as np
 
 from .core import DomainError, LargeScaleModel, ScaleError, SystemParams
 
-_U64 = np.uint64
-
 
 @dataclass(frozen=True)
 class RngStream:
@@ -28,8 +26,12 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if not (0 <= self.seed < 2**64 and 0 <= self.stream_id < 2**64):
+            raise DomainError(f"seed and stream_id must be in [0, 2**64), got {self.seed}, {self.stream_id}")
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed % 2**64, self.stream_id % 2**64], dtype=_U64)
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

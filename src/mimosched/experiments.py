@@ -289,10 +289,9 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
 _TrialChunk = collections.namedtuple("_TrialChunk", "cfg vi var setup drop lo hi")
 
 
-# extension modules linked against the OpenBLAS builds the engine calls into:
-# numpy's (matmul and the ZF factorizations) and scipy's bundle one each
-_BLAS_MODULES = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath",
-                 "scipy.linalg._fblas")
+# modules linking an OpenBLAS: numpy's, which the engine calls (matmul, ZF
+# factorizations), and scipy's, never called, pinned only if scipy.linalg is loaded
+_BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._fblas")
 
 
 @functools.cache

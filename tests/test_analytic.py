@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.special import gammaincinv
 from scipy.stats import gamma as gamma_dist
 
 from mimosched import (
@@ -30,7 +31,7 @@ from mimosched import (
     rate_misreport_single_block,
     run_experiment,
 )
-from mimosched.analytic import _log_orderstat_pdf, _orderstat_moments
+from mimosched.analytic import _TAIL, _log_orderstat_pdf, _orderstat_moments
 from oracles import gram, inverse_moment_oracle, orderstat_pdf_oracle
 
 # golden inverse moments of the k-th smallest of 32 Gamma(64, 1) draws,
@@ -159,6 +160,15 @@ def test_orderstat_spec_validation():
         _orderstat_moments(64, 1.0, 4, np.array([0]))
     with pytest.raises(DomainError):
         _orderstat_moments(64, 1.0, 4, np.array([5]))
+
+
+def test_quadrature_range_matches_gamma_ppf_bit_for_bit():
+    # the eq17 range comes from scipy.special, so importing the package
+    # skips scipy.stats; it must be the very quantile gamma.ppf gives
+    shape = np.r_[np.arange(2, 301), 512, 1024, 2048][:, None, None]
+    scale = np.logspace(-3, 3, 25)[:, None]
+    q = np.array([_TAIL, 1.0 - _TAIL])
+    assert np.array_equal(gammaincinv(shape, q) * scale, gamma_dist.ppf(q, shape, scale=scale))
 
 
 def test_orderstat_pdf_single_draw_is_parent():

@@ -29,6 +29,19 @@ def test_rng_stream_is_reproducible_and_keyed():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_rng_stream_rejects_keys_outside_64_bits(seed, stream_id):
+    # reduced modulo 2**64, -1 would draw the numbers of 2**64 - 1
+    with pytest.raises(DomainError, match=r"\[0, 2\*\*64\)"):
+        RngStream(seed, stream_id)
+
+
+def test_rng_stream_takes_both_ends_of_64_bits():
+    low = RngStream(0, 0).generator().standard_normal(4)
+    high = RngStream(2**64 - 1, 2**64 - 1).generator().standard_normal(4)
+    assert not np.array_equal(low, high)
+
+
 def test_draw_channels_shape_and_determinism():
     p = SystemParams(M=16, K=4, K_B=2, T=2)
     betas = np.array([1.0, 2.0, 0.5, 1.0])

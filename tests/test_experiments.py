@@ -5,6 +5,8 @@ import itertools
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -807,6 +809,17 @@ def test_pool_workers_run_blas_single_threaded():
     assert len(seen) == 8
     assert all(pid != os.getpid() for pid, _ in seen)
     assert all(set(counts) == {1} for _, counts in seen)
+
+
+def test_import_loads_no_second_openblas():
+    # scipy.stats and scipy.linalg bring scipy's OpenBLAS, which the engine
+    # never calls: they slow the import, and a forked run that pins that
+    # build's threads loses a CPU to them
+    probe = "import sys, mimosched; print(sorted({'scipy.stats', 'scipy.linalg'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_emit_csv_layout(tmp_path):
