@@ -153,6 +153,12 @@ def _check_underreport(delta: float) -> None:
         raise RegimeError(f"closed form covers underreporting, delta <= 1, got delta={delta}")
 
 
+@lru_cache(maxsize=None)
+def _inverse_moment_sum(shape: int, scale: float, n: int, k: int) -> float:
+    """sum_{i <= k} E[1 / X_(i)] of n Gamma(shape, scale) draws; every sweep point repeats it."""
+    return _orderstat_moments(shape, scale, n, np.arange(1, k + 1)).sum()
+
+
 def prop3_terms(p: SystemParams, K_M: int, delta: float, beta: float = 1.0) -> dict:
     """Ingredient rates for the round-robin magnitude-scheduler loss.
 
@@ -170,9 +176,8 @@ def prop3_terms(p: SystemParams, K_M: int, delta: float, beta: float = 1.0) -> d
     _check_rate_args(p.M, p.K_B, p.snr, beta)
     _check_underreport(delta)
     M, K, K_B, snr = p.M, p.K, p.K_B, p.snr
-    a_t_a = _orderstat_moments(M, beta, K, np.arange(1, K_B + 1)).sum()
-    a_t_m = K_M / (delta * beta * (M - 1)) + _orderstat_moments(
-        M, beta, K - K_M, np.arange(1, K_B - K_M + 1)).sum()
+    a_t_a = _inverse_moment_sum(M, float(beta), K, K_B)
+    a_t_m = K_M / (delta * beta * (M - 1)) + _inverse_moment_sum(M, float(beta), K - K_M, K_B - K_M)
     r_a_t, r_m_t = (np.log2(1.0 + snr * (M - K_B) / ((M - 1) * a)) for a in (a_t_a, a_t_m))
     return {"R_a_rand": float(np.log2(1.0 + snr * beta * (M - K_B) / K_B)),
             "R_aCM_T": float(r_a_t), "R_mCM_T": float(r_m_t),

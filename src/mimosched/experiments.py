@@ -225,9 +225,13 @@ def _distinct(rows: np.ndarray) -> tuple:
     appearance, and each row's distinct index; rows compare as raw bytes."""
     rows = np.ascontiguousarray(rows)
     key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse]
+    order = np.argsort(key, kind="stable")          # equal rows stay in index order
+    ordered = key[order]                            # the one copy of the keys
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    first = order[new]
+    by_first = np.argsort(first)
+    return first[by_first], np.argsort(by_first)[(np.cumsum(new) - 1)[np.argsort(order)]]
 
 
 def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None) -> np.ndarray:
@@ -478,59 +482,60 @@ def _variants(cfg: ExperimentConfig) -> list:
     return out
 
 
-# the set-up of one drop of one variant, shared by all its sweep points.
-# scales are the (F, K) multipliers of the distinct misreport profiles of
-# every sweep point, equal scale and reported gains counting as one, in
-# order of first appearance over (sweep point, honest then strategies);
-# ls_plans are their (F, T, K_B) large-scale plans, or None. profile[j, i]
-# is sweep point j's honest profile (i = 0) or that of strategy i - 1
+# the set-up of one drop of one variant, shared by all its sweep points, as
+# row slices of its variant's set-up arrays. scales are the (F, K) multipliers
+# of the distinct misreport profiles of every sweep point, equal scale and
+# reported gains counting as one, in order of first appearance over (sweep
+# point, honest then strategies); ls_plans are their (F, T, K_B) large-scale
+# plans, or None. profile[j] holds sweep point j's honest profile, then each strategy's
 _Drop = collections.namedtuple("_Drop", "betas scales ls_plans profile")
 
 
 def _drops(cfg, vi, var) -> list:
-    """The ``_Drop`` of each drop of variant ``vi``, whose plan is ``var``."""
+    """The ``_Drop`` of each drop of variant ``vi``, whose plan is ``var``: one call per strategy
+    kernel, distinct search and large-scale grouping over the (D, K) stack of the drops' gains."""
     p, counts = var.p, var.counts
-    # each strategy's (scale, reported) rows at every sweep point's K_M
-    build = {
-        "none": strategies.honest_profile,
-        "homogeneous_uniform": lambda b, k: strategies.homogeneous_uniform(p, k, cfg.delta),
-        "grouping_changed_under": lambda b, k: strategies.grouping_changed_under(
-            b, k, cfg.beta_low_factor * b[-1]),
-        "grouping_changed_over": lambda b, k: strategies.grouping_changed_over(
-            b, k, cfg.beta_high_factor * b[0]),
-        "grouping_unchanged_under": lambda b, k: strategies.grouping_unchanged_under(
-            b, p, k, cfg.beta_low_factor * b[-1]),
-    }
     if cfg.scenario == "homogeneous":
-        all_betas = [np.full(p.K, p.beta_default)]
+        betas = np.full((1, p.K), p.beta_default)
     else:
-        all_betas = (draw_large_scale(p, cfg.large_scale,
-                                      RngStream(cfg.seed, pack_stream(2, vi, drop, 0)).generator())
-                     for drop in range(cfg.drops))
-    drops = []
-    for betas in all_betas:
-        # (points, 1 + strategies, 2, K): the honest profile, then each strategy's
-        rows = np.stack([np.stack(build[tag](betas, counts), axis=1)
-                         for tag in ("none", *cfg.strategy)], axis=1)
-        first, index = _distinct(rows.reshape(-1, 2 * p.K))
-        scales, reported = np.ascontiguousarray(rows.reshape(-1, 2, p.K)[first].swapaxes(0, 1))
-        ls_plans = None
-        if "large_scale" in cfg.grouping_rule:
-            ls_plans = scheduling.group_by_large_scale(reported, p)
-        drops.append(_Drop(betas, scales, ls_plans, index.reshape(rows.shape[:2])))
-    return drops
+        betas = np.stack([draw_large_scale(p, cfg.large_scale, RngStream(
+            cfg.seed, pack_stream(2, vi, drop, 0)).generator()) for drop in range(cfg.drops)])
+    low, high = cfg.beta_low_factor * betas[:, -1], cfg.beta_high_factor * betas[:, 0]
+    # each strategy's (scale, reported) rows of every drop at every sweep point's K_M
+    build = {
+        "none": lambda: strategies.honest_profile(betas, counts),
+        "homogeneous_uniform": lambda: strategies.homogeneous_uniform(p, counts, cfg.delta),
+        "grouping_changed_under": lambda: strategies.grouping_changed_under(betas, counts, low),
+        "grouping_changed_over": lambda: strategies.grouping_changed_over(betas, counts, high),
+        "grouping_unchanged_under": lambda: strategies.grouping_unchanged_under(
+            betas, p, counts, low),
+    }
+    # a (drops, points, 1 + strategies) row per profile: its drop, scales and reports.
+    # Drop d's distinct rows are numbered from index[d, 0] on, in order of first appearance
+    rows = np.empty((len(betas), len(counts), 1 + len(cfg.strategy), 1 + 2 * p.K))
+    rows[..., 0] = np.arange(len(betas))[:, None, None]
+    for i, tag in enumerate(("none", *cfg.strategy)):
+        rows[:, :, i, 1:p.K + 1], rows[:, :, i, p.K + 1:] = build[tag]()
+    first, index = _distinct(rows.reshape(-1, 1 + 2 * p.K))
+    index = index.reshape(len(betas), -1)
+    scales, reported = rows.reshape(-1, 1 + 2 * p.K)[first, 1:].reshape(-1, 2, p.K).swapaxes(0, 1)
+    ls_plans = None
+    if "large_scale" in cfg.grouping_rule:
+        ls_plans = scheduling.group_by_large_scale(reported, p)
+    return [_Drop(b, scales[i[0]:hi], None if ls_plans is None else ls_plans[i[0]:hi],
+                  (i - i[0]).reshape(rows.shape[1:3]))
+            for b, i, hi in zip(betas, index, [*index[1:, 0], len(first)])]
 
 
 def _run(cfg, variants, workers, pool) -> list:
     """The rows of each of ``variants``: one map over every trial chunk of every variant.
 
-    A unit covers one drop of one variant at every sweep point, so each
-    trial is drawn, grouped and factorized once per run. Units are made
-    variant by variant as the map reaches them, so on a pool the workers
-    start on the first variant while later ones are set up. Results are
-    reduced variant by variant in submission order, in this process when
-    ``pool`` is None, so they do not depend on the pool; rows come out cell
-    by cell, sweep point by sweep point.
+    A unit covers one drop of one variant at every sweep point and carries that
+    drop's ``_Drop``, so each trial is drawn, grouped and factorized once per run.
+    Each variant is set up in one whole-array pass as the map reaches it, so on a
+    pool the workers start on the first variant while later ones are set up. Results
+    are reduced variant by variant in submission order, each in one whole-array
+    pass here, so they do not depend on the pool; rows come out sweep point by point.
     """
     per_variant = cfg.drops if cfg.scenario == "heterogeneous" else 1
     n_drops = len(variants) * per_variant
@@ -568,18 +573,16 @@ def _loss(att, base):
     return 1.0 - att / base
 
 
-def _std_ci(values: np.ndarray) -> tuple:
-    """Sample std s of the n ``values`` along axis 0, and the 95 % half-width 1.96 s / sqrt(n).
-
-    Each column is one pairwise sum. Both are 0 below two values, and in a
-    column that holds a non-finite value.
-    """
-    cols = np.moveaxis(values, 0, -1).copy()        # contiguous, values last
+def _mean_std_ci(values: np.ndarray) -> tuple:
+    """Mean, sample std s and 95 % half-width 1.96 s / sqrt(n) of the n ``values`` along axis 0,
+    each column one pairwise sum of a contiguous copy, values last. s and the half-width are 0
+    below two values, and in a column that holds a non-finite value."""
+    cols = np.moveaxis(values, 0, -1).copy()
     n = cols.shape[-1]
     s = np.zeros(cols.shape[:-1])
     if n > 1:
         s = np.where(np.isfinite(cols).all(axis=-1), cols.std(axis=-1, ddof=1), s)
-    return s, 1.96 * s / math.sqrt(n)
+    return cols.mean(axis=-1), s, 1.96 * s / math.sqrt(n)
 
 
 def _variant_rows(cfg, var, drops, results):
@@ -588,13 +591,43 @@ def _variant_rows(cfg, var, drops, results):
     ``results`` holds each drop's unit results, trials first: the honest
     means of the one homogeneous drop, or a heterogeneous drop's per-user
     rates (K last), trial by trial for drop 0 and otherwise summed over its
-    first trials. theta and per_user_loss[u] spread over the trials of drop
-    0, avg_honest_loss and the _drops rows over drops.
+    first trials. theta and per_user_loss[u] spread over the trials of drop 0,
+    avg_honest_loss and the _drops rows over drops, all read off whole arrays.
     """
     het = cfg.scenario == "heterogeneous"
-    sums = [functools.reduce(np.add, res) for res in results] if het else None
     tracked = (range(1, var.p.K + 1) if cfg.track_users is None
                else [u for u in cfg.track_users if u <= var.p.K])
+    users = np.array(tracked, dtype=np.intp) - 1
+    # drop 0's (trials, points, 1 + strategies, rules[, tracked users]) baseline and attacked runs
+    trial = np.ascontiguousarray((results[0][..., users] if het else results[0])[
+        :, var.power[:, None], drops[0].profile])
+    paired, std, ci = _mean_std_ci(_loss(trial[:, :, 1:], trial[:, :, :1]))
+    if not het:
+        mean = _mean_std_ci(trial)[0]
+        theta = _loss(mean[:, 1:], mean[:, :1])
+    else:
+        # every drop's (points, 1 + strategies) profiles, numbered drop after drop
+        offset = np.cumsum([0] + [len(d.scales) for d in drops[:-1]])
+        profile = np.stack([d.profile for d in drops]) + offset[:, None, None]
+        honest = np.concatenate([d.scales for d in drops])[profile[:, :, 1:]] == 1.0
+        # each drop's rates summed row by row, as numpy sums a contiguous array's
+        # leading axis; past drop 0 every drop returns as many rows: one array
+        summed = [results[0].sum(axis=0)]
+        if len(drops) > 1:
+            summed.append(np.concatenate(results[1:], axis=2).sum(axis=0))
+        total = np.concatenate(summed, axis=1)[var.power[:, None], profile]
+        att, base = total[:, :, 1:], np.broadcast_to(total[:, :, :1], total[:, :, 1:].shape)
+        # loss of the honest users' average rate, not the average of per-user loss
+        # ratios: strong users carry their rate weight. Rows with c honest users sum
+        # as one (rows, c) array, as one row's masked sum would; with none, 0 / 0 = NaN
+        h = np.broadcast_to(honest[..., None, :], att.shape)
+        count, sums = h.sum(axis=-1), np.zeros((2,) + att.shape[:-1])
+        for c in np.flatnonzero(np.bincount(count.ravel())[1:]) + 1:
+            for s, rates in zip(sums, (att, base)):
+                s[count == c] = rates[h & (count == c)[..., None]].reshape(-1, c).sum(axis=-1)
+        with np.errstate(invalid="ignore"):
+            avg = _mean_std_ci(_loss(*sums))
+        drop_user = _mean_std_ci(user := _loss(att[..., users], base[..., users]))
     for j, v in enumerate(var.points):
         rows = []
 
@@ -602,36 +635,21 @@ def _variant_rows(cfg, var, drops, results):
             rows.append(ResultRow(cfg.label, cfg.sweep, float(v), name, float(mean), float(std),
                                   float(ci), trials, drops, cfg.seed))
 
-        # drop 0's (trials, 1 + strategies, rules[, K]) baseline and attacked runs
-        trial = results[0][:, var.power[j], drops[0].profile[j]]
-        if het:
-            # (drops, 1 + strategies, rules, K) rates summed over each drop's
-            # trials, and the (drops, strategies, K) honest users of each attack
-            total = np.stack([s[var.power[j], d.profile[j]] for s, d in zip(sums, drops)])
-            honest = np.stack([d.scales[d.profile[j, 1:]] == 1.0 for d in drops])
         for ri, rule in enumerate(cfg.grouping_rule):
             short = RULE_SHORT[rule]
             for si, tag in enumerate(cfg.strategy):
                 tail = (f"__{tag}" if len(cfg.strategy) > 1 else "") + var.suffix
-                att, base = trial[:, si + 1, ri], trial[:, 0, ri]
-                per_trial = _loss(att, base)
-                std, ci = _std_ci(per_trial)
+                at = (j, si, ri)
                 if not het:
-                    row(f"theta_{short}{tail}", _loss(att.mean(), base.mean()), std, ci)
-                    row(f"theta_{short}_paired{tail}", per_trial.mean(), std, ci)
+                    row(f"theta_{short}{tail}", theta[at], std[at], ci[at])
+                    row(f"theta_{short}_paired{tail}", paired[at], std[at], ci[at])
                     continue
-                att, base = total[:, si + 1, ri], total[:, 0, ri]
-                # loss of the honest users' average rate, not the average of
-                # per-user loss ratios: strong users carry their rate weight
-                avg = np.array([_loss(a[h].sum(), b[h].sum()) if h.any() else np.nan
-                                for a, b, h in zip(att, base, honest[:, si])])
-                row(f"avg_honest_loss_{short}{tail}", avg.mean(), *_std_ci(avg), drops=cfg.drops)
-                user = _loss(att, base)                                 # (drops, K)
-                dstd, dci = _std_ci(user)
-                for u in tracked:
-                    row(f"per_user_loss_{short}{tail}[{u}]", user[0, u - 1], std[u - 1], ci[u - 1])
-                    row(f"per_user_loss_{short}{tail}_drops[{u}]", user[:, u - 1].mean(),
-                        dstd[u - 1], dci[u - 1], drops=cfg.drops)
+                row(f"avg_honest_loss_{short}{tail}", *(a[at] for a in avg), drops=cfg.drops)
+                for k, u in enumerate(tracked):
+                    at_u = (*at, k)
+                    row(f"per_user_loss_{short}{tail}[{u}]", user[(0, *at_u)], std[at_u], ci[at_u])
+                    row(f"per_user_loss_{short}{tail}_drops[{u}]", *(a[at_u] for a in drop_user),
+                        drops=cfg.drops)
         # eq17 and eq21 cover K_M <= K_B underreporters only
         if "homogeneous_uniform" in cfg.strategy and cfg.delta <= 1:
             p, k_m = replace(var.p, P=var.powers[var.power[j]]), int(var.counts[j])

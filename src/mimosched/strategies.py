@@ -36,7 +36,8 @@ def _counts(counts, lo: int, hi: int) -> np.ndarray:
 def honest_profile(betas: np.ndarray, counts) -> tuple:
     """Everyone reports truthfully: unit scales and the true gains, one row per count."""
     betas = np.asarray(betas, dtype=np.float64)
-    reported = np.tile(betas, (len(counts), 1))
+    counts = _counts(counts, 0, betas.shape[-1])
+    reported = np.repeat(betas[..., None, :], len(counts), axis=-2)
     return np.ones_like(reported), reported
 
 
@@ -55,24 +56,25 @@ def homogeneous_uniform(p: SystemParams, counts, delta: float) -> tuple:
 
 
 def _sorted_betas(betas: np.ndarray, counts) -> tuple:
-    """``betas`` as float64, checked to be sorted strongest first, and ``counts`` in [1, K]."""
+    """(K,) or (D, K) ``betas`` as float64 (..., 1, K) rows, each checked to be sorted
+    strongest first, and ``counts`` in [1, K]."""
     betas = np.asarray(betas, dtype=np.float64)
-    if betas.ndim != 1 or betas.shape[0] < 1:
-        raise DomainError("betas must be a nonempty 1-D vector")
+    if betas.ndim not in (1, 2) or betas.shape[-1] < 1:
+        raise DomainError("betas must be a nonempty (K,) vector or (D, K) stack")
     if not np.all(betas > 0):
         raise DomainError("every large-scale gain must be positive")
-    if np.any(np.diff(betas) >= 0):
+    if np.any(np.diff(betas, axis=-1) >= 0):
         raise DomainError("betas must be sorted strictly descending (relabeled by rank)")
-    return betas, _counts(counts, 1, betas.shape[0])
+    return betas[..., None, :], _counts(counts, 1, betas.shape[-1])
 
 
-def _beta_low(betas: np.ndarray, beta_low):
-    """``beta_low``, by default half the weakest gain, checked to sort below every user."""
-    if beta_low is None:
-        beta_low = betas[-1] / 2.0
-    if not 0 < beta_low < betas[-1]:
+def _beta_low(betas: np.ndarray, beta_low) -> np.ndarray:
+    """``beta_low``, one or one per drop, by default half the weakest gain, checked to sort
+    below every user."""
+    beta_low = betas[..., -1:] / 2.0 if beta_low is None else np.asarray(beta_low)[..., None, None]
+    if not np.all((0 < beta_low) & (beta_low < betas[..., -1:])):
         raise RangeError(
-            f"beta_low must lie in (0, {betas[-1]!r}) to sort below every honest user")
+            f"beta_low must lie in (0, {betas[..., 0, -1]!r}) to sort below every honest user")
     return beta_low
 
 
@@ -84,20 +86,19 @@ def grouping_changed_under(betas: np.ndarray, counts, beta_low: float | None = N
     user shifts K_M ranks upward.
     """
     betas, counts = _sorted_betas(betas, counts)
-    beta_low = _beta_low(betas, beta_low)
-    reported = np.where(np.arange(betas.shape[0]) < counts[:, None], beta_low, betas)
+    reported = np.where(np.arange(betas.shape[-1]) < counts[:, None], _beta_low(betas, beta_low),
+                        betas)
     return reported / betas, reported
 
 
 def grouping_changed_over(betas: np.ndarray, counts, beta_high: float | None = None) -> tuple:
     """The K_M weakest users overreport above everyone, promoting themselves."""
     betas, counts = _sorted_betas(betas, counts)
-    if beta_high is None:
-        beta_high = 2.0 * betas[0]
-    if not beta_high > betas[0]:
+    beta_high = 2.0 * betas[..., :1] if beta_high is None else np.asarray(beta_high)[..., None, None]
+    if not np.all(beta_high > betas[..., :1]):
         raise RangeError(
-            f"beta_high must exceed {betas[0]!r} to sort above every honest user")
-    k = betas.shape[0]
+            f"beta_high must exceed {betas[..., 0, 0]!r} to sort above every honest user")
+    k = betas.shape[-1]
     reported = np.where(np.arange(k) >= k - counts[:, None], beta_high, betas)
     return reported / betas, reported
 
@@ -120,22 +121,23 @@ def grouping_unchanged_under(betas: np.ndarray, p: SystemParams, counts,
     and the next block's alone, so every count's row is read off directly.
     """
     K_B, T = p.K_B, p.T
-    if np.shape(betas) != (p.K,):
-        raise DomainError(f"betas must have shape ({p.K},), got {np.shape(betas)}")
+    if np.shape(betas)[-1:] != (p.K,):
+        raise DomainError(f"betas must have shape (..., {p.K}), got {np.shape(betas)}")
     betas, counts = _sorted_betas(betas, counts)
     beta_low = _beta_low(betas, beta_low)
     # recruit m joins block (m - 1) % T, so block t's recruits are its first
     # n[:, t] members; they report what block t + 1's recruits set, in the
     # last block beta_low
     n = (counts[:, None] - 1 - np.arange(T)) // T + 1
-    below = np.where(n[:, 1:] > 0, betas[K_B * np.arange(1, T) + n[:, 1:] - 1],
-                     (betas[K_B - 1:-1:K_B] + betas[K_B::K_B]) / 2.0)
-    value = np.concatenate([below, np.full((len(counts), 1), beta_low)], axis=1)
+    below = np.where(n[:, 1:] > 0, betas[..., 0, K_B * np.arange(1, T) + n[:, 1:] - 1],
+                     (betas[..., K_B - 1:-1:K_B] + betas[..., K_B::K_B]) / 2.0)
+    value = np.concatenate([below, np.broadcast_to(beta_low, below.shape[:-1] + (1,))], axis=-1)
     recruited = (np.arange(K_B) < n[:, :, None]).reshape(-1, p.K)
-    reported = np.where(recruited, value.repeat(K_B, axis=1), betas)
+    reported = np.where(recruited, value.repeat(K_B, axis=-1), betas)
     # defining postcondition: the large-scale scheduler must not notice
-    plans = scheduling.group_by_large_scale(np.vstack([betas, reported]), p)
-    if not scheduling.same_grouping(np.broadcast_to(plans[0], plans[1:].shape), plans[1:]):
+    plans = scheduling.group_by_large_scale(np.concatenate([betas, reported], axis=-2), p)
+    honest, attacked = plans[..., :1, :, :], plans[..., 1:, :, :]
+    if not scheduling.same_grouping(np.broadcast_to(honest, attacked.shape), attacked):
         raise SimulationError(
             "internal error: grouping-preserving misreport changed the grouping")
     return reported / betas, reported

@@ -3,6 +3,7 @@
 None is part of the package: each recomputes a production result by a
 different or plainer route, one block, one state or one period at a time.
 """
+import functools
 import math
 import statistics
 from dataclasses import replace
@@ -12,11 +13,11 @@ import numpy as np
 import scipy.linalg
 from scipy.stats import gamma as gamma_dist
 
-from mimosched import (DomainError, RngStream, channel_magnitudes, db_to_linear, draw_channels,
-                       draw_large_scale, group_by_large_scale, group_by_magnitude, group_by_sus,
-                       group_randomly, loss_rr_cm, loss_upper_bound, maxmin_power,
-                       zf_effective_gains)
-from mimosched.experiments import RULE_SHORT, pack_stream
+from mimosched import (DomainError, ResultRow, RngStream, analytic, channel_magnitudes,
+                       db_to_linear, draw_channels, draw_large_scale, group_by_large_scale,
+                       group_by_magnitude, group_by_sus, group_randomly, loss_rr_cm,
+                       loss_upper_bound, maxmin_power, zf_effective_gains)
+from mimosched.experiments import RULE_SHORT, _loss, pack_stream
 from mimosched.zf import _check_conditioning
 
 
@@ -353,3 +354,74 @@ def rows_oracle(cfg) -> dict:
                     put(v, f"upper_bound_eq21{vsuf}",
                         loss_upper_bound(p, k_m, cfg.delta, p.beta_default), trials=0)
     return rows
+
+
+def _std_ci_oracle(values: np.ndarray) -> tuple:
+    """Sample std of ``values`` along axis 0 and its 95 % half-width; 0 below two values
+    or in a column holding a non-finite value. Each column is one contiguous row."""
+    cols = np.moveaxis(values, 0, -1).copy()
+    n = cols.shape[-1]
+    s = np.zeros(cols.shape[:-1])
+    if n > 1:
+        s = np.where(np.isfinite(cols).all(axis=-1), cols.std(axis=-1, ddof=1), s)
+    return s, 1.96 * s / math.sqrt(n)
+
+
+def variant_rows_oracle(cfg, var, drops, results):
+    """The rows ``experiments._variant_rows`` yields, one sweep point, rule and strategy at a time.
+
+    The reducer as it was before it read whole arrays: each drop's rates are
+    summed row by row with ``functools.reduce``, each point's cells are
+    gathered on their own, and each drop's honest users are summed by one
+    boolean mask each. Yields each sweep point's rows, as the reducer does.
+    """
+    het = cfg.scenario == "heterogeneous"
+    sums = [functools.reduce(np.add, res) for res in results] if het else None
+    tracked = (range(1, var.p.K + 1) if cfg.track_users is None
+               else [u for u in cfg.track_users if u <= var.p.K])
+    for j, v in enumerate(var.points):
+        rows = []
+
+        def row(name, mean, std, ci, trials=cfg.trials, drops=1):
+            rows.append(ResultRow(cfg.label, cfg.sweep, float(v), name, float(mean), float(std),
+                                  float(ci), trials, drops, cfg.seed))
+
+        # drop 0's (trials, 1 + strategies, rules[, K]) baseline and attacked runs
+        trial = results[0][:, var.power[j], drops[0].profile[j]]
+        if het:
+            # (drops, 1 + strategies, rules, K) rates summed over each drop's
+            # trials, and the (drops, strategies, K) honest users of each attack
+            total = np.stack([s[var.power[j], d.profile[j]] for s, d in zip(sums, drops)])
+            honest = np.stack([d.scales[d.profile[j, 1:]] == 1.0 for d in drops])
+        for ri, rule in enumerate(cfg.grouping_rule):
+            short = RULE_SHORT[rule]
+            for si, tag in enumerate(cfg.strategy):
+                tail = (f"__{tag}" if len(cfg.strategy) > 1 else "") + var.suffix
+                att, base = trial[:, si + 1, ri], trial[:, 0, ri]
+                per_trial = _loss(att, base)
+                std, ci = _std_ci_oracle(per_trial)
+                if not het:
+                    row(f"theta_{short}{tail}", _loss(att.mean(), base.mean()), std, ci)
+                    row(f"theta_{short}_paired{tail}", per_trial.mean(), std, ci)
+                    continue
+                att, base = total[:, si + 1, ri], total[:, 0, ri]
+                # loss of the honest users' average rate, not the average of
+                # per-user loss ratios: strong users carry their rate weight
+                avg = np.array([_loss(a[h].sum(), b[h].sum()) if h.any() else np.nan
+                                for a, b, h in zip(att, base, honest[:, si])])
+                row(f"avg_honest_loss_{short}{tail}", avg.mean(), *_std_ci_oracle(avg), drops=cfg.drops)
+                user = _loss(att, base)                                 # (drops, K)
+                dstd, dci = _std_ci_oracle(user)
+                for u in tracked:
+                    row(f"per_user_loss_{short}{tail}[{u}]", user[0, u - 1], std[u - 1], ci[u - 1])
+                    row(f"per_user_loss_{short}{tail}_drops[{u}]", user[:, u - 1].mean(),
+                        dstd[u - 1], dci[u - 1], drops=cfg.drops)
+        # eq17 and eq21 cover K_M <= K_B underreporters only
+        if "homogeneous_uniform" in cfg.strategy and cfg.delta <= 1:
+            p, k_m = replace(var.p, P=var.powers[var.power[j]]), int(var.counts[j])
+            for name, loss, k_lo in (("analytic_eq17", analytic.loss_rr_cm, 0),
+                                     ("upper_bound_eq21", analytic.loss_upper_bound, 1)):
+                if k_lo <= k_m <= p.K_B:
+                    row(f"{name}{var.suffix}", loss(p, k_m, cfg.delta, p.beta_default), 0.0, 0.0,
+                        trials=0)
+        yield rows

@@ -31,6 +31,7 @@ from mimosched import (
     rate_misreport_single_block,
     run_experiment,
 )
+from mimosched import analytic
 from mimosched.analytic import _TAIL, _log_orderstat_pdf, _orderstat_moments
 from oracles import gram, inverse_moment_oracle, orderstat_pdf_oracle
 
@@ -270,6 +271,28 @@ def test_rr_cm_loss_is_the_bound_in_a_single_block(data, m, delta, p_db):
     p = SystemParams(M=m, K=k_b, K_B=k_b, T=1, P=10.0 ** (p_db / 10.0))
     assert loss_rr_cm(p, k_m, delta) == pytest.approx(
         loss_upper_bound(p, k_m, delta), rel=1e-10)
+
+
+def test_eq17_sums_are_integrated_once_per_key(p_default, monkeypatch):
+    # a power sweep changes no order-statistic sum: one quadrature per
+    # distinct (shape, scale, n, k), and the same bits as a fresh evaluation
+    calls, real = [], analytic._orderstat_moments
+
+    def counted(shape, scale, n, *args, **kw):
+        calls.append((shape, scale, n))
+        return real(shape, scale, n, *args, **kw)
+
+    monkeypatch.setattr(analytic, "_orderstat_moments", counted)
+    powers = (0.1, 1.0, 10.0, 100.0)
+    fresh = []
+    for P in powers:
+        analytic._inverse_moment_sum.cache_clear()
+        fresh.append(loss_rr_cm(replace(p_default, P=P), 2, 0.01))
+    calls.clear()
+    analytic._inverse_moment_sum.cache_clear()
+    swept = [loss_rr_cm(replace(p_default, P=P), 2, 0.01) for P in powers]
+    assert calls == [(64, 1.0, 32), (64, 1.0, 30)]
+    assert [x.hex() for x in swept] == [x.hex() for x in fresh]
 
 
 def test_prop3_terms_reference(p_default):

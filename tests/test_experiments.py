@@ -2,13 +2,15 @@
 import ctypes
 import io
 import itertools
+import math
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,7 +47,8 @@ from mimosched import (
 from mimosched import SingularMatrixError, experiments, zf
 from mimosched.experiments import CSV_HEADER, _drops, _variants, pack_stream
 from mimosched.strategies import grouping_changed_under, grouping_unchanged_under
-from oracles import cells_oracle, drop_setups_oracle, gram, period_rates_oracle, rows_oracle
+from oracles import (cells_oracle, drop_setups_oracle, gram, period_rates_oracle, rows_oracle,
+                     variant_rows_oracle)
 
 
 def _rows_by_metric(rows, name, sweep_value=None):
@@ -1103,6 +1106,80 @@ def test_drop_setups_equal_the_profile_by_profile_oracle(name, drops):
             for a, b in ((d.betas, betas), (d.scales, scales), (d.scales == 1.0, honest),
                          (d.ls_plans, ls_plans), (d.profile, profile)):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _exact(rows) -> list:
+    # every field of every row, floats by their bits; NaN of either sign is one value
+    return [tuple(("nan" if math.isnan(x) else x.hex()) if isinstance(x, float) else x
+                  for x in astuple(r)) for r in rows]
+
+
+def _reduced_twice(cfg, monkeypatch, pooled):
+    """Each variant's rows from the reducer and from its oracle, on the same unit results.
+
+    ``pooled`` runs the units in this process as a two-worker pool splits
+    them, so every drop past drop 0 returns a sum of its first trials
+    followed by the rates of the rest.
+    """
+    pairs, real = [], experiments._variant_rows
+
+    def both(cfg, var, drops, results):
+        pairs.append((list(real(cfg, var, drops, results)),
+                      list(variant_rows_oracle(cfg, var, drops, results))))
+        return iter(pairs[-1][0])
+
+    monkeypatch.setattr(experiments, "_variant_rows", both)
+    pool = SimpleNamespace(map=lambda fn, units, chunksize: map(fn, units)) if pooled else None
+    experiments._run(cfg, _variants(cfg), 2 if pooled else 1, pool)
+    return pairs
+
+
+_HET_OVER_CM = ExperimentConfig(
+    params=SystemParams(M=64, K=32, K_B=8, T=4, P=10.0), scenario="heterogeneous",
+    grouping_rule="channel_magnitude", strategy="grouping_changed_over", beta_high_factor=2.0,
+    large_scale=LargeScaleModel(), sweep="K_M", sweep_values=(1, 2, 4, 8), trials=5, drops=5,
+    seed=7, track_users=(1, 16, 32), label="het_over_cm")
+_P_NINE = SystemParams(M=16, K=9, K_B=3, T=3, P=10.0)
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["one_unit_per_drop", "split_drops"])
+@pytest.mark.parametrize("cfg", [
+    replace(preset("fig2"), trials=3),
+    replace(preset("fig3"), trials=4),
+    replace(preset("fig4"), trials=5, drops=10),
+    replace(preset("fig5"), trials=3, drops=5),
+    replace(preset("fig6"), trials=3, drops=5),
+    replace(preset("fig7"), trials=2, drops=3),
+    _HET_OVER_CM,
+    replace(preset("fig6"), trials=3, drops=1),
+    replace(preset("fig4"), trials=1, drops=4),
+    ExperimentConfig(params=_P_NINE, scenario="heterogeneous", large_scale=LargeScaleModel(),
+                     grouping_rule=("large_scale", "random"),
+                     strategy=("grouping_changed_under", "grouping_unchanged_under"),
+                     sweep="K_M", sweep_values=(9, 2), trials=3, drops=4, seed=3),
+], ids=["fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "het_over_cm", "one_drop", "one_trial",
+        "no_honest_user"])
+def test_reducer_rows_equal_the_point_by_point_oracle(cfg, pooled, monkeypatch):
+    # the whole-array reduction gives the bits of reducing one sweep point,
+    # rule, strategy and drop at a time, NaN where the oracle has NaN
+    pairs = _reduced_twice(cfg, monkeypatch, pooled)
+    assert len(pairs) == len(cfg.variants)
+    for got, want in pairs:
+        assert len(got) == len(want) == len(cfg.sweep_values)
+        for g, w in zip(got, want):
+            assert _exact(g) == _exact(w)
+
+
+def test_a_point_with_no_honest_user_reads_nan_with_zero_spread(monkeypatch):
+    # at K_M = K every user misreports: the honest-user loss is 0 / 0, and a
+    # non-finite column still reports std and ci95 of 0
+    cfg = ExperimentConfig(params=_P_NINE, scenario="heterogeneous", large_scale=LargeScaleModel(),
+                           grouping_rule="large_scale", strategy="grouping_changed_under",
+                           sweep="K_M", sweep_values=(9, 2), trials=3, drops=4, seed=3)
+    rows = [r for point in _reduced_twice(cfg, monkeypatch, False)[0][0] for r in point]
+    none = _one(rows, "avg_honest_loss_ls", 9.0)
+    assert math.isnan(none.mean) and (none.std, none.ci95) == (0.0, 0.0)
+    assert math.isfinite(_one(rows, "avg_honest_loss_ls", 2.0).mean)
 
 
 @pytest.mark.parametrize("config", [

@@ -45,7 +45,7 @@ def _profile_of(cfg):
 
 
 def test_honest_profile_is_all_ones(p_nine, cell_model):
-    scale, reported = honest_profile(np.array([2.0, 1.0]), [0, 3])
+    scale, reported = honest_profile(np.array([2.0, 1.0]), [0, 2])
     assert np.all(scale == 1.0)
     assert np.array_equal(reported, [[2.0, 1.0]] * 2)
     # the heterogeneous "none" strategy is served the honest profile
@@ -286,3 +286,40 @@ def test_kernels_check_their_counts(p_nine):
             kernel([[1, 2]])
     with pytest.raises(CountError):
         homogeneous_uniform(p_nine, [10], 0.01)
+
+
+@pytest.mark.parametrize("counts, error", [([-1], CountError), ([9], CountError),
+                                           ([1.5], DimensionError), (2, DimensionError)],
+                         ids=["negative", "above_K", "fractional", "scalar"])
+def test_honest_profile_checks_its_counts(counts, error):
+    # the honest profile takes counts in [0, K] like every other kernel, K = 4 here
+    with pytest.raises(error):
+        honest_profile(np.array([4.0, 3.0, 2.0, 1.0]), counts)
+
+
+@settings(max_examples=100)
+@given(t=st.integers(1, 5), kb=st.integers(1, 6), n_drops=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1), defaults=st.booleans(), data=st.data())
+def test_kernels_on_a_stack_equal_one_call_per_drop(t, kb, n_drops, seed, defaults, data):
+    # a (D, K) stack of sorted gains gives each drop's (F, K) rows bit for
+    # bit, with the reports' bounds given per drop or left to their defaults
+    p = SystemParams(M=max(2, kb), K=t * kb, K_B=kb, T=t)
+    betas = np.stack([draw_large_scale(p, LargeScaleModel(), RngStream(seed, d).generator())
+                      for d in range(n_drops)])
+    low = None if defaults else 0.3 * betas[:, -1]
+    high = None if defaults else 1.7 * betas[:, 0]
+    # tag: (lowest count, per-drop bound, kernel)
+    kernels = {
+        "none": (0, None, lambda b, k, _: honest_profile(b, k)),
+        "grouping_changed_under": (1, low, grouping_changed_under),
+        "grouping_changed_over": (1, high, grouping_changed_over),
+        "grouping_unchanged_under": (1, low, lambda b, k, x: grouping_unchanged_under(b, p, k, x)),
+    }
+    for tag, (lo, bound, kernel) in kernels.items():
+        counts = data.draw(st.lists(st.integers(lo, p.K), min_size=1, max_size=6), label=tag)
+        stacked = kernel(betas, counts, bound)
+        for d in range(n_drops):
+            one = kernel(betas[d], counts, None if bound is None else bound[d])
+            for got, want in zip(stacked, one, strict=True):
+                assert got[d].shape == want.shape == (len(counts), p.K), tag
+                assert got[d].tobytes() == want.tobytes(), (tag, d)
