@@ -27,6 +27,11 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
+        # a float or bool key would be truncated: 1.5 and True draw what 1 draws
+        for name in ("seed", "stream_id"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {v!r}")
         if not (0 <= self.seed < 2**64 and 0 <= self.stream_id < 2**64):
             raise DomainError(f"seed and stream_id must be in [0, 2**64), got {self.seed}, {self.stream_id}")
 

@@ -56,6 +56,11 @@ class ConfigError(SimulationError):
     """An experiment configuration is malformed."""
 
 
+def _is_real(v) -> bool:
+    """An int or a float, numpy's included; a bool is not a number here."""
+    return not isinstance(v, bool) and isinstance(v, (int, float, np.integer, np.floating))
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Downlink system dimensions and per-block power budget.
@@ -88,8 +93,7 @@ class SystemParams:
             raise DimensionError(f"K must equal T*K_B, got K={self.K}, T*K_B={self.T * self.K_B}")
         for name in ("P", "noise_var", "beta_default"):
             v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
-                    or not 0 < v < np.inf):
+            if not _is_real(v) or not 0 < v < np.inf:
                 raise DimensionError(f"{name} must be positive and finite, got {v!r}")
 
     @property
@@ -111,6 +115,9 @@ class LargeScaleModel:
     shadow_sigma_db: float = 8.0
 
     def __post_init__(self) -> None:
+        for name in ("cell_radius", "ref_distance", "path_loss_exp", "shadow_sigma_db"):
+            if not _is_real(getattr(self, name)):
+                raise DomainError(f"{name} must be a real number, got {getattr(self, name)!r}")
         # NaN fails every comparison, so each check rejects it
         for name in ("cell_radius", "ref_distance", "path_loss_exp"):
             if not 0 < getattr(self, name) < np.inf:

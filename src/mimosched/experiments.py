@@ -16,7 +16,6 @@ import functools
 import itertools
 import math
 import numbers
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -293,57 +292,40 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
 _TrialChunk = collections.namedtuple("_TrialChunk", "cfg vi var setup drop lo hi")
 
 
-# modules linking an OpenBLAS: numpy's, which the engine calls (matmul, ZF
-# factorizations), and scipy's, never called, pinned only if scipy.linalg is loaded
-_BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._fblas")
+def _numpy_blas_threads(n: int) -> int:
+    """Set numpy's OpenBLAS to ``n`` threads; return its count before, ``n`` if none is found.
 
-
-@functools.cache
-def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each loaded OpenBLAS; () if none."""
-    found = {}
-    for name in _BLAS_MODULES:
-        path = getattr(sys.modules.get(name), "__file__", None)
-        if path is None:
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for pre, suf in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
-            get = getattr(lib, f"{pre}get_num_threads{suf}", None)
-            put = getattr(lib, f"{pre}set_num_threads{suf}", None)
-            if get is None or put is None:
-                continue
+    Looked up on every call through numpy's extension module: the engine
+    calls no other BLAS, so no other build is read or set.
+    """
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for pre, suf in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
+        get = getattr(lib, f"{pre}get_num_threads{suf}", None)
+        put = getattr(lib, f"{pre}set_num_threads{suf}", None)
+        if get is not None and put is not None:
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
-            found.setdefault(ctypes.cast(get, ctypes.c_void_p).value, (get, put))
-    return tuple(found.values())
-
-
-def _set_blas_threads(counts) -> None:
-    # setting a count restarts OpenBLAS's thread pool in a forked child, and
-    # the restarted threads spin for a while: set only what differs
-    for (get, put), n in zip(_blas_thread_controls(), counts):
-        if get() != n:
-            put(n)
-
-
-def _pin_blas_threads() -> None:
-    # blocks are at most K_B x K_B: BLAS threads only spin on them, and every
-    # pool worker would add its own threads on top
-    _set_blas_threads(itertools.repeat(1))
+            before = get()
+            # setting a count restarts OpenBLAS's thread pool in a forked child,
+            # and the restarted threads spin for a while: set only what differs
+            if before != n:
+                put(n)
+            return before
+    return n
 
 
 @contextlib.contextmanager
 def _single_blas_thread():
-    """Run the body with BLAS at one thread, then restore the caller's counts."""
-    before = [get() for get, _ in _blas_thread_controls()]
-    _pin_blas_threads()
+    """Run the body with numpy's OpenBLAS at one thread, then restore the caller's count.
+
+    Blocks are at most K_B x K_B: BLAS threads only spin on them, and every
+    pool worker would add its own threads on top.
+    """
+    before = _numpy_blas_threads(1)
     try:
         yield
     finally:
-        _set_blas_threads(before)
+        _numpy_blas_threads(before)
 
 
 @contextlib.contextmanager
@@ -352,7 +334,8 @@ def _worker_pool(workers: int):
     if workers <= 1:
         yield None
         return
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_numpy_blas_threads,
+                               initargs=(1,))
     try:
         yield pool
     finally:
@@ -664,10 +647,10 @@ def _variant_rows(cfg, var, drops, results):
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """Run every sweep point and return the full, deterministically ordered rows.
 
-    With ``workers > 1`` one process pool serves the whole run. BLAS runs
-    single-threaded in this process and in every pool worker; the caller's
-    thread counts are restored, and the pool is shut down, on return and on
-    an exception.
+    With ``workers > 1`` one process pool serves the whole run. numpy's
+    OpenBLAS runs single-threaded in this process and in every pool worker;
+    the caller's thread count is restored, and the pool is shut down, on
+    return and on an exception.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")

@@ -36,6 +36,24 @@ def test_rng_stream_rejects_keys_outside_64_bits(seed, stream_id):
         RngStream(seed, stream_id)
 
 
+@pytest.mark.parametrize("seed, stream_id, name", [
+    (1.5, 0, "seed"),           # drew what seed 1 draws
+    (True, 0, "seed"),          # likewise
+    (2.0, 3.7, "seed"),         # drew stream 3
+    (2, 3.7, "stream_id"),
+    (2, False, "stream_id"),
+])
+def test_rng_stream_rejects_keys_that_are_not_integers(seed, stream_id, name):
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        RngStream(seed, stream_id)
+
+
+def test_rng_stream_takes_numpy_integers():
+    want = RngStream(2**64 - 1, 3).generator().standard_normal(4)
+    got = RngStream(np.uint64(2**64 - 1), np.int64(3)).generator().standard_normal(4)
+    assert np.array_equal(got, want)
+
+
 def test_rng_stream_takes_both_ends_of_64_bits():
     low = RngStream(0, 0).generator().standard_normal(4)
     high = RngStream(2**64 - 1, 2**64 - 1).generator().standard_normal(4)

@@ -112,9 +112,13 @@ def test_db_round_trip():
     dict(path_loss_exp=float("inf")),
     dict(shadow_sigma_db=float("nan")),             # passed the >= 0 test
     dict(shadow_sigma_db=float("inf")),
+    dict(cell_radius=True),                         # built a 1 m cell
+    dict(shadow_sigma_db=False),                    # built unshadowed
+    dict(path_loss_exp="3"),                        # a bare TypeError
+    dict(ref_distance=None),
 ])
 def test_large_scale_model_validates(kwargs):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=next(iter(kwargs))):
         LargeScaleModel(**kwargs)
 
 

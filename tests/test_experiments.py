@@ -1,19 +1,23 @@
 """Experiment orchestration: stream ids, cells, sweeps, CSV, presets."""
+import collections
 import ctypes
 import io
 import itertools
+import json
 import math
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg  # noqa: F401  before any run: the BLAS pin must still skip its OpenBLAS
 from hypothesis import example, given, settings, strategies as st
 
 from mimosched import (
@@ -714,38 +718,88 @@ def test_run_cell_opens_its_own_pool(p_nine, cell_model, opened_pools):
     assert run_cell(cfg, 2) == [r for r in run_experiment(cfg) if r.sweep_value == 2]
 
 
-def _openblas_thread_getters():
-    """get_num_threads of each bundled OpenBLAS loaded in this process."""
+_THREAD_SYMBOLS = [(f"{pre}get_num_threads{suf}", f"{pre}set_num_threads{suf}")
+                   for pre, suf in itertools.product(("scipy_openblas_", "openblas_"), ("64_", ""))]
+# one OpenBLAS build: its library and its thread-count symbols and functions
+_Blas = collections.namedtuple("_Blas", "path get_name set_name get put")
+
+
+def _thread_functions(lib):
+    """(get name, set name, get, set) of the first pair of thread-count symbols ``lib`` resolves."""
+    for get_name, set_name in _THREAD_SYMBOLS:
+        get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get_name, set_name, get, put
+    return None
+
+
+def _openblas_builds():
+    """numpy's OpenBLAS and a tuple of every other OpenBLAS mapped in this process.
+
+    numpy's build is the library whose thread-count symbol numpy's extension
+    module resolves to; any other mapped OpenBLAS, scipy's among them, is
+    another build. (None, ()) where the symbols or the memory map are missing.
+    """
+    ours = _thread_functions(ctypes.CDLL(np._core._multiarray_umath.__file__))
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh
                             if "openblas" in os.path.basename(line.split()[-1])})
     except OSError:
-        return ()
-    getters = []
+        return None, ()
+    ours = ours and ctypes.cast(ours[2], ctypes.c_void_p).value
+    numpy_blas, others = None, []
     for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                getters.append(fn)
-    return tuple(getters)
+        if (found := _thread_functions(ctypes.CDLL(path))) is None:
+            continue
+        if ctypes.cast(found[2], ctypes.c_void_p).value == ours:
+            numpy_blas = _Blas(path, *found)
+        else:
+            others.append(_Blas(path, *found))
+    return numpy_blas, tuple(others)
 
 
-_BLAS_GETTERS = _openblas_thread_getters()
-_needs_openblas = pytest.mark.skipif(
-    not _BLAS_GETTERS, reason="no scipy_openblas thread-count symbol found")
+_NUMPY_BLAS, _OTHER_BLAS = _openblas_builds()
+_BLAS_BUILDS = (_NUMPY_BLAS, *_OTHER_BLAS) if _NUMPY_BLAS else _OTHER_BLAS
+_needs_two_openblas = pytest.mark.skipif(
+    _NUMPY_BLAS is None or not _OTHER_BLAS,
+    reason="needs numpy's OpenBLAS and a second build, each with thread-count symbols")
+# inside a run: numpy's build, which the engine calls, at one thread, any other
+# at the count its caller set
+_PINNED = (1,) + (2,) * len(_OTHER_BLAS)
 
 
 def _blas_threads():
-    return tuple(get() for get in _BLAS_GETTERS)
+    """Thread counts of numpy's OpenBLAS first, then of every other build."""
+    return tuple(b.get() for b in _BLAS_BUILDS)
 
 
-@_needs_openblas
-def test_run_experiment_restores_blas_threads(p_nine, monkeypatch):
+@pytest.fixture
+def blas_at_two():
+    """Every build set to 2 threads, which a 1-CPU host's default would not
+    tell from the pinned 1; the counts before are put back afterwards."""
     before = _blas_threads()
+    for b in _BLAS_BUILDS:
+        b.put(2)
+    yield (2,) * len(_BLAS_BUILDS)
+    for b, n in zip(_BLAS_BUILDS, before):
+        b.put(n)
+
+
+def _fresh_python(script: str, *args: str) -> str:
+    """stdout of ``script`` run in a new interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+@_needs_two_openblas
+def test_run_experiment_restores_blas_threads(p_nine, monkeypatch, blas_at_two):
+    # imported by this module, so before the process's first run
+    assert "scipy.linalg" in sys.modules
+    before = blas_at_two
     during = []
     real_chunk = experiments._run_chunk
 
@@ -770,7 +824,38 @@ def test_run_experiment_restores_blas_threads(p_nine, monkeypatch):
         run_experiment(replace(cfg, sweep_values=(1, 10)))
     assert _blas_threads() == before
     assert len(during) == 4
-    assert all(set(counts) == {1} for counts in during)
+    assert all(counts == _PINNED for counts in during)
+
+
+@_needs_two_openblas
+def test_blas_pin_ignores_scipy_linalg_imported_after_a_run():
+    # a fresh interpreter, so its first run comes before scipy.linalg is imported
+    script = textwrap.dedent("""
+        import ctypes, json, sys
+        from mimosched import ExperimentConfig, SystemParams, experiments, run_experiment
+        builds = []
+        for path, get_name, set_name in json.loads(sys.argv[1]):
+            lib = ctypes.CDLL(path)
+            get, put = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            builds.append((get, put))
+        counts = lambda: [get() for get, _ in builds]
+        cfg = ExperimentConfig(params=SystemParams(M=16, K=9, K_B=3, T=3), trials=2, seed=3)
+        run_experiment(cfg)
+        assert "scipy.linalg" not in sys.modules
+        import scipy.linalg
+        for _, put in builds:
+            put(2)
+        during, real_chunk = [], experiments._run_chunk
+        experiments._run_chunk = lambda u: during.append(counts()) or real_chunk(u)
+        run_experiment(cfg)
+        print(json.dumps([during, counts()]))
+    """)
+    builds = json.dumps([[b.path, b.get_name, b.set_name] for b in _BLAS_BUILDS])
+    during, after = json.loads(_fresh_python(script, builds))
+    assert during and all(tuple(counts) == _PINNED for counts in during)
+    assert after == [2] * len(_BLAS_BUILDS)
 
 
 def test_failed_pooled_run_leaves_no_workers(p_nine, cell_model, monkeypatch, opened_pools):
@@ -801,28 +886,24 @@ def _worker_blas_threads(_):
     return os.getpid(), _blas_threads()
 
 
-@_needs_openblas
+@_needs_two_openblas
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the probe function reaches pool workers only by fork")
-def test_pool_workers_run_blas_single_threaded():
+def test_pool_workers_run_blas_single_threaded(blas_at_two):
     # used below run_experiment, so the parent's own count is untouched
     # and only the pool's initializer can bring the workers to one thread
     with experiments._worker_pool(2) as pool:
         seen = list(pool.map(_worker_blas_threads, range(8)))
     assert len(seen) == 8
     assert all(pid != os.getpid() for pid, _ in seen)
-    assert all(set(counts) == {1} for _, counts in seen)
+    assert all(counts == _PINNED for _, counts in seen)
+    assert _blas_threads() == blas_at_two
 
 
 def test_import_loads_no_second_openblas():
-    # scipy.stats and scipy.linalg bring scipy's OpenBLAS, which the engine
-    # never calls: they slow the import, and a forked run that pins that
-    # build's threads loses a CPU to them
+    # scipy.stats and scipy.linalg, which the engine never calls, slow the import
     probe = "import sys, mimosched; print(sorted({'scipy.stats', 'scipy.linalg'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(probe).strip() == "[]"
 
 
 def test_emit_csv_layout(tmp_path):

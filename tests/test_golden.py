@@ -4,11 +4,16 @@ Each golden file holds the CSV one reduced configuration emitted when it was
 recorded. A run must reproduce every cell within a relative tolerance of
 1e-12, NaN where the golden has NaN, and every text and count field
 exactly, at one worker and at two, whose trial chunks and slices differ.
+The CSV at two workers must match the one at one worker byte for byte.
 Rewrite the named files with ``PYTHONPATH=src python tests/test_golden.py
-NAME...`` only when a change of their numbers is intended.
+NAME...`` only when a change of their numbers is intended;
+``PYTHONPATH=src python tests/test_golden.py --sha256`` prints the SHA-256
+of every config's CSV at one and at two workers, to compare two trees.
 """
 import csv
+import hashlib
 import io
+import itertools
 import math
 import pathlib
 import sys
@@ -76,9 +81,19 @@ def test_csv_matches_golden(name, workers):
     assert not bad, f"{len(bad)} cells differ, first: {bad[:5]}"
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_csv_is_byte_identical_across_workers(name):
+    assert _csv(CONFIGS[name], 2) == _csv(CONFIGS[name], 1)
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--sha256"]:
+        for name, workers in itertools.product(sorted(CONFIGS), (1, 2)):
+            digest = hashlib.sha256(_csv(CONFIGS[name], workers).encode()).hexdigest()
+            print(f"{name}/workers{workers} {digest}")
+        sys.exit()
     if not sys.argv[1:] or set(sys.argv[1:]) - set(CONFIGS):
-        sys.exit(f"usage: test_golden.py NAME...; names: {' '.join(sorted(CONFIGS))}")
+        sys.exit(f"usage: test_golden.py --sha256 | NAME...; names: {' '.join(sorted(CONFIGS))}")
     GOLDEN.mkdir(exist_ok=True)
     for name in sys.argv[1:]:
         (GOLDEN / f"{name}.csv").write_text(_csv(CONFIGS[name]))
