@@ -8,8 +8,10 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .core import (
+    ConfigError,
     DomainError,
     QuadratureError,
     SimulationError,
@@ -60,6 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    # before any trial runs, which may take minutes
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"--out {args.out} must name a file in an existing directory")
     if args.preset:
         cfg = preset(args.preset)
     else:

@@ -306,10 +306,15 @@ def _numpy_blas_threads(n: int) -> int:
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
             before = get()
-            # setting a count restarts OpenBLAS's thread pool in a forked child,
-            # and the restarted threads spin for a while: set only what differs
+            # setting a count (re)starts OpenBLAS's thread pool, whose idle threads
+            # spin for a while; shut it down as OpenBLAS does before a fork, and
+            # the next threaded call re-creates it. Not safe while another thread
+            # runs BLAS, as the set itself is not.
             if before != n:
                 put(n)
+                if (stop := getattr(lib, "blas_thread_shutdown_", None)) is not None:
+                    stop.argtypes, stop.restype = [], ctypes.c_int
+                    stop()
             return before
     return n
 
@@ -318,8 +323,10 @@ def _numpy_blas_threads(n: int) -> int:
 def _single_blas_thread():
     """Run the body with numpy's OpenBLAS at one thread, then restore the caller's count.
 
-    Blocks are at most K_B x K_B: BLAS threads only spin on them, and every
-    pool worker would add its own threads on top.
+    Blocks are at most K_B x K_B, too small for BLAS threads, and every pool
+    worker would add its own threads on top. Each count change also shuts
+    OpenBLAS's idle pool down, so no pool thread runs during the run or after
+    it until the caller's next threaded BLAS call re-creates the pool.
     """
     before = _numpy_blas_threads(1)
     try:

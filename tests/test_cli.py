@@ -223,6 +223,15 @@ def test_run_rejects_bad_worker_count(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+def test_run_rejects_unwritable_out_before_any_trial(tmp_path, capsys, monkeypatch, out):
+    # the whole preset ran first, and only writing the CSV failed
+    monkeypatch.setattr("mimosched.cli.run_experiment", lambda *a, **kw: pytest.fail("ran"))
+    assert main(["run", "--preset", "fig2", "--out", str(tmp_path / out)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_run_requires_source(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--out", "x.csv"])

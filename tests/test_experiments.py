@@ -776,6 +776,16 @@ def _blas_threads():
     return tuple(b.get() for b in _BLAS_BUILDS)
 
 
+# OpenBLAS's own pool shutdown, which the pin calls after each count change
+_BLAS_SHUTDOWN = hasattr(ctypes.CDLL(np._core._multiarray_umath.__file__),
+                         "blas_thread_shutdown_")
+
+
+def _os_threads():
+    """OS threads of this process."""
+    return len(os.listdir("/proc/self/task"))
+
+
 @pytest.fixture
 def blas_at_two():
     """Every build set to 2 threads, which a 1-CPU host's default would not
@@ -858,6 +868,40 @@ def test_blas_pin_ignores_scipy_linalg_imported_after_a_run():
     assert after == [2] * len(_BLAS_BUILDS)
 
 
+@pytest.mark.skipif(_NUMPY_BLAS is None or not _BLAS_SHUTDOWN
+                    or not os.path.isdir("/proc/self/task"),
+                    reason="needs numpy's OpenBLAS with blas_thread_shutdown_, and /proc")
+def test_forked_caller_runs_with_no_blas_thread(p_nine, monkeypatch, blas_at_two):
+    # a forked child restarts OpenBLAS's pool on its first count change, and the
+    # idle pool thread spun through the run and on after it
+    seen = []
+    real_period = experiments.run_period
+    monkeypatch.setattr(experiments, "run_period",
+                        lambda *a, **kw: seen.append(_os_threads()) or real_period(*a, **kw))
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        run_experiment(ExperimentConfig(params=p_nine, K_M=1, trials=2, seed=3))
+        after = (_os_threads(), _NUMPY_BLAS.get())
+        a = np.ones((1024, 1024))
+        a @ a
+        send.send((seen, *after, _os_threads()))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    send.close()
+    report = recv.recv() if recv.poll(120) else None
+    proc.join(timeout=10)
+    assert not proc.is_alive() and proc.exitcode == 0
+    during, threads_after, count_after, threads_after_matmul = report
+    assert during and all(n == 1 for n in during)
+    # the caller's count is back, with no pool thread beside it
+    assert (threads_after, count_after) == (1, 2)
+    # and its next threaded call re-creates the pool
+    assert threads_after_matmul > 1
+
+
 def test_failed_pooled_run_leaves_no_workers(p_nine, cell_model, monkeypatch, opened_pools):
     before = _blas_threads()
     # an out-of-range sweep point fails before a pool opens
@@ -883,7 +927,7 @@ def test_failed_pooled_run_leaves_no_workers(p_nine, cell_model, monkeypatch, op
 
 
 def _worker_blas_threads(_):
-    return os.getpid(), _blas_threads()
+    return os.getpid(), _blas_threads(), _os_threads()
 
 
 @_needs_two_openblas
@@ -895,9 +939,12 @@ def test_pool_workers_run_blas_single_threaded(blas_at_two):
     with experiments._worker_pool(2) as pool:
         seen = list(pool.map(_worker_blas_threads, range(8)))
     assert len(seen) == 8
-    assert all(pid != os.getpid() for pid, _ in seen)
-    assert all(counts == _PINNED for _, counts in seen)
+    assert all(pid != os.getpid() for pid, _, _ in seen)
+    assert all(counts == _PINNED for _, counts, _ in seen)
     assert _blas_threads() == blas_at_two
+    # the initializer's count change shut the pool it restarted down again
+    if _BLAS_SHUTDOWN:
+        assert all(threads == 1 for _, _, threads in seen)
 
 
 def test_import_loads_no_second_openblas():
