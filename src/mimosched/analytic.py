@@ -14,6 +14,7 @@ because each block serves a magnitude-ranked slice of the population.
 from __future__ import annotations
 
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaincinv, gammaln, xlogy
@@ -22,6 +23,7 @@ from .core import CountError, DomainError, QuadratureError, RegimeError, SystemP
 
 _TAIL = 1e-12          # quantile mass ignored on each side of the integral
 _QUAD_ORDERS = (128, 192, 384, 768, 1536)  # Gauss-Legendre order ladder
+_QUAD_TABLE = Path(__file__).with_name("gauss_legendre.npy")
 _QUAD_TOL = 1e-8       # two successive orders this close (relative) end the ladder
 _QUAD_FAIL = 1e-6      # a top-order difference above this raises QuadratureError
 
@@ -103,8 +105,10 @@ def _log_orderstat_pdf(shape: int, scale: float, n: int, ranks: np.ndarray,
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(order: int) -> tuple:
-    """Nodes and weights on [-1, 1]; pure constants, so kept per order."""
-    return np.polynomial.legendre.leggauss(order)
+    """Nodes and weights on [-1, 1], kept per order: leggauss(order)'s bits, read from the
+    package's (2, sum of _QUAD_ORDERS) table, order after order, not computed per process."""
+    lo = sum(_QUAD_ORDERS[:_QUAD_ORDERS.index(order)])
+    return tuple(np.load(_QUAD_TABLE)[:, lo:lo + order])
 
 
 def _orderstat_moments(shape: int, scale: float, n: int, ranks: np.ndarray,

@@ -350,11 +350,13 @@ def _worker_pool(workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-# trials per batched SUS call and stacked factorization: a whole 50-trial fig2
-# chunk at once raised peak RSS by 11 MB, slices of 8 by under 1 MB. A slice's
-# blocks are read from its trials' Gram matrices, so the profile count does
-# not grow what a slice copies per block
-_SLICE = 8
+def _slice_trials(p: SystemParams, profiles: int, rules) -> int:
+    """Most trials per slice: as many as 1.5 MB of complex entries hold, never fewer than 8 (the
+    calls of 8-trial slices). A trial holds its (K, M) gains and the larger of SUS's (K, M)
+    false rows per profile and its (K, K) Gram matrix with T Gram blocks per (profile, rule)
+    period: 16 fig2 trials, where a SUS step costs a fifth less per trial than at 8."""
+    held = max(p.K**2 + profiles * len(rules) * p.T * p.K_B**2, ("sus" in rules) * profiles * p.K * p.M)
+    return max(8, 3 * 2**19 // (16 * (p.K * p.M + held)))
 
 
 def _run_chunk(u: _TrialChunk) -> np.ndarray:
@@ -377,8 +379,10 @@ def _run_chunk(u: _TrialChunk) -> np.ndarray:
     n_prof, n_rule = len(d.scales), len(rules)
     scales, honest = d.scales.repeat(n_rule, axis=0), (d.scales == 1.0)[:, None]  # (F*R, K), (F, 1, K)
     out = np.empty((u.hi - u.lo, len(u.var.powers), n_prof, n_rule)) if means else []
-    for lo in range(u.lo, u.hi, _SLICE):
-        trials = range(lo, min(lo + _SLICE, u.hi))
+    # the fewest slices the budget allows, as even as can be
+    step = -(-(u.hi - u.lo) // -(-(u.hi - u.lo) // _slice_trials(p, n_prof, rules)))
+    for lo in range(u.lo, u.hi, step):
+        trials = range(lo, min(lo + step, u.hi))
         rngs = (RngStream(cfg.seed, pack_stream(0, u.vi, u.drop, t)).generator() for t in trials)
         gains = np.stack([draw_channels(p, d.betas, rng) for rng in rngs])        # (n, K, M)
         # only magnitude and SUS grouping read the (n, F, K) reported magnitudes

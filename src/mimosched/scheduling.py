@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DimensionError, DomainError, SystemParams
-from .channel import false_matrix
+from .core import DimensionError, DomainError, ScaleError, SystemParams
 
 
 def _blocks(order: np.ndarray, p: SystemParams) -> np.ndarray:
@@ -80,57 +79,69 @@ def group_by_sus(mags, gains, scale, p: SystemParams, alpha: float = 0.3) -> np.
     false matrix of ``gains`` (..., K, M) under multipliers ``scale``
     (..., K), both broadcast to the leading axes of ``mags``. Returns the
     (..., T, K_B) plans; every stacked row is grouped together with the
-    others, each on its own.
+    others, each on its own. A scale that is not positive and finite is a
+    ScaleError.
     """
+    scale = np.asarray(scale, dtype=np.float64)
+    if not np.all((scale > 0) & (scale < np.inf)):
+        raise ScaleError("misreport scale factors must be positive and finite")
     mags = _users(mags, p, "reported magnitudes")
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    rows = false_matrix(gains, scale)
-    if rows.shape[:-1] != mags.shape:
-        raise DimensionError(f"reported rows {rows.shape} do not match magnitudes {mags.shape}")
-    lead = mags.shape[:-1]
-    mags, rows = mags.reshape(-1, p.K), rows.reshape(-1, p.K, rows.shape[-1])
-    n = mags.shape[0]
+    if np.broadcast_shapes(np.shape(gains)[:-1], scale.shape) != mags.shape:
+        raise DimensionError(f"reported rows {np.shape(gains)} do not match magnitudes {mags.shape}")
+    lead, stack = mags.shape[:-1], mags.shape[:-1] or (1,)
+    gains, scale = np.broadcast_to(gains, stack + (p.K, p.M)), np.broadcast_to(scale, stack + (p.K,))
+    mags = mags.reshape(-1, p.K)
+    n, at = len(mags), np.arange(len(mags))[:, None]
+    ix = np.unravel_index(at, stack)
     # every value is rounded as a one-row loop rounds it (vecdot is vdot per row,
     # float_power(hypot(c), 2) is a scalar's abs(c) ** 2, _norm is linalg.norm)
     # and summed in the same order, so rank-deficient near-ties resolve alike
-    f2 = np.vecdot(rows, rows).real
     free = np.ones((n, p.K), dtype=bool)
     groups = np.empty((n, p.T, p.K_B), dtype=np.intp)
     for t in range(p.T):
-        # basis[:, j] is member j's unit residual, or zero where the member
-        # added no direction: a zero row adds exactly 0 to every sum below.
-        # proj2 sums each row's squared projections on the basis.
+        # a block scores only the free users, in user order, on false rows built in
+        # place; open marks those not yet picked. basis[:, j] is member j's unit
+        # residual, or zero where it added no direction: a zero row adds exactly 0
+        # to every sum below. coef[:, j] keeps each candidate's projection on it
+        users = np.nonzero(free)[1].reshape(n, -1)
+        cand = gains[(*ix, users)]
+        cand *= np.sqrt(scale[(*ix, users)])[..., None]
+        f2 = np.vecdot(cand, cand).real if t == 0 else f2
+        cf2, open_ = f2[at, users], np.ones(users.shape, dtype=bool)
         basis = np.zeros((n, p.K_B, p.M), dtype=np.complex128)
-        proj2 = np.zeros((n, p.K))
+        coef = np.zeros((n, p.K_B, users.shape[1]), dtype=np.complex128)
+        proj2 = np.zeros(users.shape)
         size = np.zeros(n, dtype=np.intp)
         thresh = np.full(n, float(alpha))
         # seed with the strongest reported magnitude still unscheduled
-        s = np.arange(n)
-        chosen = np.argmax(np.where(free, mags, -np.inf), axis=1)
+        s, pick = np.arange(n), np.argmax(mags[at, users], axis=1)
         while True:
             k = size[s]
-            free[s, chosen] = False
-            groups[s, t, k] = chosen
+            open_[s, pick] = False
+            groups[s, t, k] = users[s, pick]
             size[s] += 1
             growing = size < p.K_B
             if not growing.any():
                 break
-            f, qs = rows[s, chosen], basis[s]
-            cs = np.vecdot(qs, f[:, None])
-            resid = f - sum(cs[:, j, None] * qs[:, j] for j in range(k.max(initial=0)))
+            f, cs = cand[s, pick], coef[s, :, pick]
+            resid = f - sum(cs[:, j, None] * basis[s, j] for j in range(k.max(initial=0)))
             rn = _norm(resid)
             keep = rn > 1e-12 * _norm(f)
-            unit = resid / np.where(keep, rn, 1.0)[:, None]
             q = np.zeros((n, p.M), dtype=np.complex128)
-            q[s] = basis[s, k] = np.where(keep[:, None], unit, 0)
-            c = np.vecdot(q[:, None, :], rows)
+            q[s] = basis[s, k] = np.divide(resid, rn[:, None], out=np.zeros_like(resid),
+                                           where=keep[:, None])
+            c = np.vecdot(q[:, None, :], cand)
+            coef[s, k] = c[s]
             proj2 += np.float_power(np.hypot(c.real, c.imag), 2)
-            frac = np.sqrt(np.divide(proj2, f2, out=np.zeros_like(f2), where=f2 > 0))
-            score = np.where(free & (frac < thresh[:, None]), np.maximum(f2 - proj2, 0.0), -1.0)
+            frac = np.sqrt(np.divide(proj2, cf2, out=np.zeros_like(cf2), where=cf2 > 0))
+            score = np.where(open_ & (frac < thresh[:, None]), np.maximum(cf2 - proj2, 0.0), -1.0)
             best = np.argmax(score, axis=1)
             found = score.max(axis=1) >= 0.0
             thresh[growing & ~found] *= 2.0
             s = np.flatnonzero(growing & found)
-            chosen = best[s]
+            pick = best[s]
+        free[at, users] = open_
+        del cand                                # before the next block gathers its rows
     return groups.reshape(*lead, p.T, p.K_B)

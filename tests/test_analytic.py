@@ -172,6 +172,17 @@ def test_quadrature_range_matches_gamma_ppf_bit_for_bit():
     assert np.array_equal(gammaincinv(shape, q) * scale, gamma_dist.ppf(q, shape, scale=scale))
 
 
+@pytest.mark.parametrize("order", analytic._QUAD_ORDERS)
+def test_quadrature_table_equals_leggauss_bit_for_bit(order):
+    # every order of the ladder is read from the package's table, not computed
+    # per process; rewrite the table with
+    # np.save(path, np.hstack([np.stack(leggauss(o)) for o in _QUAD_ORDERS]))
+    t, w = analytic._gauss_legendre(order)
+    want_t, want_w = np.polynomial.legendre.leggauss(order)
+    assert t.shape == w.shape == (order,)
+    assert np.array_equal(t, want_t) and np.array_equal(w, want_w)
+
+
 def test_orderstat_pdf_single_draw_is_parent():
     x = np.linspace(30.0, 110.0, 57)
     ref = gamma_dist.pdf(x, 64, scale=1.0)

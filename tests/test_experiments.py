@@ -284,7 +284,8 @@ def test_zf_gains_called_once_per_slice(monkeypatch):
     # shares one plan across profiles; the grouping-preserving plan has the
     # honest block sets in another within-block order, so it shares all 4
     # honest blocks; demoting the two strongest users shifts all 4 blocks:
-    # 12 distinct (trial, sorted members) blocks per trial, in one call per slice
+    # 12 distinct (trial, sorted members) blocks per trial, in one call per
+    # slice. Twice the trials a slice holds run as two full slices
     shapes, kernels = [], []
     gains = zf.zf_effective_gains
     monkeypatch.setattr(zf, "zf_effective_gains",
@@ -292,10 +293,11 @@ def test_zf_gains_called_once_per_slice(monkeypatch):
     block = experiments.evaluate_block
     monkeypatch.setattr(experiments, "evaluate_block",
                         lambda *a: kernels.append(a[2].shape) or block(*a))
-    cfg = replace(preset("fig6"), trials=10, drops=1, sweep_values=(2,))
-    run_experiment(cfg)
-    assert shapes == [(96, 8, 8), (24, 8, 8)]
-    assert kernels == [(48, 4), (12, 4)]
+    cfg = replace(preset("fig6"), drops=1, sweep_values=(2,))
+    n = experiments._slice_trials(cfg.params, 3, cfg.grouping_rule)
+    run_experiment(replace(cfg, trials=2 * n))
+    assert shapes == [(12 * n, 8, 8)] * 2
+    assert kernels == [(6 * n, 4)] * 2
 
 
 def test_run_period_guard_names_the_first_bad_period(p_nine):
@@ -436,9 +438,11 @@ def test_each_distinct_block_is_factorized_once(monkeypatch):
     assert sum(blocks) < sum(plan_blocks)
 
 
-def test_slices_hold_eight_trials_whatever_the_profile_count(monkeypatch):
-    # reduced fig7 sweeps 17 misreport profiles per variant: its 10 trials
-    # still run as slices of 8 and 2 trials, two run_period calls per variant
+def test_slices_are_sized_by_bytes_and_hold_at_least_eight_trials(monkeypatch):
+    # reduced fig7 sweeps 17 misreport profiles per variant: its 50 trials run
+    # in as few slices as the byte budget allows for the variant's layout (13,
+    # 18, 8 and 41 trials), evened out, and never more than 8-trial slices
+    # make. Its T=2, K_B=16 layout holds the most Gram block entries per trial
     calls = []
     period = experiments.run_period
 
@@ -447,10 +451,30 @@ def test_slices_hold_eight_trials_whatever_the_profile_count(monkeypatch):
         return period(g, *rest)
 
     monkeypatch.setattr(experiments, "run_period", counted)
-    cfg = replace(preset("fig7"), trials=10, drops=1)
+    cfg = replace(preset("fig7"), trials=50, drops=1)
     run_experiment(cfg)
     assert len(cfg.variants) == 4
-    assert calls == [8, 2] * 4
+    assert calls == [13, 13, 13, 11] + [17, 17, 16] + [8] * 6 + [2] + [25, 25]
+    # fig2's two profiles under three rules, SUS among them, and one 32-user block
+    assert experiments._slice_trials(preset("fig2").params, 2, preset("fig2").grouping_rule) == 16
+    single = SystemParams(M=64, K=32, K_B=32, T=1)
+    assert experiments._slice_trials(single, 2, ("channel_magnitude",)) == 19
+
+
+def test_csv_does_not_depend_on_the_slice_size(monkeypatch):
+    # reduced fig2 in 1-trial slices and in one slice per unit emits the
+    # default slicing's CSV byte for byte
+    cfg = replace(preset("fig2"), trials=20)
+
+    def text():
+        buf = io.StringIO()
+        emit_csv(run_experiment(cfg), buf)
+        return buf.getvalue()
+
+    want = text()
+    for trials in (1, cfg.trials):
+        monkeypatch.setattr(experiments, "_slice_trials", lambda *a, n=trials: n)
+        assert text() == want
 
 
 def test_power_sweep_serves_each_period_once_at_every_power(monkeypatch):

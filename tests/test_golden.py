@@ -8,7 +8,9 @@ The CSV at two workers must match the one at one worker byte for byte.
 Rewrite the named files with ``PYTHONPATH=src python tests/test_golden.py
 NAME...`` only when a change of their numbers is intended;
 ``PYTHONPATH=src python tests/test_golden.py --sha256`` prints the SHA-256
-of every config's CSV at one and at two workers, to compare two trees.
+of every config's CSV at one and at two workers, to compare two trees, and
+``--sha256 --presets`` does the same for the six full presets (about half a
+minute on two cores).
 """
 import csv
 import hashlib
@@ -22,7 +24,7 @@ from dataclasses import replace
 import pytest
 
 from mimosched import (ExperimentConfig, LargeScaleModel, SystemParams, emit_csv, preset,
-                       run_experiment)
+                       preset_names, run_experiment)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 RTOL = 1e-12
@@ -87,13 +89,15 @@ def test_csv_is_byte_identical_across_workers(name):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--sha256"]:
-        for name, workers in itertools.product(sorted(CONFIGS), (1, 2)):
-            digest = hashlib.sha256(_csv(CONFIGS[name], workers).encode()).hexdigest()
+    if sys.argv[1:] in (["--sha256"], ["--sha256", "--presets"]):
+        cfgs = {n: preset(n) for n in preset_names()} if "--presets" in sys.argv else CONFIGS
+        for name, workers in itertools.product(sorted(cfgs), (1, 2)):
+            digest = hashlib.sha256(_csv(cfgs[name], workers).encode()).hexdigest()
             print(f"{name}/workers{workers} {digest}")
         sys.exit()
     if not sys.argv[1:] or set(sys.argv[1:]) - set(CONFIGS):
-        sys.exit(f"usage: test_golden.py --sha256 | NAME...; names: {' '.join(sorted(CONFIGS))}")
+        sys.exit(f"usage: test_golden.py --sha256 [--presets] | NAME...; "
+                 f"names: {' '.join(sorted(CONFIGS))}")
     GOLDEN.mkdir(exist_ok=True)
     for name in sys.argv[1:]:
         (GOLDEN / f"{name}.csv").write_text(_csv(CONFIGS[name]))

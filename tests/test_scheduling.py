@@ -7,6 +7,7 @@ from mimosched import (
     DimensionError,
     DomainError,
     RngStream,
+    ScaleError,
     SystemParams,
     apply_misreport,
     channel_magnitudes,
@@ -188,6 +189,37 @@ def test_batched_sus_matches_loop_oracle(t, kb, extra, n, seed, layout, alpha):
                  for f in range(2)] for i in range(n)])
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.6])
+def test_sus_at_engine_size_matches_loop_oracle(alpha):
+    # 24 realizations under an honest and a mixed under- and overreporting
+    # profile, grouped as one (24, 2) stack the way the engine groups a slice.
+    # Gaussian, duplicate and zero rows take turns; with 8 antennas for 16
+    # users a Gaussian row's projection passes alpha only now and then, a
+    # duplicate's never below 1 and a zero row's always, so in one step some
+    # rows double their threshold while others grow
+    p = SystemParams(M=8, K=16, K_B=4, T=4)
+    rng = np.random.default_rng(23)
+    layouts = ["gaussian", "duplicate", "zero"]
+    gains = np.stack([_sus_rows(layouts[i % 3], p.K, p.M, rng) for i in range(24)])
+    attack = np.ones(p.K)
+    attack[[0, 5, 11]] = [0.01, 4.0, 0.3]
+    scales = np.stack([np.ones(p.K), attack])
+    mags = apply_misreport(channel_magnitudes(gains), scales)
+    plans = group_by_sus(mags, gains[:, None], scales, p, alpha)
+    np.testing.assert_array_equal(
+        plans, [[sus_oracle(mags[i, f], false_matrix(gains[i], scales[f]), p, alpha)
+                 for f in range(2)] for i in range(24)])
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.inf, np.nan])
+def test_sus_rejects_a_scale_that_is_not_positive_and_finite(bad):
+    p = SystemParams(M=8, K=4, K_B=2, T=2)
+    scale = np.array([1.0, 1.0, bad, 1.0])
+    with pytest.raises(ScaleError):
+        group_by_sus(np.array([4.0, 3.0, 2.0, 1.0]), np.ones((4, 8), dtype=np.complex128),
+                     scale, p)
+
+
 def test_sus_sequence_call_equals_per_state_calls():
     # six realizations under the honest and an attacked profile: one (6, 2)
     # stack, grouped as the engine groups a slice
@@ -234,27 +266,29 @@ def test_sus_rejects_nonpositive_alpha():
             group_by_sus(mags, np.ones((4, 8), dtype=np.complex128), np.ones(4), p, alpha)
 
 
-def _mean_block_rate(ch, plan, p):
-    # every member of an honest block gets the block's equalized rate
-    members = np.asarray(plan)
-    rates = evaluate_block(gram(ch[members])[None], np.ones(members.shape)[None], [0], p)[0]
-    assert np.all(rates == rates[:, :1])
-    return float(rates[:, 0].mean())
+def _mean_block_rate(ch, plans, p):
+    # every member of an honest block gets the block's equalized rate; returns
+    # each realization's mean over its blocks, its Gram blocks read from the
+    # (n, K, K) Gram stack
+    members = np.asarray(plans)
+    at = np.arange(len(ch))[:, None, None]
+    blocks = gram(ch)[at[..., None], members[..., None], members[..., None, :]]
+    rates = evaluate_block(blocks, np.ones(members.shape), np.arange(len(ch)), p)
+    assert np.all(rates == rates[..., :1])
+    return rates[..., 0].mean(axis=-1)
 
 
 def test_rule_rate_equivalences_honest():
-    # with many antennas, magnitude grouping ~ SUS ~ random for honest users
+    # with many antennas, magnitude grouping ~ SUS ~ random for honest users;
+    # each rule groups the whole stack of realizations in one call
     p = SystemParams(M=64, K=32, K_B=8, T=4, P=10.0)
-    sums = {"cm": 0.0, "sus": 0.0, "rand": 0.0}
     n = 2000
-    for t in range(n):
-        ch = draw_channels(p, np.ones(32), RngStream(43, t).generator())
-        scale = honest_profile(np.ones(32), [0])[0][0]
-        mags = apply_misreport(channel_magnitudes(ch), scale[None])[0]
-        sums["cm"] += _mean_block_rate(ch, group_by_magnitude(mags, p), p)
-        sums["sus"] += _mean_block_rate(ch, group_by_sus(mags, ch, scale, p), p)
-        rplan = group_randomly(p, RngStream(43, 2 * t + 1).generator())
-        sums["rand"] += _mean_block_rate(ch, rplan, p)
-    cm, sus, rand = sums["cm"] / n, sums["sus"] / n, sums["rand"] / n
+    ch = np.stack([draw_channels(p, np.ones(32), RngStream(43, t).generator()) for t in range(n)])
+    scale = honest_profile(np.ones(32), [0])[0][0]
+    mags = apply_misreport(channel_magnitudes(ch), scale[None])[:, 0]
+    cm = _mean_block_rate(ch, group_by_magnitude(mags, p), p).mean()
+    sus = _mean_block_rate(ch, group_by_sus(mags, ch, scale, p), p).mean()
+    rand = _mean_block_rate(ch, [group_randomly(p, RngStream(43, 2 * t + 1).generator())
+                                 for t in range(n)], p).mean()
     assert abs(sus - cm) / cm < 0.02
     assert abs(rand - cm) / cm < 0.02
