@@ -13,11 +13,11 @@ because each block serves a magnitude-ranked slice of the population.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaincinv, gammaln, xlogy
 
 from .core import CountError, DomainError, QuadratureError, RegimeError, SystemParams
 
@@ -26,6 +26,9 @@ _QUAD_ORDERS = (128, 192, 384, 768, 1536)  # Gauss-Legendre order ladder
 _QUAD_TABLE = Path(__file__).with_name("gauss_legendre.npy")
 _QUAD_TOL = 1e-8       # two successive orders this close (relative) end the ladder
 _QUAD_FAIL = 1e-6      # a top-order difference above this raises QuadratureError
+_Z_TAIL = 7.034483825301131  # standard normal 1 - _TAIL quantile: the first quantile guess
+# Stirling's series of log(a!) - (a + 1/2) log a + a - log(2 pi) / 2 in powers 1/a, 1/a^3, ...
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
 def _check_rate_args(M: int, K: int, snr: float, beta: float) -> None:
@@ -89,18 +92,104 @@ def loss_limits(M: int, K: int, K_M: int, delta: float,
     }
 
 
-def _log_orderstat_pdf(shape: int, scale: float, n: int, ranks: np.ndarray,
-                       x: np.ndarray) -> np.ndarray:
-    """(ranks, x) log densities of the k-th smallest of n gamma draws, x > 0.
+@lru_cache(maxsize=None)
+def _series_terms(a: int) -> tuple:
+    """What _log_gamma_cdfs shares across x at shape a: log(a^a e^-a / a!), the exponents
+    j = 1..J and the (J, 2) factors prod_{i<=j} (a - i) / a and prod_{i<=j} a / (a + i).
+
+    The log term is the exact ratio's below a = 10 and Stirling's series from
+    there on, to about 1e-16, where a log a - a - lgamma(a + 1) cancels terms
+    near a log a. J = 9 sqrt(a) + 19 leaves out under 2^-56 of either sum on its
+    side of the median: the terms fall like exp(-j^2 / 2a).
+    """
+    if a < 10:
+        log_mode = math.log(a**a / math.factorial(a)) - a
+    else:
+        log_mode = -0.5 * math.log(2.0 * math.pi * a) - sum(
+            c / a ** (2 * i + 1) for i, c in enumerate(_STIRLING))
+    j = np.arange(1.0, 9.0 * math.sqrt(a) + 20.0)
+    return log_mode, j, np.stack([np.cumprod((a - j) / a), np.cumprod(a / (a + j))], 1)
+
+
+def _log_gamma_cdfs(a: int, x: np.ndarray) -> tuple:
+    """log P(a, x), log Q(a, x) and log f(x) of Gamma(a, 1), for an integer a >= 2 and x > 0.
+
+    With l = log(x / a) (as log1p((x - a) / a) from x = a / 2 up), the density
+    f = x^(a-1) e^-x / (a-1)! is exp((a - 1) l - (x - a)) times the mode term
+    a^a e^-a / a!, with no large logs to cancel. Below x = a - 1/3, under the
+    median, P = x f / a * (1 + sum_j (x / a)^j prod_{i<=j} a / (a + i)); from there
+    up, Q = f * (1 + sum_{j<a} (a / x)^j prod_{i<=j} (a - i) / a), a finite sum.
+    Both are sums of positive terms; the other side is log1p(-P) or log1p(-Q).
+    """
+    log_mode, j, factors = _series_terms(a)
+    low = x < a - 1.0 / 3.0
+    ell = np.where(x < 0.5 * a, np.log(x / a), np.log1p((x - a) / a))
+    log_f = (a - 1) * ell - (x - a) + log_mode
+    # (x, 2) sums of both series at every x; each x reads its own side's
+    sums = np.log1p(np.exp(np.multiply.outer(np.where(low, ell, -ell), j)) @ factors)
+    near = log_f + np.where(low, ell + sums[:, 1], sums[:, 0])    # log P below, log Q above
+    far = np.log1p(-np.exp(near))
+    return np.where(low, near, far), np.where(low, far, near), log_f
+
+
+@lru_cache(maxsize=None)
+def _tail_quantiles(a: int) -> np.ndarray:
+    """The _TAIL and 1 - _TAIL quantiles of Gamma(a, 1), for an integer a >= 2.
+
+    Halley's method on log x for log P = log _TAIL and log Q = log(1 - (1 - _TAIL)),
+    from Wilson-Hilferty's guess (the lower one no less than the root of P's
+    leading term x^a / a!, which lies under it), until a step is under 1e-10.
+    """
+    target = np.log([_TAIL, 1.0 - (1.0 - _TAIL)])
+    x = a * (1.0 - 1.0 / (9 * a) + np.array([-_Z_TAIL, _Z_TAIL]) / (3.0 * math.sqrt(a)))**3
+    x[0] = max(x[0], math.exp((target[0] + math.lgamma(a + 1)) / a))
+    for _ in range(20):
+        log_p, log_q, log_f = _log_gamma_cdfs(a, x)
+        g = np.array([log_p[0], log_q[1]])
+        slope = np.exp(log_f + np.log(x) - g) * [1.0, -1.0]      # dg / dlog x
+        step = (g - target) / slope
+        step /= 1.0 - 0.5 * step * (a - x - slope)               # d2g / dlog x2 = slope (a - x - slope)
+        x += x * np.expm1(-step)                                 # x e^-step, in x's precision
+        if np.all(np.abs(step) < 1e-10):
+            x.flags.writeable = False
+            return x
+    raise QuadratureError(f"the tail quantiles of Gamma({a}) did not converge")
+
+
+@lru_cache(maxsize=64)
+def _parent_nodes(shape: int, scale: float, order: int) -> tuple:
+    """The order-``order`` Gauss-Legendre nodes x on Gamma(shape, scale)'s range, their
+    weights, and log P, log Q and log f there: shared by every n and rank of that parent."""
+    lo, hi = _tail_quantiles(shape) * scale
+    t, w = _gauss_legendre(order)
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    x = half * t + mid
+    log_p, log_q, log_f = _log_gamma_cdfs(shape, x / scale)
+    out = x, half * w, log_p, log_q, log_f - math.log(scale)
+    for a in out:
+        a.flags.writeable = False     # every caller gets these very arrays
+    return out[0], out[1], out[2:]
+
+
+def _log_rank_densities(n: int, ranks: np.ndarray, log_p: np.ndarray, log_q: np.ndarray,
+                        log_f: np.ndarray) -> np.ndarray:
+    """(ranks, x) log densities of the k-th smallest of n draws, from the parent's log CDF
+    log_p, log survival log_q and log density log_f at each x:
 
     log f_(k) = log(n! / ((k-1)! (n-k)!)) + (k-1) log F + (n-k) log(1-F) + log f
-    with F and f the parent gamma CDF and PDF, evaluated once per x.
     """
-    k, xs = ranks[:, None], x / scale
-    log_comb = gammaln(n + 1) - gammaln(k) - gammaln(n - k + 1)
-    log_parent = (shape - 1) * np.log(xs) - xs - gammaln(shape) - np.log(scale)
-    return (log_comb + log_parent + xlogy(k - 1, gammainc(shape, xs))
-            + xlogy(n - k, gammaincc(shape, xs)))
+    log_comb = np.array([math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 1)
+                         for k in ranks.tolist()])
+    k = ranks[:, None]
+    # every log P and log Q is finite, so k = 1 and k = n give exact zeros
+    return log_comb[:, None] + log_f + (k - 1) * log_p + (n - k) * log_q
+
+
+def _log_orderstat_pdf(shape: int, scale: float, n: int, ranks: np.ndarray,
+                       x: np.ndarray) -> np.ndarray:
+    """(ranks, x) log densities of the k-th smallest of n Gamma(shape, scale) draws, x > 0."""
+    log_p, log_q, log_f = _log_gamma_cdfs(shape, x / scale)
+    return _log_rank_densities(n, ranks, log_p, log_q, log_f - math.log(scale))
 
 
 @lru_cache(maxsize=None)
@@ -124,18 +213,18 @@ def _orderstat_moments(shape: int, scale: float, n: int, ranks: np.ndarray,
     """
     if shape < 2:
         raise DomainError("inverse moment needs shape >= 2 for integrability near 0")
+    if shape % 1 != 0:
+        raise DomainError(f"shape must be an integer antenna count, got {shape}")
+    shape = int(shape)
     if not scale > 0:
         raise DomainError(f"scale must be positive, got {scale}")
     if not np.all((1 <= ranks) & (ranks <= n)):
         raise DomainError(f"ranks must lie in [1, {n}], got {ranks}")
-    lo, hi = gammaincinv(shape, [_TAIL, 1.0 - _TAIL]) * scale
-    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     where = f"for shape={shape}, scale={scale}, n={n}"
     prev = np.inf
     for order in _QUAD_ORDERS:
-        t, w = _gauss_legendre(order)
-        x = half * t + mid
-        vals = np.exp(_log_orderstat_pdf(shape, scale, n, ranks, x)) @ (half * w * x**power)
+        x, w, logs = _parent_nodes(shape, float(scale), order)
+        vals = np.exp(_log_rank_densities(n, ranks, *logs)) @ (w * x**power)
         if not np.all(np.isfinite(vals) & (vals > 0)):
             raise QuadratureError(f"order-{order} quadrature not finite and positive {where}")
         rel = np.max(np.abs(vals - prev) / vals, initial=0.0)

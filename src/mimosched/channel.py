@@ -15,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy 2 loads numpy.random at its first use; this loads it with the package,
+# so a process forked after the import does not load it again
+from numpy.random import Generator, Philox
 
 from .core import DomainError, LargeScaleModel, ScaleError, SystemParams
 
@@ -35,26 +38,42 @@ class RngStream:
         if not (0 <= self.seed < 2**64 and 0 <= self.stream_id < 2**64):
             raise DomainError(f"seed and stream_id must be in [0, 2**64), got {self.seed}, {self.stream_id}")
 
-    def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+    def generator(self) -> Generator:
+        return Generator(Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64)))
+
+    def restart(self, rng: Generator) -> Generator:
+        """Put the Philox generator ``rng`` at this stream's first draw and return it.
+
+        It then draws what ``generator()`` draws, without the OS entropy that
+        building a Philox pulls for a seed sequence its key never uses.
+        """
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64),
+                      "key": np.array([self.seed, self.stream_id], dtype=np.uint64)},
+            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return rng
 
 
-def draw_channels(p: SystemParams, betas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def draw_channels(p: SystemParams, betas: np.ndarray, rng: Generator) -> np.ndarray:
     r"""Draw one small-scale realization for all K users: the (K, M) gains.
 
     gains[k] = sqrt(betas[k]) * h_k with h_k i.i.d. CN(0, 1) per antenna, so
-    ||gains[k]||^2 is Gamma(M, betas[k]) in shape-scale convention.
+    ||gains[k]||^2 is Gamma(M, betas[k]) in shape-scale convention. The real
+    parts are the first K * M normals drawn, the imaginary parts the next.
     """
     betas = np.asarray(betas, dtype=np.float64)
     if betas.shape != (p.K,):
         raise DomainError(f"betas must have shape ({p.K},), got {betas.shape}")
     if not np.all(betas > 0):
         raise DomainError("every large-scale gain must be positive")
-    re = rng.standard_normal((p.K, p.M))
-    im = rng.standard_normal((p.K, p.M))
-    h = (re + 1j * im) / np.sqrt(2.0)
-    return np.sqrt(betas)[:, None] * h
+    # scaled in real arithmetic, with the bits of the complex product and quotient
+    z = rng.standard_normal((2, p.K, p.M))
+    z *= 1.0 / np.sqrt(2.0)
+    z *= np.sqrt(betas)[:, None]
+    gains = np.empty((p.K, p.M), dtype=np.complex128)
+    gains.real, gains.imag = z
+    return gains
 
 
 def channel_magnitudes(gains: np.ndarray) -> np.ndarray:
@@ -78,7 +97,7 @@ def large_scale_coefficient(omega_db, distance, model: LargeScaleModel):
     )
 
 
-def draw_large_scale(p: SystemParams, m: LargeScaleModel, rng: np.random.Generator) -> np.ndarray:
+def draw_large_scale(p: SystemParams, m: LargeScaleModel, rng: Generator) -> np.ndarray:
     """Draw K large-scale gains and relabel users strongest-first.
 
     Distances are uniform in (0, cell_radius); shadowing is N(0, sigma^2) dB.
@@ -101,6 +120,6 @@ def apply_misreport(magnitudes: np.ndarray, scales: np.ndarray) -> np.ndarray:
     scales = np.asarray(scales, dtype=np.float64)
     if scales.ndim != 2 or scales.shape[1:] != mags.shape[-1:]:
         raise DomainError(f"profiles {scales.shape} must be (F, K) for magnitudes {mags.shape}")
-    if not np.all(scales > 0):
-        raise ScaleError("misreport scale factors must be positive")
+    if not np.all((scales > 0) & (scales < np.inf)):
+        raise ScaleError("misreport scale factors must be positive and finite")
     return mags[..., None, :] * scales

@@ -381,10 +381,11 @@ def _run_chunk(u: _TrialChunk) -> np.ndarray:
     out = np.empty((u.hi - u.lo, len(u.var.powers), n_prof, n_rule)) if means else []
     # the fewest slices the budget allows, as even as can be
     step = -(-(u.hi - u.lo) // -(-(u.hi - u.lo) // _slice_trials(p, n_prof, rules)))
+    rng = RngStream(cfg.seed).generator()         # restarted at each trial's stream
     for lo in range(u.lo, u.hi, step):
         trials = range(lo, min(lo + step, u.hi))
-        rngs = (RngStream(cfg.seed, pack_stream(0, u.vi, u.drop, t)).generator() for t in trials)
-        gains = np.stack([draw_channels(p, d.betas, rng) for rng in rngs])        # (n, K, M)
+        gains = np.stack([draw_channels(p, d.betas, RngStream(
+            cfg.seed, pack_stream(0, u.vi, u.drop, t)).restart(rng)) for t in trials])  # (n, K, M)
         # only magnitude and SUS grouping read the (n, F, K) reported magnitudes
         if {"channel_magnitude", "sus"} & set(rules):
             reported = apply_misreport(channel_magnitudes(gains), d.scales)
@@ -402,7 +403,7 @@ def _run_chunk(u: _TrialChunk) -> np.ndarray:
                                                            cfg.sus_alpha)
             else:
                 for n, t in enumerate(trials):
-                    rng = RngStream(cfg.seed, pack_stream(1, u.vi, u.drop, t)).generator()
+                    RngStream(cfg.seed, pack_stream(1, u.vi, u.drop, t)).restart(rng)
                     members[n, :, r] = scheduling.group_randomly(p, rng)
         # periods run trial by trial, then profile by profile, then rule by rule
         try:
@@ -492,8 +493,9 @@ def _drops(cfg, vi, var) -> list:
     if cfg.scenario == "homogeneous":
         betas = np.full((1, p.K), p.beta_default)
     else:
+        rng = RngStream(cfg.seed).generator()
         betas = np.stack([draw_large_scale(p, cfg.large_scale, RngStream(
-            cfg.seed, pack_stream(2, vi, drop, 0)).generator()) for drop in range(cfg.drops)])
+            cfg.seed, pack_stream(2, vi, drop, 0)).restart(rng)) for drop in range(cfg.drops)])
     low, high = cfg.beta_low_factor * betas[:, -1], cfg.beta_high_factor * betas[:, 0]
     # each strategy's (scale, reported) rows of every drop at every sweep point's K_M
     build = {

@@ -2,11 +2,12 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
-from scipy.special import gammaincinv
+from scipy.special import gammainc, gammaincc, gammaincinv
 from scipy.stats import gamma as gamma_dist
 
 from mimosched import (
@@ -32,7 +33,7 @@ from mimosched import (
     run_experiment,
 )
 from mimosched import analytic
-from mimosched.analytic import _TAIL, _log_orderstat_pdf, _orderstat_moments
+from mimosched.analytic import _TAIL, _log_gamma_cdfs, _log_orderstat_pdf, _orderstat_moments
 from oracles import gram, inverse_moment_oracle, orderstat_pdf_oracle
 
 # golden inverse moments of the k-th smallest of 32 Gamma(64, 1) draws,
@@ -164,12 +165,76 @@ def test_orderstat_spec_validation():
 
 
 def test_quadrature_range_matches_gamma_ppf_bit_for_bit():
-    # the eq17 range comes from scipy.special, so importing the package
-    # skips scipy.stats; it must be the very quantile gamma.ppf gives
+    # gamma.ppf is scipy.special's gammaincinv times the scale, bit for bit:
+    # the scipy quantile the package's own range is checked against below
     shape = np.r_[np.arange(2, 301), 512, 1024, 2048][:, None, None]
     scale = np.logspace(-3, 3, 25)[:, None]
     q = np.array([_TAIL, 1.0 - _TAIL])
     assert np.array_equal(gammaincinv(shape, q) * scale, gamma_dist.ppf(q, shape, scale=scale))
+
+
+_SHAPES = [*range(2, 301), 512, 1024, 2048]
+
+
+def test_quadrature_range_matches_gamma_ppf():
+    # the package's range, _tail_quantiles(shape) * scale, against scipy's on
+    # the grid above. scipy's gammaincinv itself misses the mpmath root by up
+    # to 22 ulps (shape 128: 20 ulps low), the package's by at most 6
+    shape = np.array(_SHAPES)[:, None, None]
+    scale = np.logspace(-3, 3, 25)[:, None]
+    got = np.stack([analytic._tail_quantiles(a) for a in _SHAPES])[:, None, :] * scale
+    want = gamma_dist.ppf(np.array([_TAIL, 1.0 - _TAIL]), shape, scale=scale)
+    assert np.all(np.abs(got - want) <= 32 * np.spacing(want))
+
+
+def test_quadrature_range_is_the_mpmath_quantile():
+    # P(shape, lo) = _TAIL and P(shape, hi) = 1 - _TAIL as floats, so
+    # Q(shape, hi) = 1 - (1 - _TAIL) exactly; the roots at 40 digits
+    with mpmath.workdps(40):
+        upper = 1 - mpmath.mpf(1.0 - _TAIL)
+        for a in _SHAPES:
+            lo, hi = analytic._tail_quantiles(a)
+            want = [float(mpmath.findroot(
+                        lambda x: mpmath.gammainc(a, 0, x, regularized=True) - _TAIL, lo)),
+                    float(mpmath.findroot(
+                        lambda x: mpmath.gammainc(a, x, mpmath.inf, regularized=True) - upper, hi))]
+            assert np.all(np.abs([lo, hi] - np.array(want)) <= 8 * np.spacing(want)), a
+
+
+def test_gamma_cdfs_match_scipy_across_the_range():
+    # log P and log Q at 201 points of each shape's range, absolute in the
+    # logs, so relative in P and Q. The bound is scipy's: its gammaincc is
+    # off by up to 6.3e-13 at shapes 236-287 near the upper end, where the
+    # package's log Q is within 1.4e-14 of mpmath's
+    for a in _SHAPES:
+        lo, hi = analytic._tail_quantiles(a)
+        x = np.linspace(lo, hi, 201)
+        log_p, log_q, _ = _log_gamma_cdfs(a, x)
+        np.testing.assert_allclose(log_p, np.log(gammainc(a, x)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_q, np.log(gammaincc(a, x)), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [2, 3, 10, 64, 128, 245, 512, 2048])
+def test_gamma_cdfs_match_mpmath(a):
+    # log P, log Q and log f within 1e-13 of 40-digit values, out to both
+    # ends of the range; the rounding of x itself moves them by up to
+    # |x - a| * 2^-53, 4e-14 at shape 2048
+    lo, hi = analytic._tail_quantiles(a)
+    x = np.linspace(lo, hi, 21)
+    with mpmath.workdps(40):
+        cdf = [mpmath.gammainc(a, 0, v, regularized=True) for v in x]
+        want = np.array([[float(mpmath.log(c)), float(mpmath.log(1 - c)),
+                          float((a - 1) * mpmath.log(v) - v - mpmath.loggamma(a))]
+                         for c, v in zip(cdf, x)]).T
+    np.testing.assert_allclose(np.array(_log_gamma_cdfs(a, x)), want, rtol=0, atol=1e-13)
+
+
+def test_orderstat_shape_must_be_an_integer():
+    # eq17's shape is an antenna count: one that is not whole is refused, not rounded
+    with pytest.raises(DomainError, match="integer"):
+        _orderstat_moments(64.5, 1.0, 4, np.array([1]))
+    assert np.array_equal(_orderstat_moments(64.0, 1.0, 4, np.arange(1, 5)),
+                          _orderstat_moments(64, 1.0, 4, np.arange(1, 5)))
 
 
 @pytest.mark.parametrize("order", analytic._QUAD_ORDERS)

@@ -60,6 +60,31 @@ def test_rng_stream_takes_both_ends_of_64_bits():
     assert not np.array_equal(low, high)
 
 
+def test_restart_draws_what_a_new_generator_draws():
+    # one generator restarted per stream draws the bits of a new generator
+    # per stream, whatever the last stream left buffered (half a 64-bit word
+    # after a 32-bit draw)
+    rng = RngStream(5).generator()
+    rng.integers(0, 2**32, 3, dtype=np.uint32)
+    for stream_id in (3, 0, 2**64 - 1):
+        assert RngStream(5, stream_id).restart(rng) is rng
+        want = RngStream(5, stream_id).generator()
+        assert rng.integers(0, 2**32, 3, dtype=np.uint32).tobytes() == \
+            want.integers(0, 2**32, 3, dtype=np.uint32).tobytes()
+        assert rng.standard_normal(9).tobytes() == want.standard_normal(9).tobytes()
+
+
+def test_draw_channels_has_the_bits_of_the_complex_formula():
+    # real arithmetic on one (2, K, M) draw gives the complex quotient and
+    # product of two (K, M) draws bit for bit
+    p = SystemParams(M=16, K=6, K_B=3, T=2)
+    betas = np.array([2.5, 1.0, 0.3, 1e-4, 7.0, 1.0])
+    rng = RngStream(4, 9).generator()
+    re, im = rng.standard_normal((p.K, p.M)), rng.standard_normal((p.K, p.M))
+    want = np.sqrt(betas)[:, None] * ((re + 1j * im) / np.sqrt(2.0))
+    assert draw_channels(p, betas, RngStream(4, 9).generator()).tobytes() == want.tobytes()
+
+
 def test_draw_channels_shape_and_determinism():
     p = SystemParams(M=16, K=4, K_B=2, T=2)
     betas = np.array([1.0, 2.0, 0.5, 1.0])
@@ -202,6 +227,13 @@ def test_apply_misreport_rejects_nonpositive_scale():
     mags = channel_magnitudes(draw_channels(p, np.ones(3), RngStream(2, 1).generator()))
     with pytest.raises(ScaleError):
         apply_misreport(mags, np.array([[0.0, 1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+def test_apply_misreport_rejects_a_scale_that_is_not_positive_and_finite(bad):
+    # the rule group_by_sus applies to the same profiles
+    with pytest.raises(ScaleError, match="positive and finite"):
+        apply_misreport(np.ones(4), [[bad, 1.0, 1.0, 1.0]])
 
 
 def test_apply_misreport_mismatched_users():

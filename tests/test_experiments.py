@@ -977,6 +977,15 @@ def test_import_loads_no_second_openblas():
     assert _fresh_python(probe).strip() == "[]"
 
 
+def test_import_loads_no_scipy_and_loads_numpy_random():
+    # eq17's gamma functions are numpy and math: no scipy module, and its
+    # OpenBLAS, is loaded. numpy.random comes with the package, so a process
+    # forked after the import does not load it at its first draw
+    probe = ("import sys, mimosched; "
+             "print([m for m in sys.modules if m.startswith('scipy')], 'numpy.random' in sys.modules)")
+    assert _fresh_python(probe).strip() == "[] True"
+
+
 def test_emit_csv_layout(tmp_path):
     rows = run_experiment(ExperimentConfig(
         params=SystemParams(M=16, K=8, K_B=4, T=2), trials=5, seed=3,

@@ -10,7 +10,9 @@ NAME...`` only when a change of their numbers is intended;
 ``PYTHONPATH=src python tests/test_golden.py --sha256`` prints the SHA-256
 of every config's CSV at one and at two workers, to compare two trees, and
 ``--sha256 --presets`` does the same for the six full presets (about half a
-minute on two cores).
+minute on two cores). ``--max-rel`` prints, per config and worker count, the
+largest relative deviation of its value cells from the golden, for analytic
+rows (``trials`` 0) and Monte Carlo rows apart: inf where a row's keys differ.
 """
 import csv
 import hashlib
@@ -62,11 +64,31 @@ def _csv(cfg, workers=1) -> str:
     return buf.getvalue()
 
 
-def _close(a: str, b: str) -> bool:
+def _rel(a: str, b: str) -> float:
+    """Relative deviation of two cells: 0 if equal or both NaN, inf if one is NaN."""
     x, y = float(a), float(b)
     if math.isnan(x) or math.isnan(y):
-        return math.isnan(x) and math.isnan(y)
-    return x == y or abs(x - y) <= RTOL * max(abs(x), abs(y))
+        return 0.0 if math.isnan(x) and math.isnan(y) else math.inf
+    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+
+
+def _close(a: str, b: str) -> bool:
+    return _rel(a, b) <= RTOL
+
+
+def _max_rel(name: str, workers: int) -> dict:
+    """The largest relative deviation of a config's value cells from its golden, for
+    analytic rows (trials 0) and Monte Carlo rows apart; None where it has none."""
+    want = list(csv.reader(io.StringIO((GOLDEN / f"{name}.csv").read_text())))
+    got = list(csv.reader(io.StringIO(_csv(CONFIGS[name], workers))))
+    text = [[[c for i, c in enumerate(r) if i not in _VALUE_COLS] for r in rows] for rows in (got, want)]
+    if text[0] != text[1]:
+        return {"analytic": math.inf, "monte_carlo": math.inf}
+    worst = {"analytic": None, "monte_carlo": None}
+    for g, w in zip(got[1:], want[1:]):
+        kind = "analytic" if w[7] == "0" else "monte_carlo"
+        worst[kind] = max(worst[kind] or 0.0, *(_rel(g[i], w[i]) for i in _VALUE_COLS))
+    return worst
 
 
 @pytest.mark.parametrize("name, workers",
@@ -95,8 +117,14 @@ if __name__ == "__main__":
             digest = hashlib.sha256(_csv(cfgs[name], workers).encode()).hexdigest()
             print(f"{name}/workers{workers} {digest}")
         sys.exit()
+    if sys.argv[1:] == ["--max-rel"]:
+        for name, workers in itertools.product(sorted(CONFIGS), (1, 2)):
+            worst = _max_rel(name, workers)
+            print(f"{name}/workers{workers} "
+                  + " ".join(f"{k} {'-' if v is None else f'{v:.3g}'}" for k, v in worst.items()))
+        sys.exit()
     if not sys.argv[1:] or set(sys.argv[1:]) - set(CONFIGS):
-        sys.exit(f"usage: test_golden.py --sha256 [--presets] | NAME...; "
+        sys.exit(f"usage: test_golden.py --sha256 [--presets] | --max-rel | NAME...; "
                  f"names: {' '.join(sorted(CONFIGS))}")
     GOLDEN.mkdir(exist_ok=True)
     for name in sys.argv[1:]:
