@@ -25,7 +25,7 @@ _TAIL = 1e-12          # quantile mass ignored on each side of the integral
 _QUAD_ORDERS = (128, 192, 384, 768, 1536)  # Gauss-Legendre order ladder
 _QUAD_TABLE = Path(__file__).with_name("gauss_legendre.npy")
 _QUAD_TOL = 1e-8       # two successive orders this close (relative) end the ladder
-_QUAD_FAIL = 1e-6      # a top-order difference above this raises QuadratureError
+_QUAD_FAIL = 1e-6      # a top-order difference or missing rank mass above this raises QuadratureError
 _Z_TAIL = 7.034483825301131  # standard normal 1 - _TAIL quantile: the first quantile guess
 # Stirling's series of log(a!) - (a + 1/2) log a + a - log(2 pi) / 2 in powers 1/a, 1/a^3, ...
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
@@ -207,9 +207,11 @@ def _orderstat_moments(shape: int, scale: float, n: int, ranks: np.ndarray,
     Gauss-Legendre on the parent range, which holds all but _TAIL parent
     mass on each side; shape >= 2 keeps 1/x integrable. Orders climb
     _QUAD_ORDERS, one (ranks, nodes) array each, until two agree within
-    _QUAD_TOL on every rank; the finer is returned. QuadratureError on a
-    value that is not finite and positive, or on a top-order difference
-    above _QUAD_FAIL.
+    _QUAD_TOL on every rank and every rank's mass on the range is within
+    _QUAD_FAIL of 1; the finer is returned. QuadratureError on a value that
+    is not finite and positive, or at the top order on a difference or a
+    missing mass above _QUAD_FAIL: the cut leaves out up to 2e-12 * n of a
+    rank's mass, which is most of it once n nears 1e12.
     """
     if shape < 2:
         raise DomainError("inverse moment needs shape >= 2 for integrability near 0")
@@ -224,16 +226,19 @@ def _orderstat_moments(shape: int, scale: float, n: int, ranks: np.ndarray,
     prev = np.inf
     for order in _QUAD_ORDERS:
         x, w, logs = _parent_nodes(shape, float(scale), order)
-        vals = np.exp(_log_rank_densities(n, ranks, *logs)) @ (w * x**power)
+        dens = np.exp(_log_rank_densities(n, ranks, *logs))
+        vals = dens @ (w * x**power)
         if not np.all(np.isfinite(vals) & (vals > 0)):
             raise QuadratureError(f"order-{order} quadrature not finite and positive {where}")
         rel = np.max(np.abs(vals - prev) / vals, initial=0.0)
-        if rel <= _QUAD_TOL:
+        miss = np.max(np.abs(1.0 - dens @ w), initial=0.0)
+        if rel <= _QUAD_TOL and miss <= _QUAD_FAIL:
             return vals
         prev = vals
-    if rel > _QUAD_FAIL:
+    if rel > _QUAD_FAIL or miss > _QUAD_FAIL:
         raise QuadratureError(f"order-statistic quadrature differs by {rel:g} (relative) "
-                              f"between orders {_QUAD_ORDERS[-2]} and {order} {where}")
+                              f"between orders {_QUAD_ORDERS[-2]} and {order}, and by "
+                              f"{miss:g} from unit rank mass, {where}")
     return vals
 
 

@@ -247,12 +247,26 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
 
 
 def test_unresolvable_quadrature_exits_3(capsys):
+    # the smallest of 1e12 draws sits on the 1e-12 quantile where the range
+    # is cut: a spike the ladder's 1536 nodes cannot resolve (12 kB arrays)
+    with pytest.raises(QuadratureError, match="between orders 768 and 1536"):
+        _orderstat_moments(64, 1.0, 10**12, np.array([1]))
+    code, out, err = _run(capsys, "analytic", "--formula", "eq17", "--M", "64",
+                          "--K", str(10**12), "--K_B", "1", "--K_M", "0")
+    assert code == 3 and out == ""
+    assert "numerical failure: order-statistic quadrature differs" in err
+
+
+def test_unresolvable_spike_and_missing_mass_exit_3(capsys):
     # 100 of 1e14 Gamma(8) draws fall below the 1e-12 quantile where the
     # range is cut, so the smallest one's density in the range is a spike
-    # about 2e-4 wide at the lower end of a range 46 wide: one the ladder's
-    # 1536 nodes cannot resolve (12 kB arrays)
-    with pytest.raises(QuadratureError, match="between orders 768 and 1536"):
+    # about 2e-4 wide at the lower end of a range 46 wide, which the
+    # ladder's 1536 nodes cannot resolve; at 1e12 Gamma(64) draws the
+    # density is smooth enough, but 63 % of its mass lies below the cut
+    with pytest.raises(QuadratureError, match=r"differs by 0\.00\d+ \(relative\)"):
         _orderstat_moments(8, 1.0, 10**14, np.array([1]))
+    with pytest.raises(QuadratureError, match=r"and by 0\.63\d+ from unit rank mass"):
+        _orderstat_moments(64, 1.0, 10**12, np.array([1]))
     code, out, err = _run(capsys, "analytic", "--formula", "eq17", "--M", "8",
                           "--K", str(10**14), "--K_B", "1", "--K_M", "0")
     assert code == 3 and out == ""
