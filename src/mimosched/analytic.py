@@ -193,11 +193,18 @@ def _log_orderstat_pdf(shape: int, scale: float, n: int, ranks: np.ndarray,
 
 
 @lru_cache(maxsize=None)
+def _quad_table() -> np.ndarray:
+    """The package's (2, sum of _QUAD_ORDERS) node table, read once per process."""
+    table = np.load(_QUAD_TABLE)
+    table.flags.writeable = False     # every order's nodes are views of it
+    return table
+
+
 def _gauss_legendre(order: int) -> tuple:
-    """Nodes and weights on [-1, 1], kept per order: leggauss(order)'s bits, read from the
-    package's (2, sum of _QUAD_ORDERS) table, order after order, not computed per process."""
+    """Nodes and weights on [-1, 1]: leggauss(order)'s bits, sliced from the node table,
+    which holds each of _QUAD_ORDERS in turn, not computed per process."""
     lo = sum(_QUAD_ORDERS[:_QUAD_ORDERS.index(order)])
-    return tuple(np.load(_QUAD_TABLE)[:, lo:lo + order])
+    return tuple(_quad_table()[:, lo:lo + order])
 
 
 def _orderstat_moments(shape: int, scale: float, n: int, ranks: np.ndarray,

@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=int, help="override trial count")
     run.add_argument("--drops", type=int, help="override drop count")
     run.add_argument("--seed", type=int, help="override RNG seed")
-    run.add_argument("--workers", type=int, default=1, help="worker processes")
+    run.add_argument("--workers", type=int, default=1, help="worker processes, this one included")
 
     an = sub.add_parser("analytic", help="evaluate one closed-form expression")
     an.add_argument("--formula", required=True,

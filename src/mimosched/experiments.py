@@ -15,8 +15,11 @@ import ctypes
 import functools
 import itertools
 import math
+import multiprocessing
+# loaded with the package, so that a run forked from it imports nothing to start its pool
+import multiprocessing.connection
+import multiprocessing.popen_fork
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -335,19 +338,84 @@ def _single_blas_thread():
         _numpy_blas_threads(before)
 
 
+def _serve(send, fn, items) -> None:
+    """A pool process: pin BLAS, then send ``fn`` of each of ``items`` in order, or the first
+    exception raised, as (ok, value) pairs."""
+    _numpy_blas_threads(1)
+    for item in items:
+        try:
+            out = True, fn(item)
+        except Exception as e:
+            out = False, e
+        send.send(out)
+        if not out[0]:
+            return
+
+
+class ProcessPoolExecutor:
+    """``max_workers`` processes, each with one pipe home, that serve one ``map`` call.
+
+    ``map`` starts them at once, with the platform's default start method:
+    process c runs every ``max_workers``-th item from item c on, in order,
+    and the results come back in item order. A process that raises sends its
+    exception and stops; one that dies raises a RuntimeError here. perfbench's
+    tracer hooks this name (``POOL_HOOK``) to time the pool and bring the
+    processes' spans home, so it keeps the executor's name until the run
+    reports its own per-layer times.
+    """
+
+    def __init__(self, max_workers: int):
+        self._n = max_workers
+        self._procs, self._pipes = [], []
+
+    def map(self, fn, items):
+        """Start the processes on the sequence ``items``; return an iterator over ``fn`` of
+        each, in order."""
+        for c in range(self._n):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_serve, args=(send, fn, items[c::self._n]),
+                                           daemon=True)
+            proc.start()
+            # the process holds the one sending end: if it dies, recv raises EOFError
+            send.close()
+            self._procs.append(proc)
+            self._pipes.append(recv)
+        return self._results(len(items))
+
+    def _results(self, n: int):
+        for i in range(n):
+            proc, recv = self._procs[i % self._n], self._pipes[i % self._n]
+            try:
+                ok, value = recv.recv()
+            except (EOFError, OSError):       # the pipe closed with no result, or within one
+                proc.join()
+                raise RuntimeError(f"pool process {proc.pid} exited with code {proc.exitcode} "
+                                   f"before sending its result") from None
+            if not ok:
+                raise value
+            yield value
+
+    def shutdown(self) -> None:
+        """Stop every process, finished or not, and wait for it."""
+        for proc in self._procs:
+            proc.terminate()
+        for proc in self._procs:
+            proc.join()
+        for recv in self._pipes:
+            recv.close()
+
+
 @contextlib.contextmanager
 def _worker_pool(workers: int):
-    """A pool of ``workers`` BLAS-pinned processes, or None for one worker."""
+    """A pool of ``workers - 1`` processes beside this one, or None for one worker."""
     if workers <= 1:
         yield None
         return
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_numpy_blas_threads,
-                               initargs=(1,))
+    pool = ProcessPoolExecutor(max_workers=workers - 1)
     try:
         yield pool
     finally:
-        # after an exception, chunks still queued are dropped, not run
-        pool.shutdown(cancel_futures=True)
+        pool.shutdown()
 
 
 def _slice_trials(p: SystemParams, profiles: int, rules) -> int:
@@ -524,14 +592,16 @@ def _drops(cfg, vi, var) -> list:
 
 
 def _run(cfg, variants, workers, pool) -> list:
-    """The rows of each of ``variants``: one map over every trial chunk of every variant.
+    """The rows of each of ``variants``: one stream of every trial chunk of every variant.
 
     A unit covers one drop of one variant at every sweep point and carries that
     drop's ``_Drop``, so each trial is drawn, grouped and factorized once per run.
-    Each variant is set up in one whole-array pass as the map reaches it, so on a
-    pool the workers start on the first variant while later ones are set up. Results
-    are reduced variant by variant in submission order, each in one whole-array
-    pass here, so they do not depend on the pool; rows come out sweep point by point.
+    Without a pool each variant is set up in one whole-array pass as the stream
+    reaches it. With one, every variant is set up before the pool starts; unit i
+    runs here when i mod workers is 0, and in the pool's process
+    (i mod workers) - 1 otherwise. Results are reduced variant by variant in
+    unit order, each in one whole-array pass here, so they do not depend on the
+    pool; rows come out sweep point by point.
     """
     per_variant = cfg.drops if cfg.scenario == "heterogeneous" else 1
     n_drops = len(variants) * per_variant
@@ -551,9 +621,10 @@ def _run(cfg, variants, workers, pool) -> list:
     if pool is None:
         chunks = map(_run_chunk, units())
     else:
-        # about 4 submissions per worker for the whole run
-        chunks = pool.map(_run_chunk, units(),
-                          chunksize=-(-n_drops * len(bounds) // (4 * workers)))
+        todo = list(units())
+        theirs = pool.map(_run_chunk, [u for i, u in enumerate(todo) if i % workers])
+        # this process's own units never pass through the pool
+        chunks = (next(theirs) if i % workers else _run_chunk(u) for i, u in enumerate(todo))
     rows = {}
     for vi, var in enumerate(variants):
         # each drop's rows: per-trial rates or means, or a sum of its first
@@ -660,10 +731,11 @@ def _variant_rows(cfg, var, drops, results):
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """Run every sweep point and return the full, deterministically ordered rows.
 
-    With ``workers > 1`` one process pool serves the whole run. numpy's
-    OpenBLAS runs single-threaded in this process and in every pool worker;
-    the caller's thread count is restored, and the pool is shut down, on
-    return and on an exception.
+    With ``workers > 1`` this process and ``workers - 1`` pool processes
+    share the whole run. numpy's OpenBLAS runs single-threaded in this
+    process and in every pool process; the caller's thread count is
+    restored, and the pool's processes are stopped, on return and on an
+    exception.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")

@@ -248,6 +248,18 @@ def test_quadrature_table_equals_leggauss_bit_for_bit(order):
     assert np.array_equal(t, want_t) and np.array_equal(w, want_w)
 
 
+def test_quadrature_table_is_read_once_for_every_order(monkeypatch):
+    # it was read once per order: twice in a fig2 pass's first eq17 call
+    loads = []
+    real_load = np.load
+    monkeypatch.setattr(np, "load", lambda *a, **kw: loads.append(a) or real_load(*a, **kw))
+    analytic._quad_table.cache_clear()
+    for order in analytic._QUAD_ORDERS * 2:
+        t, w = analytic._gauss_legendre(order)
+        assert t.shape == w.shape == (order,)
+    assert len(loads) == 1
+
+
 def test_orderstat_pdf_single_draw_is_parent():
     x = np.linspace(30.0, 110.0, 57)
     ref = gamma_dist.pdf(x, 64, scale=1.0)

@@ -3,8 +3,11 @@ import io
 import json
 import math
 import multiprocessing
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,17 +306,20 @@ def test_guard_trip_names_drop_and_trial(tmp_path, capsys, monkeypatch):
     assert "sweep point 0.0" in msg
 
 
-@pytest.mark.parametrize("workers", [
-    1, pytest.param(2, marks=pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched draw reaches pool workers only by fork"))])
+_FORKED = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                             reason="the patched draw reaches pool processes only by fork")
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=_FORKED),
+                                     pytest.param(3, marks=_FORKED)])
 def test_guard_trip_keeps_its_context_in_a_multi_cell_run(workers, monkeypatch):
     # two sweep points x two layouts x five drops, each trial drawn once for
     # both sweep points. Variant 0, drop 1, trial 1 draws users 2 and 4 with
     # one row. Honestly and at K_M = 1 they sit in different blocks; at K_M = 2
     # the two strongest users demote themselves and 2 and 4 share block 0, so
-    # only the attacked period of sweep point 2 fails. At 2 workers the 10
-    # units go out 2 to a submission
+    # only the attacked period of sweep point 2 fails. The failing unit runs in
+    # a pool process at 2 workers (unit 1 of 10) and at 3 (unit 2 of 20, as
+    # each drop's trials are split in two), and its error comes home whole
     target = RngStream(42, pack_stream(0, 0, 1, 1)).generator().bit_generator.state
     draw = experiments.draw_channels
 
@@ -359,6 +365,15 @@ def test_guard_trip_on_a_shared_plan_names_the_first_sweep_point(monkeypatch):
         run_experiment(cfg)
     assert err.value.args[0].startswith("block 0: Gram matrix condition number")
     assert err.value.args[1:] == ("variant 0, drop 0, trial 2", "sweep point 20.0")
+
+
+def test_module_runs_the_cli():
+    # python -m mimosched, for where the console script is not installed
+    env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
+    r = subprocess.run([sys.executable, "-m", "mimosched", "run", "--help"], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0
+    assert r.stdout.startswith("usage: mimosched run") and "--workers" in r.stdout
 
 
 @pytest.mark.skipif(shutil.which("mimosched") is None,

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -683,23 +684,20 @@ def _hom_split(p_nine, cell_model):
 def opened_pools(monkeypatch):
     """Every process pool the engine constructs while the test runs.
 
-    Each one counts its ``map`` calls and its submissions.
+    Each one counts its ``map`` calls and the units they hand it.
     """
     opened = []
 
     class CountedPool(experiments.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(self)
-            self.maps = self.submits = 0
+            self.maps = self.units = 0
             super().__init__(*args, **kwargs)
 
-        def map(self, *args, **kwargs):
+        def map(self, fn, items):
             self.maps += 1
-            return super().map(*args, **kwargs)
-
-        def submit(self, *args, **kwargs):
-            self.submits += 1
-            return super().submit(*args, **kwargs)
+            self.units += len(items)
+            return super().map(fn, items)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
     return opened
@@ -727,10 +725,11 @@ def test_one_map_per_run_streams_every_cell(config, p_nine, cell_model, opened_p
     assert len(opened_pools) == 2
     for pool, workers in zip(opened_pools, (2, 3)):
         assert pool.maps == 1
-        assert 1 <= pool.submits <= 4 * workers + 1
-        if config is _hom_split:
-            # 2 drops split into 4 x workers units of one submission each
-            assert pool.submits == 4 * workers
+        # every unit but each workers-th, from unit 0 on, which the caller runs:
+        # 6 drops split into 12 units at 2 and 3 workers, and 2 drops into
+        # 4 x workers units
+        assert pool.units == {_het_sweep: {2: 6, 3: 8},
+                              _hom_split: {2: 4 * 2 - 4, 3: 4 * 3 - 4}}[config][workers]
 
 
 def test_run_cell_opens_its_own_pool(p_nine, cell_model, opened_pools):
@@ -942,12 +941,50 @@ def test_failed_pooled_run_leaves_no_workers(p_nine, cell_model, monkeypatch, op
         return real_drops(*args)
 
     monkeypatch.setattr(experiments, "_drops", fail_second_layout)
-    # the first layout's chunks go out to the pool, then the second layout's set-up fails
+    # every layout is set up before the pool starts: the second one's set-up
+    # fails with no process started
     with pytest.raises(CountError, match="planted"):
         run_experiment(_het_sweep(p_nine, cell_model), workers=2)
-    assert len(opened_pools) == 1 and opened_pools[0].submits >= 1
+    assert len(opened_pools) == 1 and opened_pools[0].maps == 0
     assert multiprocessing.active_children() == []
     assert _blas_threads() == before
+
+
+_needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                 reason="the patched unit reaches pool processes only by fork")
+
+
+@_needs_fork
+def test_a_unit_failing_in_a_pool_process_fails_the_run(p_nine, cell_model, monkeypatch,
+                                                          opened_pools):
+    before, parent, real_chunk = _blas_threads(), os.getpid(), experiments._run_chunk
+
+    def fail_in_a_child(u):
+        if os.getpid() != parent:
+            raise CountError(f"planted unit failure in drop {u.drop}")
+        return real_chunk(u)
+
+    monkeypatch.setattr(experiments, "_run_chunk", fail_in_a_child)
+    # 12 units at 2 workers: unit 1, the second half of drop 0's trials, is the
+    # first the pool process runs
+    with pytest.raises(CountError, match="planted unit failure in drop 0"):
+        run_experiment(_het_sweep(p_nine, cell_model), workers=2)
+    assert len(opened_pools) == 1 and opened_pools[0].maps == 1
+    assert multiprocessing.active_children() == []
+    assert _blas_threads() == before
+
+
+@_needs_fork
+def test_a_pool_process_that_dies_fails_the_run(p_nine, cell_model, monkeypatch):
+    parent, real_chunk = os.getpid(), experiments._run_chunk
+    monkeypatch.setattr(experiments, "_run_chunk",
+                        lambda u: real_chunk(u) if os.getpid() == parent else os._exit(1))
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="exited with code 1 before sending its result"):
+        run_experiment(_het_sweep(p_nine, cell_model), workers=2)
+    # a pipe whose one sending end is gone reads as EOF: no wait for a result
+    assert time.perf_counter() - start < 1.0
+    assert multiprocessing.active_children() == []
 
 
 def _worker_blas_threads(_):
@@ -984,6 +1021,20 @@ def test_import_loads_no_scipy_and_loads_numpy_random():
     probe = ("import sys, mimosched; "
              "print([m for m in sys.modules if m.startswith('scipy')], 'numpy.random' in sys.modules)")
     assert _fresh_python(probe).strip() == "[] True"
+
+
+def test_pooled_run_imports_no_module():
+    # the pool's modules come with the package: a run forked from an imported
+    # package, as perfbench forks its passes, does not import them per run
+    probe = textwrap.dedent("""
+        import sys
+        from mimosched import preset, run_experiment
+        from dataclasses import replace
+        before = set(sys.modules)
+        run_experiment(replace(preset("fig7"), trials=2, drops=2), workers=2)
+        print(sorted(set(sys.modules) - before))
+    """)
+    assert _fresh_python(probe).strip() == "[]"
 
 
 def test_emit_csv_layout(tmp_path):
@@ -1290,7 +1341,7 @@ def _reduced_twice(cfg, monkeypatch, pooled):
         return iter(pairs[-1][0])
 
     monkeypatch.setattr(experiments, "_variant_rows", both)
-    pool = SimpleNamespace(map=lambda fn, units, chunksize: map(fn, units)) if pooled else None
+    pool = SimpleNamespace(map=lambda fn, units: map(fn, units)) if pooled else None
     experiments._run(cfg, _variants(cfg), 2 if pooled else 1, pool)
     return pairs
 
