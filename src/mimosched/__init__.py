@@ -23,7 +23,6 @@ from .channel import (
     channel_magnitudes,
     draw_channels,
     draw_large_scale,
-    false_matrix,
     large_scale_coefficient,
 )
 from .zf import (

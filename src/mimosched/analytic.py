@@ -84,8 +84,8 @@ def loss_limits(M: int, K: int, K_M: int, delta: float,
     _check_rate_args(M, K, snr, beta)
     if not (1 <= K_M <= K):
         raise CountError(f"limits need 1 <= K_M <= {K}, got {K_M}")
-    if not delta > 0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise DomainError(f"delta must be positive and finite, got {delta}")
     return {
         "high_snr": float(np.log2(K_M / (delta * K)) / np.log2(snr * beta * (M - K) / K)),
         "low_snr": float(1.0 - delta * K / K_M),
@@ -183,13 +183,6 @@ def _log_rank_densities(n: int, ranks: np.ndarray, log_p: np.ndarray, log_q: np.
     k = ranks[:, None]
     # every log P and log Q is finite, so k = 1 and k = n give exact zeros
     return log_comb[:, None] + log_f + (k - 1) * log_p + (n - k) * log_q
-
-
-def _log_orderstat_pdf(shape: int, scale: float, n: int, ranks: np.ndarray,
-                       x: np.ndarray) -> np.ndarray:
-    """(ranks, x) log densities of the k-th smallest of n Gamma(shape, scale) draws, x > 0."""
-    log_p, log_q, log_f = _log_gamma_cdfs(shape, x / scale)
-    return _log_rank_densities(n, ranks, log_p, log_q, log_f - math.log(scale))
 
 
 @lru_cache(maxsize=None)

@@ -85,11 +85,6 @@ def channel_magnitudes(gains: np.ndarray) -> np.ndarray:
     return np.einsum("...km,...km->...k", gains, gains.conj()).real
 
 
-def false_matrix(gains: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The misreported channel rows sqrt(scale[..., k]) * g_k, broadcast over leading axes."""
-    return np.sqrt(scale)[..., None] * gains
-
-
 def large_scale_coefficient(omega_db, distance, model: LargeScaleModel):
     """Pure large-scale formula: shadowing (dB) and distance to a gain."""
     return 10.0 ** (np.asarray(omega_db) / 10.0) / (

@@ -250,7 +250,8 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
     the trial's Gram matrix, and every block is served in sorted member
     order: plans with the same block sets get the same bits. A guard trip's
     ``index`` becomes (trial, block within the period) and its ``period`` the
-    first period served on the failing block.
+    first period served on the failing block. BLAS runs at one thread inside,
+    and at the caller's count again after a return or an exception.
     """
     trial, members = np.asarray(trial), np.asarray(members)
     if not (np.issubdtype(trial.dtype, np.integer) and np.issubdtype(members.dtype, np.integer)):
@@ -275,16 +276,17 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
     at = np.arange(e)[:, None, None]
     # each distinct block's Gram is a principal submatrix of its trial's
     users = members.reshape(-1, p.K_B)[first, :, None]
-    gram = gains @ gains.conj().swapaxes(-1, -2)
-    try:
-        rates = evaluate_block(gram[trial[first // p.T, None, None], users, users.swapaxes(1, 2)],
-                               scale[at, members], block_of, p, P)
-    except SingularMatrixError as err:
-        if hasattr(err, "index"):
-            err.period, block = divmod(int(first[err.index[0]]), p.T)
-            err.index = (int(trial[err.period]), block)
-            err.args = (f"block {block}:{err.args[0].partition(':')[2]}", *err.args[1:])
-        raise
+    with _single_blas_thread():     # threaded BLAS only slows the (N, K, K) Gram stack down
+        gram = gains @ gains.conj().swapaxes(-1, -2)
+        try:
+            rates = evaluate_block(gram[trial[first // p.T, None, None], users,
+                                        users.swapaxes(1, 2)], scale[at, members], block_of, p, P)
+        except SingularMatrixError as err:
+            if hasattr(err, "index"):
+                err.period, block = divmod(int(first[err.index[0]]), p.T)
+                err.index = (int(trial[err.period]), block)
+                err.args = (f"block {block}:{err.args[0].partition(':')[2]}", *err.args[1:])
+            raise
     out = np.zeros(rates.shape[:-3] + scale.shape)
     out[..., at, members] = rates / p.T
     return out
@@ -295,11 +297,12 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
 _TrialChunk = collections.namedtuple("_TrialChunk", "cfg vi var setup drop lo hi")
 
 
-def _numpy_blas_threads(n: int) -> int:
-    """Set numpy's OpenBLAS to ``n`` threads; return its count before, ``n`` if none is found.
+@functools.cache
+def _numpy_openblas():
+    """numpy's OpenBLAS thread-count (get, set, pool shutdown or None), or None if not found.
 
-    Looked up on every call through numpy's extension module: the engine
-    calls no other BLAS, so no other build is read or set.
+    Looked up once per process, and inherited by a forked one, through numpy's
+    extension module: the engine calls no other BLAS, so no other build is read or set.
     """
     lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     for pre, suf in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
@@ -308,18 +311,27 @@ def _numpy_blas_threads(n: int) -> int:
         if get is not None and put is not None:
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
-            before = get()
-            # setting a count (re)starts OpenBLAS's thread pool, whose idle threads
-            # spin for a while; shut it down as OpenBLAS does before a fork, and
-            # the next threaded call re-creates it. Not safe while another thread
-            # runs BLAS, as the set itself is not.
-            if before != n:
-                put(n)
-                if (stop := getattr(lib, "blas_thread_shutdown_", None)) is not None:
-                    stop.argtypes, stop.restype = [], ctypes.c_int
-                    stop()
-            return before
-    return n
+            if (stop := getattr(lib, "blas_thread_shutdown_", None)) is not None:
+                stop.argtypes, stop.restype = [], ctypes.c_int
+            return get, put, stop
+    return None
+
+
+def _numpy_blas_threads(n: int) -> int:
+    """Set numpy's OpenBLAS to ``n`` threads; return its count before, ``n`` if none is found."""
+    if (blas := _numpy_openblas()) is None:
+        return n
+    get, put, stop = blas
+    before = get()
+    # setting a count (re)starts OpenBLAS's thread pool, whose idle threads
+    # spin for a while; shut it down as OpenBLAS does before a fork, and
+    # the next threaded call re-creates it. Not safe while another thread
+    # runs BLAS, as the set itself is not.
+    if before != n:
+        put(n)
+        if stop is not None:
+            stop()
+    return before
 
 
 @contextlib.contextmanager

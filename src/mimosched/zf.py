@@ -88,8 +88,8 @@ def maxmin_power(eff_gain: np.ndarray, P, noise_var: float):
         raise DimensionError(f"P {P.shape} does not index the blocks of gains {eff_gain.shape}")
     if not np.all(eff_gain > 0):
         raise DomainError("effective gains must be strictly positive")
-    if not (np.all(P > 0) and noise_var > 0):
-        raise DomainError("P and noise_var must be positive")
+    if not (np.all((P > 0) & (P < np.inf)) and 0 < noise_var < np.inf):
+        raise DomainError("P and noise_var must be positive and finite")
     P = P.reshape(P.shape + (1,) * (eff_gain.ndim - 1 - P.ndim))
     inv = 1.0 / eff_gain
     total = inv.sum(axis=-1)

@@ -17,6 +17,7 @@ from mimosched import (DomainError, ResultRow, RngStream, analytic, channel_magn
                        db_to_linear, draw_channels, draw_large_scale, group_by_large_scale,
                        group_by_magnitude, group_by_sus, group_randomly, loss_rr_cm,
                        loss_upper_bound, maxmin_power, zf_effective_gains)
+from mimosched.analytic import _log_gamma_cdfs, _log_rank_densities
 from mimosched.experiments import RULE_SHORT, _loss, pack_stream
 from mimosched.zf import _check_conditioning
 
@@ -72,6 +73,13 @@ def inverse_moment_oracle(shape: int, scale: float, n: int, k: int,
         return float(mpmath.quad(integrand, edges))
 
 
+def _log_orderstat_pdf(shape: int, scale: float, n: int, ranks: np.ndarray,
+                       x: np.ndarray) -> np.ndarray:
+    """(ranks, x) log densities of the k-th smallest of n Gamma(shape, scale) draws, x > 0."""
+    log_p, log_q, log_f = _log_gamma_cdfs(shape, x / scale)
+    return _log_rank_densities(n, ranks, log_p, log_q, log_f - math.log(scale))
+
+
 def orderstat_pdf_oracle(shape: int, scale: float, n: int, k: int, x):
     """Density of the k-th smallest of n i.i.d. Gamma(shape, scale) draws; 0 off the support.
 
@@ -106,6 +114,11 @@ def period_rates_oracle(gains: np.ndarray, scale: np.ndarray, members, p,
     rates = np.zeros(gains.shape[0])
     rates[members] = np.log2(1.0 + snr_bs[..., None] / s) / p.T
     return rates
+
+
+def false_matrix(gains: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The misreported channel rows sqrt(scale[..., k]) * g_k, broadcast over leading axes."""
+    return np.sqrt(scale)[..., None] * gains
 
 
 def sus_oracle(mags, rows, p, alpha: float = 0.3) -> np.ndarray:

@@ -40,10 +40,10 @@ from mimosched import (
     same_grouping,
     zf_effective_gains,
 )
-from mimosched.analytic import _log_orderstat_pdf, _orderstat_moments
+from mimosched.analytic import _orderstat_moments
 from mimosched.core import LargeScaleModel
 from mimosched.strategies import grouping_unchanged_under
-from oracles import gram, nullspace_gain_oracle
+from oracles import _log_orderstat_pdf, gram, nullspace_gain_oracle
 from scipy import integrate
 from scipy.stats import gamma as gamma_dist
 

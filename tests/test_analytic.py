@@ -33,8 +33,8 @@ from mimosched import (
     run_experiment,
 )
 from mimosched import analytic
-from mimosched.analytic import _TAIL, _log_gamma_cdfs, _log_orderstat_pdf, _orderstat_moments
-from oracles import gram, inverse_moment_oracle, orderstat_pdf_oracle
+from mimosched.analytic import _TAIL, _log_gamma_cdfs, _orderstat_moments
+from oracles import _log_orderstat_pdf, gram, inverse_moment_oracle, orderstat_pdf_oracle
 
 # golden inverse moments of the k-th smallest of 32 Gamma(64, 1) draws,
 # k = 1..8, from a dedicated 2e7-sample Monte Carlo run
@@ -140,6 +140,8 @@ def test_loss_limits_rejects():
         loss_limits(64, 32, 0, 0.01, 10.0)
     with pytest.raises(DomainError):
         loss_limits(64, 32, 1, 0.0, 10.0)
+    with pytest.raises(DomainError):
+        loss_limits(64, 32, 1, np.inf, 10.0)
 
 
 def _pdf(shape, scale, n, k, x):

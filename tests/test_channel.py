@@ -13,10 +13,10 @@ from mimosched import (
     channel_magnitudes,
     draw_channels,
     draw_large_scale,
-    false_matrix,
     large_scale_coefficient,
 )
 from mimosched.strategies import homogeneous_uniform, honest_profile
+from oracles import false_matrix
 
 
 def test_rng_stream_is_reproducible_and_keyed():

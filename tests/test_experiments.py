@@ -891,9 +891,12 @@ def test_blas_pin_ignores_scipy_linalg_imported_after_a_run():
     assert after == [2] * len(_BLAS_BUILDS)
 
 
-@pytest.mark.skipif(_NUMPY_BLAS is None or not _BLAS_SHUTDOWN
-                    or not os.path.isdir("/proc/self/task"),
-                    reason="needs numpy's OpenBLAS with blas_thread_shutdown_, and /proc")
+_needs_blas_shutdown = pytest.mark.skipif(
+    _NUMPY_BLAS is None or not _BLAS_SHUTDOWN or not os.path.isdir("/proc/self/task"),
+    reason="needs numpy's OpenBLAS with blas_thread_shutdown_, and /proc")
+
+
+@_needs_blas_shutdown
 def test_forked_caller_runs_with_no_blas_thread(p_nine, monkeypatch, blas_at_two):
     # a forked child restarts OpenBLAS's pool on its first count change, and the
     # idle pool thread spun through the run and on after it
@@ -923,6 +926,78 @@ def test_forked_caller_runs_with_no_blas_thread(p_nine, monkeypatch, blas_at_two
     assert (threads_after, count_after) == (1, 2)
     # and its next threaded call re-creates the pool
     assert threads_after_matmul > 1
+
+
+def _direct_period(p, bad=False):
+    """Arguments of a direct run_period call: two realizations served on one plan, the
+    second's block 0 singular when ``bad``."""
+    gains = np.stack([draw_channels(p, np.ones(p.K), RngStream(5, n).generator())
+                      for n in range(2)])
+    if bad:
+        gains[1, 1] = gains[1, 0]
+    members = np.arange(p.K).reshape(1, p.T, p.K_B).repeat(2, axis=0)
+    return gains, np.arange(2), members, np.ones((2, p.K)), p
+
+
+@pytest.fixture
+def block_threads(monkeypatch):
+    """numpy's OpenBLAS thread count at each evaluate_block call of run_period, in order."""
+    seen, real_block = [], experiments.evaluate_block
+    monkeypatch.setattr(experiments, "evaluate_block",
+                        lambda *a: seen.append(_NUMPY_BLAS.get()) or real_block(*a))
+    return seen
+
+
+@_needs_blas_shutdown
+def test_direct_run_period_pins_blas_in_a_forked_caller(p_nine, block_threads, blas_at_two):
+    # no run_experiment around it: the call pins numpy's OpenBLAS itself, then
+    # restores the caller's 2 threads with no pool thread left beside it
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        rates = run_period(*_direct_period(p_nine))
+        send.send((rates.shape, block_threads, _NUMPY_BLAS.get(), _os_threads()))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    send.close()
+    report = recv.recv() if recv.poll(120) else None
+    proc.join(timeout=10)
+    assert not proc.is_alive() and proc.exitcode == 0
+    assert report == ((2, 9), [1], 2, 1)
+
+
+@pytest.mark.skipif(_NUMPY_BLAS is None, reason="needs numpy's OpenBLAS thread-count symbols")
+def test_guard_trip_in_a_direct_run_period_restores_blas_threads(p_nine, block_threads,
+                                                                 blas_at_two):
+    with pytest.raises(SingularMatrixError) as err:
+        run_period(*_direct_period(p_nine, bad=True))
+    assert err.value.index == (1, 0)
+    assert block_threads == [1]
+    assert _NUMPY_BLAS.get() == 2
+
+
+def test_numpy_openblas_is_looked_up_once_per_process():
+    # the pin runs at every run_period call, nested in a run or not, and finds
+    # numpy's OpenBLAS through its extension module only the first time
+    script = textwrap.dedent("""
+        import ctypes
+        import numpy as np
+        ours, real_cdll, opened = np._core._multiarray_umath.__file__, ctypes.CDLL, []
+        ctypes.CDLL = lambda name, *a, **kw: opened.append(name) or real_cdll(name, *a, **kw)
+        from mimosched import ExperimentConfig, RngStream, SystemParams, draw_channels
+        from mimosched import run_experiment, run_period
+        p = SystemParams(M=16, K=9, K_B=3, T=3)
+        gains = draw_channels(p, [1.0] * 9, RngStream(5).generator())[None]
+        period = gains, [0], np.arange(9).reshape(1, 3, 3), np.ones((1, 9)), p
+        run_period(*period)
+        for _ in range(2):
+            run_experiment(ExperimentConfig(params=p, trials=2, seed=3))
+        run_period(*period)
+        print(opened.count(ours))
+    """)
+    assert _fresh_python(script).strip() == "1"
 
 
 def test_failed_pooled_run_leaves_no_workers(p_nine, cell_model, monkeypatch, opened_pools):
@@ -1021,6 +1096,28 @@ def test_import_loads_no_scipy_and_loads_numpy_random():
     probe = ("import sys, mimosched; "
              "print([m for m in sys.modules if m.startswith('scipy')], 'numpy.random' in sys.modules)")
     assert _fresh_python(probe).strip() == "[] True"
+
+
+def test_public_names():
+    # an export is added or removed on purpose only
+    exports = {
+        "ConfigError", "CountError", "DimensionError", "DomainError", "ExperimentConfig",
+        "LargeScaleModel", "QuadratureError", "RangeError", "RegimeError", "ResultRow",
+        "RngStream", "ScaleError", "SimulationError", "SingularMatrixError", "SystemParams",
+        "UnknownPresetError", "apply_misreport", "channel_magnitudes", "config_from_dict",
+        "db_to_linear", "draw_channels", "draw_large_scale", "emit_csv", "evaluate_block",
+        "group_by_large_scale", "group_by_magnitude", "group_by_sus", "group_randomly",
+        "grouping_changed_over", "grouping_changed_under", "grouping_unchanged_under",
+        "homogeneous_uniform", "honest_profile", "large_scale_coefficient", "loss_limits",
+        "loss_rr_cm", "loss_single_block", "loss_upper_bound", "maxmin_power", "preset",
+        "preset_names", "prop3_terms", "rate_accurate_single_block", "rate_heterogeneous_block",
+        "rate_misreport_single_block", "run_cell", "run_experiment", "run_period",
+        "same_grouping", "zf_effective_gains"}
+    modules = {"analytic", "channel", "core", "experiments", "presets", "scheduling",
+               "strategies", "zf"}
+    # a fresh interpreter: here the tests' own imports add submodules such as cli
+    probe = "import mimosched; print(sorted(n for n in vars(mimosched) if not n.startswith('_')))"
+    assert _fresh_python(probe).strip() == str(sorted(exports | modules))
 
 
 def test_pooled_run_imports_no_module():

@@ -12,7 +12,6 @@ from mimosched import (
     apply_misreport,
     channel_magnitudes,
     evaluate_block,
-    false_matrix,
     group_by_large_scale,
     group_by_magnitude,
     group_by_sus,
@@ -21,7 +20,7 @@ from mimosched import (
 )
 from mimosched.channel import draw_channels
 from mimosched.strategies import honest_profile
-from oracles import gram, sus_oracle
+from oracles import false_matrix, gram, sus_oracle
 
 
 def test_magnitude_grouping_sorts_descending():

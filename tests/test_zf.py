@@ -18,17 +18,8 @@ from mimosched import (
     zf_effective_gains,
 )
 from mimosched.channel import draw_channels
-from mimosched.experiments import _single_blas_thread
 from mimosched.zf import _check_conditioning
 from oracles import gram, nullspace_gain_oracle
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _one_blas_thread():
-    # these tests call the block engine directly, outside run_experiment;
-    # threaded BLAS only spins on matrices this small
-    with _single_blas_thread():
-        yield
 
 
 def _rand_rows(rng, kb, m):
@@ -206,6 +197,8 @@ def test_maxmin_power_rejects_bad_inputs():
         maxmin_power(np.array([[1.0, 1.0], [1.0, -1.0]]), 10.0, 1.0)
     with pytest.raises(DomainError):
         maxmin_power(np.ones((2, 2)), 10.0, 0.0)
+    with pytest.raises(DomainError):
+        maxmin_power(np.ones((2, 2)), 10.0, np.inf)
 
 
 @settings(max_examples=100)
@@ -240,7 +233,7 @@ def test_maxmin_power_per_entry_power_equals_scalar_calls(e, lead, kb, seed, noi
         np.testing.assert_array_equal(snr[i], sn)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_maxmin_power_rejects_a_bad_entry_power(bad):
     with pytest.raises(DomainError):
         maxmin_power(np.ones((3, 2, 4)), np.array([10.0, bad, 1.0]), 1.0)
