@@ -14,6 +14,7 @@ because each block serves a magnitude-ranked slice of the population.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from pathlib import Path
 
@@ -42,6 +43,12 @@ def _check_rate_args(M: int, K: int, snr: float, beta: float) -> None:
         raise DomainError(f"beta must be positive and finite, got {beta}")
 
 
+def _check_count(K_M) -> None:
+    # a misreporter count is a whole number: 1.5 and True are not counts
+    if isinstance(K_M, bool) or not isinstance(K_M, numbers.Integral):
+        raise CountError(f"K_M must be an integer, got {K_M!r}")
+
+
 def rate_accurate_single_block(M: int, K: int, snr: float, beta: float = 1.0) -> float:
     """Hardened per-user rate of one honestly reported block of K users."""
     _check_rate_args(M, K, snr, beta)
@@ -57,6 +64,7 @@ def rate_misreport_single_block(M: int, K: int, K_M: int, delta: float,
     SNR.
     """
     _check_rate_args(M, K, snr, beta)
+    _check_count(K_M)
     if not (0 <= K_M <= K):
         raise CountError(f"K_M must lie in [0, {K}], got {K_M}")
     if not 0 < delta < np.inf:
@@ -82,6 +90,7 @@ def loss_limits(M: int, K: int, K_M: int, delta: float,
     loose when K - K_M is not negligible against K_M/delta.
     """
     _check_rate_args(M, K, snr, beta)
+    _check_count(K_M)
     if not (1 <= K_M <= K):
         raise CountError(f"limits need 1 <= K_M <= {K}, got {K_M}")
     if not 0 < delta < np.inf:
@@ -266,6 +275,7 @@ def prop3_terms(p: SystemParams, K_M: int, delta: float, beta: float = 1.0) -> d
     A_T_m / R_mCM_T: same for the attacked last block, where K_M deflated
     misreporters displace the weakest honest users (sample size K - K_M).
     """
+    _check_count(K_M)
     if K_M > p.K_B:
         raise RegimeError(
             f"closed form covers K_M <= K_B, got K_M={K_M}, K_B={p.K_B}")
@@ -311,6 +321,7 @@ def loss_upper_bound(p: SystemParams, K_M: int, delta: float, beta: float = 1.0)
     Like loss_rr_cm, it covers underreporting: RegimeError for delta > 1,
     delta = 1 accepted as the delta -> 1- limit.
     """
+    _check_count(K_M)
     if K_M > p.K_B:
         raise RegimeError(
             f"bound covers K_M <= K_B, got K_M={K_M}, K_B={p.K_B}")

@@ -368,12 +368,13 @@ class ProcessPoolExecutor:
     """``max_workers`` processes, each with one pipe home, that serve one ``map`` call.
 
     ``map`` starts them at once, with the platform's default start method:
-    process c runs every ``max_workers``-th item from item c on, in order,
-    and the results come back in item order. A process that raises sends its
-    exception and stops; one that dies raises a RuntimeError here. perfbench's
-    tracer hooks this name (``POOL_HOOK``) to time the pool and bring the
-    processes' spans home, so it keeps the executor's name until the run
-    reports its own per-layer times.
+    the items are cut into ``max_workers`` contiguous runs, as even as can
+    be, process c serves run c in order, and the results come back in item
+    order. A process that raises sends its exception and stops; one that
+    dies raises a RuntimeError here. perfbench's tracer hooks this name
+    (``POOL_HOOK``) to time the pool and bring the processes' spans home, so
+    it keeps the executor's name until the run reports its own per-layer
+    times.
     """
 
     def __init__(self, max_workers: int):
@@ -383,29 +384,30 @@ class ProcessPoolExecutor:
     def map(self, fn, items):
         """Start the processes on the sequence ``items``; return an iterator over ``fn`` of
         each, in order."""
-        for c in range(self._n):
+        cut = [len(items) * c // self._n for c in range(self._n + 1)]
+        for lo, hi in zip(cut, cut[1:]):
             recv, send = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(target=_serve, args=(send, fn, items[c::self._n]),
+            proc = multiprocessing.Process(target=_serve, args=(send, fn, items[lo:hi]),
                                            daemon=True)
             proc.start()
             # the process holds the one sending end: if it dies, recv raises EOFError
             send.close()
             self._procs.append(proc)
             self._pipes.append(recv)
-        return self._results(len(items))
+        return self._results(cut)
 
-    def _results(self, n: int):
-        for i in range(n):
-            proc, recv = self._procs[i % self._n], self._pipes[i % self._n]
-            try:
-                ok, value = recv.recv()
-            except (EOFError, OSError):       # the pipe closed with no result, or within one
-                proc.join()
-                raise RuntimeError(f"pool process {proc.pid} exited with code {proc.exitcode} "
-                                   f"before sending its result") from None
-            if not ok:
-                raise value
-            yield value
+    def _results(self, cut):
+        for proc, recv, lo, hi in zip(self._procs, self._pipes, cut, cut[1:]):
+            for _ in range(lo, hi):
+                try:
+                    ok, value = recv.recv()
+                except (EOFError, OSError):       # the pipe closed with no result, or within one
+                    proc.join()
+                    raise RuntimeError(f"pool process {proc.pid} exited with code "
+                                       f"{proc.exitcode} before sending its result") from None
+                if not ok:
+                    raise value
+                yield value
 
     def shutdown(self) -> None:
         """Stop every process, finished or not, and wait for it."""
@@ -566,16 +568,17 @@ def _variants(cfg: ExperimentConfig) -> list:
 _Drop = collections.namedtuple("_Drop", "betas scales ls_plans profile")
 
 
-def _drops(cfg, vi, var) -> list:
-    """The ``_Drop`` of each drop of variant ``vi``, whose plan is ``var``: one call per strategy
-    kernel, distinct search and large-scale grouping over the (D, K) stack of the drops' gains."""
+def _drops(cfg, vi, var, drops: range) -> list:
+    """The ``_Drop`` of each of the ``drops`` of variant ``vi``, whose plan is ``var``: one call
+    per strategy kernel, distinct search and large-scale grouping over the (D, K) stack of their
+    gains. A drop's set-up does not depend on the range it is set up in."""
     p, counts = var.p, var.counts
     if cfg.scenario == "homogeneous":
         betas = np.full((1, p.K), p.beta_default)
     else:
         rng = RngStream(cfg.seed).generator()
         betas = np.stack([draw_large_scale(p, cfg.large_scale, RngStream(
-            cfg.seed, pack_stream(2, vi, drop, 0)).restart(rng)) for drop in range(cfg.drops)])
+            cfg.seed, pack_stream(2, vi, drop, 0)).restart(rng)) for drop in drops])
     low, high = cfg.beta_low_factor * betas[:, -1], cfg.beta_high_factor * betas[:, 0]
     # each strategy's (scale, reported) rows of every drop at every sweep point's K_M
     build = {
@@ -603,46 +606,81 @@ def _drops(cfg, vi, var) -> list:
             for b, i, hi in zip(betas, index, [*index[1:, 0], len(first)])]
 
 
+def _reduce(cfg, var, parts, pieces) -> list:
+    """The rows of each sweep point of ``var`` from the (result, ``_Drop``) of each of its
+    units, in order, ``pieces`` per drop: the results of a drop's units are joined, trials
+    first, into its per-trial rates or means, or a sum of its first trials followed by the
+    rates of the rest."""
+    results = [np.concatenate([r for r, _ in parts[i:i + pieces]])
+               for i in range(0, len(parts), pieces)]
+    return list(_variant_rows(cfg, var, [d for _, d in parts[::pieces]], results))
+
+
+def _serve_block(block) -> list:
+    """Serve one block of a run, (cfg, variants, units, pieces): its ``units``, (variant, drop,
+    first trial, end trial) tuples in run order, ``pieces`` per drop, one variant at a time,
+    setting up only the drops they reach. Return (variant, True, rows) for each variant the
+    block holds whole, and (variant, False, the (result, ``_Drop``) of each of its units) for
+    one it holds part of."""
+    cfg, variants, units, pieces = block
+    size = pieces * (cfg.drops if cfg.scenario == "heterogeneous" else 1)
+    out = []
+    for vi, group in itertools.groupby(units, key=lambda u: u[0]):
+        group, var = list(group), variants[vi]
+        first = group[0][1]
+        drops = _drops(cfg, vi, var, range(first, group[-1][1] + 1))
+        parts = [(_run_chunk(_TrialChunk(cfg, vi, var, drops[drop - first], drop, lo, hi)),
+                  drops[drop - first]) for _, drop, lo, hi in group]
+        whole = len(parts) == size
+        out.append((vi, whole, _reduce(cfg, var, parts, pieces) if whole else parts))
+        del drops, parts            # a variant's set-up and results go before the next one's
+    return out
+
+
+# a unit's fixed cost (its slices' grouping and bookkeeping, its drops' set-up and reduction)
+# as the channel entries whose draws cost as much: on fig7's layouts a unit cost 0.4-0.8 ms
+# beside its trials and each entry of a trial about 0.075 us (2-vCPU x86-64 host)
+_UNIT_ENTRIES = 8192
+
+
 def _run(cfg, variants, workers, pool) -> list:
     """The rows of each of ``variants``: one stream of every trial chunk of every variant.
 
-    A unit covers one drop of one variant at every sweep point and carries that
-    drop's ``_Drop``, so each trial is drawn, grouped and factorized once per run.
-    Without a pool each variant is set up in one whole-array pass as the stream
-    reaches it. With one, every variant is set up before the pool starts; unit i
-    runs here when i mod workers is 0, and in the pool's process
-    (i mod workers) - 1 otherwise. Results are reduced variant by variant in
-    unit order, each in one whole-array pass here, so they do not depend on the
-    pool; rows come out sweep point by point.
+    A unit covers trials of one drop of one variant at every sweep point, so
+    each trial is drawn, grouped and factorized once per run. The units, in
+    order, are cut into ``workers`` contiguous blocks, as even in cost as can
+    be: this process serves block 0 and the pool's process c - 1 block c, each
+    setting up the drops its own block reaches, so the pool starts before
+    any set-up. A block reduces each variant it holds whole; the units of a
+    variant cut between blocks come back with their drops' ``_Drop`` and are
+    reduced here. Each variant is reduced in one whole-array pass over its
+    units in unit order, so no number depends on where it ran; rows come out
+    sweep point by point.
     """
     per_variant = cfg.drops if cfg.scenario == "heterogeneous" else 1
-    n_drops = len(variants) * per_variant
     # one unit per drop; a run of fewer than 4 drops per worker splits the drops
-    pieces = 1 if pool is None else -(-4 * workers // n_drops)
+    pieces = 1 if workers == 1 else -(-4 * workers // (len(variants) * per_variant))
     step = -(-cfg.trials // pieces)
     bounds = [(lo, min(lo + step, cfg.trials)) for lo in range(0, cfg.trials, step)]
-    setups = collections.deque()        # the drops of each variant reached, until reduced
-
-    def units():
-        for vi, var in enumerate(variants):
-            setups.append(_drops(cfg, vi, var))
-            for drop, d in enumerate(setups[-1]):
-                for lo, hi in bounds:
-                    yield _TrialChunk(cfg, vi, var, d, drop, lo, hi)
-
-    if pool is None:
-        chunks = map(_run_chunk, units())
-    else:
-        todo = list(units())
-        theirs = pool.map(_run_chunk, [u for i, u in enumerate(todo) if i % workers])
-        # this process's own units never pass through the pool
-        chunks = (next(theirs) if i % workers else _run_chunk(u) for i, u in enumerate(todo))
-    rows = {}
-    for vi, var in enumerate(variants):
-        # each drop's rows: per-trial rates or means, or a sum of its first
-        # trials followed by the rates of the rest
-        results = [np.concatenate([next(chunks) for _ in bounds]) for _ in range(per_variant)]
-        for j, cell in enumerate(_variant_rows(cfg, var, setups.popleft(), results)):
+    units = [(vi, drop, lo, hi) for vi in range(len(variants)) for drop in range(per_variant)
+             for lo, hi in bounds]
+    # blocks as even in cost as can be: a unit costs its trials' K x M channel entries, plus
+    # its own fixed part, and goes to the block its middle falls in
+    cost = np.array([(hi - lo) * variants[vi].p.K * variants[vi].p.M + _UNIT_ENTRIES
+                     for vi, _, lo, hi in units])
+    middle = np.cumsum(cost) - cost / 2
+    cut = [0, *np.searchsorted(middle, cost.sum() * np.arange(1, workers) / workers).tolist(),
+           len(units)]
+    blocks = [(cfg, variants, units[lo:hi], len(bounds)) for lo, hi in zip(cut, cut[1:])]
+    theirs = () if pool is None else pool.map(_serve_block, blocks[1:])
+    rows, parts = {}, []
+    for vi, whole, out in itertools.chain(_serve_block(blocks[0]), *theirs):
+        if not whole:
+            parts += out
+            if len(parts) < len(bounds) * per_variant:
+                continue
+            out, parts = _reduce(cfg, variants[vi], parts, len(bounds)), []
+        for j, cell in enumerate(out):
             rows[j, vi] = cell
     return [row for key in sorted(rows) for row in rows[key]]
 

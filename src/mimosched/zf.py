@@ -16,6 +16,7 @@ from .core import (
     DomainError,
     SingularMatrixError,
     SystemParams,
+    _is_real,
 )
 
 COND_LIMIT = 1e10
@@ -79,7 +80,8 @@ def maxmin_power(eff_gain: np.ndarray, P, noise_var: float):
     of eff_gain is shared by every power along it, so (W,) powers of one
     (1, E, T, K_B) stack reduce its gains once. Returns (powers, snr):
     P_k = P * (1/d_k^2) / sum_j (1/d_j^2), shape (..., K_B), and each
-    block's common snr = P / (noise_var * sum_j 1/d_j^2), shape (...).
+    block's common snr = P / (noise_var * sum_j 1/d_j^2), shape (...);
+    noise_var is one real number, numpy's scalars included.
     """
     eff_gain = np.asarray(eff_gain, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
@@ -88,8 +90,8 @@ def maxmin_power(eff_gain: np.ndarray, P, noise_var: float):
         raise DimensionError(f"P {P.shape} does not index the blocks of gains {eff_gain.shape}")
     if not np.all(eff_gain > 0):
         raise DomainError("effective gains must be strictly positive")
-    if not (np.all((P > 0) & (P < np.inf)) and 0 < noise_var < np.inf):
-        raise DomainError("P and noise_var must be positive and finite")
+    if not (np.all((P > 0) & (P < np.inf)) and _is_real(noise_var) and 0 < noise_var < np.inf):
+        raise DomainError("P and noise_var must be positive and finite, and noise_var one real number")
     P = P.reshape(P.shape + (1,) * (eff_gain.ndim - 1 - P.ndim))
     inv = 1.0 / eff_gain
     total = inv.sum(axis=-1)

@@ -144,6 +144,22 @@ def test_loss_limits_rejects():
         loss_limits(64, 32, 1, np.inf, 10.0)
 
 
+@pytest.mark.parametrize("k_m", [1.5, True, 2.0])
+@pytest.mark.parametrize("call", [
+    lambda k_m: loss_rr_cm(SystemParams(M=64, K=32, K_B=8, T=4), k_m, 0.1),
+    lambda k_m: loss_upper_bound(SystemParams(M=64, K=32, K_B=8, T=4), k_m, 0.1),
+    lambda k_m: loss_single_block(64, 32, k_m, 0.1, 10.0),
+    lambda k_m: rate_misreport_single_block(64, 32, k_m, 0.1, 10.0),
+    lambda k_m: loss_limits(64, 32, k_m, 0.1, 10.0),
+], ids=["loss_rr_cm", "loss_upper_bound", "loss_single_block", "rate_misreport_single_block",
+        "loss_limits"])
+def test_analytic_losses_reject_a_count_that_is_not_an_integer(call, k_m):
+    # each returned a number: 0.0431 from loss_rr_cm at 1.5 and 0.0339 at True
+    with pytest.raises(CountError, match="K_M must be an integer"):
+        call(k_m)
+    call(np.int64(2))
+
+
 def _pdf(shape, scale, n, k, x):
     # the rank density the eq17 quadrature integrates, at x > 0
     vals = np.exp(_log_orderstat_pdf(shape, scale, n, np.array([k]), np.atleast_1d(x)))[0]

@@ -313,13 +313,14 @@ _FORKED = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
 @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=_FORKED),
                                      pytest.param(3, marks=_FORKED)])
 def test_guard_trip_keeps_its_context_in_a_multi_cell_run(workers, monkeypatch):
-    # two sweep points x two layouts x five drops, each trial drawn once for
+    # two sweep points x one layout x two drops, each trial drawn once for
     # both sweep points. Variant 0, drop 1, trial 1 draws users 2 and 4 with
     # one row. Honestly and at K_M = 1 they sit in different blocks; at K_M = 2
     # the two strongest users demote themselves and 2 and 4 share block 0, so
-    # only the attacked period of sweep point 2 fails. The failing unit runs in
-    # a pool process at 2 workers (unit 1 of 10) and at 3 (unit 2 of 20, as
-    # each drop's trials are split in two), and its error comes home whole
+    # only the attacked period of sweep point 2 fails. Each drop's trials are
+    # split into 3 units at 2 and 3 workers: the failing unit, unit 4 of 6,
+    # runs in a pool process at 2 workers (block 1 holds units 3-5) and at 3
+    # (block 2 holds units 4-5), and its error comes home whole
     target = RngStream(42, pack_stream(0, 0, 1, 1)).generator().bit_generator.state
     draw = experiments.draw_channels
 
@@ -333,8 +334,8 @@ def test_guard_trip_keeps_its_context_in_a_multi_cell_run(workers, monkeypatch):
     monkeypatch.setattr(experiments, "draw_channels", degenerate_at)
     cfg = config_from_dict({
         "scenario": "heterogeneous", "M": 16, "T": 3, "K_B": 3,
-        "grouping_rule": "large_scale", "trials": 3, "drops": 5,
-        "sweep": "K_M", "sweep_values": [1, 2], "variants": [None, {"T": 1, "K_B": 9}]})
+        "grouping_rule": "large_scale", "trials": 3, "drops": 2,
+        "sweep": "K_M", "sweep_values": [1, 2]})
     with pytest.raises(SingularMatrixError) as err:
         run_experiment(cfg, workers=workers)
     assert err.value.args[0].startswith("block 0: Gram matrix condition number")

@@ -1,6 +1,7 @@
 """Experiment orchestration: stream ids, cells, sweeps, CSV, presets."""
 import collections
 import ctypes
+import hashlib
 import io
 import itertools
 import json
@@ -684,7 +685,8 @@ def _hom_split(p_nine, cell_model):
 def opened_pools(monkeypatch):
     """Every process pool the engine constructs while the test runs.
 
-    Each one counts its ``map`` calls and the units they hand it.
+    Each one counts its ``map`` calls and the units they hand it, and keeps
+    the units of each block it is handed.
     """
     opened = []
 
@@ -692,11 +694,13 @@ def opened_pools(monkeypatch):
         def __init__(self, *args, **kwargs):
             opened.append(self)
             self.maps = self.units = 0
+            self.blocks = []
             super().__init__(*args, **kwargs)
 
         def map(self, fn, items):
             self.maps += 1
-            self.units += len(items)
+            self.blocks += [units for _, _, units, _ in items]
+            self.units += sum(len(units) for _, _, units, _ in items)
             return super().map(fn, items)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
@@ -725,11 +729,31 @@ def test_one_map_per_run_streams_every_cell(config, p_nine, cell_model, opened_p
     assert len(opened_pools) == 2
     for pool, workers in zip(opened_pools, (2, 3)):
         assert pool.maps == 1
-        # every unit but each workers-th, from unit 0 on, which the caller runs:
-        # 6 drops split into 12 units at 2 and 3 workers, and 2 drops into
-        # 4 x workers units
+        # the units cut into one contiguous block per worker, the caller's
+        # first: 6 drops split into 12 units at 2 and 3 workers, and 2 drops
+        # of 11 trials into 8 units of 3 trials at 2 workers and 12 of 2 at 3
         assert pool.units == {_het_sweep: {2: 6, 3: 8},
                               _hom_split: {2: 4 * 2 - 4, 3: 4 * 3 - 4}}[config][workers]
+        units = (_units(2, 3, 4, 2) if config is _het_sweep
+                 else _units(2, 1, 11, {2: 3, 3: 2}[workers]))
+        share = len(units) // workers
+        assert pool.blocks == [units[c * share:(c + 1) * share] for c in range(1, workers)]
+
+
+def test_blocks_are_cut_by_cost_not_by_unit_count(p_nine, opened_pools):
+    # 4 units of 100 trials per layout: one a unit costs 100 x K x M = 14400 channel entries
+    # plus 8192 of its own, the other, with K = 3, 4800 plus 8192. The caller's half of the
+    # cost holds the first 3 units, and the pool process serves the rest
+    cfg = ExperimentConfig(params=p_nine, K_M=1, trials=400, seed=3,
+                           variants=(None, {"T": 1, "K_B": 3}))
+    assert _csv_text(run_experiment(cfg, workers=2)) == _csv_text(run_experiment(cfg))
+    assert opened_pools[0].blocks == [_units(2, 1, 400, 100)[3:]]
+
+
+def _units(variants, drops, trials, step) -> list:
+    # (variant, drop, first trial, end trial) of every unit, in run order
+    return [(v, d, lo, min(lo + step, trials)) for v in range(variants) for d in range(drops)
+            for lo in range(0, trials, step)]
 
 
 def test_run_cell_opens_its_own_pool(p_nine, cell_model, opened_pools):
@@ -1000,6 +1024,21 @@ def test_numpy_openblas_is_looked_up_once_per_process():
     assert _fresh_python(script).strip() == "1"
 
 
+_needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                 reason="patched code reaches pool processes only by fork")
+
+
+def _fail_set_up_of_layout(monkeypatch, failing):
+    real_drops = experiments._drops
+
+    def fail_one_layout(cfg, vi, *args):
+        if vi == failing:
+            raise CountError("planted set-up failure")
+        return real_drops(cfg, vi, *args)
+
+    monkeypatch.setattr(experiments, "_drops", fail_one_layout)
+
+
 def test_failed_pooled_run_leaves_no_workers(p_nine, cell_model, monkeypatch, opened_pools):
     before = _blas_threads()
     # an out-of-range sweep point fails before a pool opens
@@ -1007,26 +1046,29 @@ def test_failed_pooled_run_leaves_no_workers(p_nine, cell_model, monkeypatch, op
         run_experiment(ExperimentConfig(params=p_nine, K_M=1, trials=4, seed=3,
                                         sweep="K_M", sweep_values=(1, 10)), workers=2)
     assert opened_pools == []
-    real_drops = experiments._drops
-    calls = itertools.count()
-
-    def fail_second_layout(*args):
-        if next(calls) == 1:
-            raise CountError("planted set-up failure")
-        return real_drops(*args)
-
-    monkeypatch.setattr(experiments, "_drops", fail_second_layout)
-    # every layout is set up before the pool starts: the second one's set-up
-    # fails with no process started
+    _fail_set_up_of_layout(monkeypatch, 0)
+    # the pool starts before any set-up, and each process sets up the layouts
+    # its own block reaches: at 2 workers the caller sets up the first layout,
+    # whose failure fails the run
     with pytest.raises(CountError, match="planted"):
         run_experiment(_het_sweep(p_nine, cell_model), workers=2)
-    assert len(opened_pools) == 1 and opened_pools[0].maps == 0
+    assert len(opened_pools) == 1 and opened_pools[0].maps == 1
+    assert opened_pools[0].blocks == [_units(2, 3, 4, 2)[6:]]
     assert multiprocessing.active_children() == []
     assert _blas_threads() == before
 
 
-_needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                 reason="the patched unit reaches pool processes only by fork")
+@_needs_fork
+def test_a_set_up_failing_in_a_pool_process_fails_the_run(p_nine, cell_model, monkeypatch,
+                                                          opened_pools):
+    before = _blas_threads()
+    # at 2 workers the pool process sets up the second layout
+    _fail_set_up_of_layout(monkeypatch, 1)
+    with pytest.raises(CountError, match="planted"):
+        run_experiment(_het_sweep(p_nine, cell_model), workers=2)
+    assert len(opened_pools) == 1 and opened_pools[0].maps == 1
+    assert multiprocessing.active_children() == []
+    assert _blas_threads() == before
 
 
 @_needs_fork
@@ -1035,16 +1077,18 @@ def test_a_unit_failing_in_a_pool_process_fails_the_run(p_nine, cell_model, monk
     before, parent, real_chunk = _blas_threads(), os.getpid(), experiments._run_chunk
 
     def fail_in_a_child(u):
-        if os.getpid() != parent:
+        if os.getpid() != parent and u.drop == 0:
             raise CountError(f"planted unit failure in drop {u.drop}")
         return real_chunk(u)
 
     monkeypatch.setattr(experiments, "_run_chunk", fail_in_a_child)
-    # 12 units at 2 workers: unit 1, the second half of drop 0's trials, is the
-    # first the pool process runs
-    with pytest.raises(CountError, match="planted unit failure in drop 0"):
-        run_experiment(_het_sweep(p_nine, cell_model), workers=2)
-    assert len(opened_pools) == 1 and opened_pools[0].maps == 1
+    # 12 units, of which the caller serves the first 6 at 2 workers and the
+    # first 4 at 3: unit 6, the first half of the second layout's drop 0, is
+    # the first drop-0 unit a pool process runs
+    for workers in (2, 3):
+        with pytest.raises(CountError, match="planted unit failure in drop 0"):
+            run_experiment(_het_sweep(p_nine, cell_model), workers=workers)
+    assert len(opened_pools) == 2 and [pool.maps for pool in opened_pools] == [1, 1]
     assert multiprocessing.active_children() == []
     assert _blas_threads() == before
 
@@ -1132,6 +1176,30 @@ def test_pooled_run_imports_no_module():
         print(sorted(set(sys.modules) - before))
     """)
     assert _fresh_python(probe).strip() == "[]"
+
+
+def test_spawned_pool_processes_give_the_same_bytes(p_nine, cell_model):
+    # a spawned process gets its block by pickle and imports the package
+    # afresh, so the work it is handed must be module-level: fig7 and a split
+    # homogeneous run give this process's CSV at 1, 2 and 3 workers
+    probe = textwrap.dedent("""
+        import hashlib, io, multiprocessing
+        from dataclasses import replace
+        from mimosched import ExperimentConfig, SystemParams, emit_csv, preset, run_experiment
+        multiprocessing.set_start_method("spawn")
+        hom = ExperimentConfig(
+            params=SystemParams(M=16, K=9, K_B=3, T=3, P=10.0),
+            grouping_rule=("channel_magnitude", "sus", "random"), K_M=2, sweep="P_dB",
+            sweep_values=(0.0, 10.0), variants=(None, {"T": 1, "K_B": 9}), trials=11, seed=5)
+        for cfg in (replace(preset("fig7"), trials=2, drops=3), hom):
+            for workers in (1, 2, 3):
+                buf = io.StringIO()
+                emit_csv(run_experiment(cfg, workers), buf)
+                print(hashlib.sha256(buf.getvalue().encode()).hexdigest())
+    """)
+    want = [hashlib.sha256(_csv_text(run_experiment(cfg)).encode()).hexdigest()
+            for cfg in (replace(preset("fig7"), trials=2, drops=3), _hom_split(p_nine, cell_model))]
+    assert _fresh_python(probe).split() == [h for h in want for _ in range(3)]
 
 
 def test_emit_csv_layout(tmp_path):
@@ -1408,13 +1476,29 @@ def test_drop_setups_equal_the_profile_by_profile_oracle(name, drops):
     # each (sweep point, strategy) profile on its own gives, bit for bit
     cfg = replace(preset(name), trials=2, drops=drops)
     for vi, (var, cells) in enumerate(zip(_variants(cfg), cells_oracle(cfg), strict=True)):
-        got = _drops(cfg, vi, var)
+        got = _drops(cfg, vi, var, range(drops))
         want = drop_setups_oracle(cfg, vi, cells)
         assert len(got) == len(want) == drops
         for d, (betas, scales, honest, ls_plans, profile) in zip(got, want):
             for a, b in ((d.betas, betas), (d.scales, scales), (d.scales == 1.0, honest),
                          (d.ls_plans, ls_plans), (d.profile, profile)):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["fig5", "fig6", "fig7"])
+def test_a_drop_range_sets_up_the_bits_of_the_whole_variant(name):
+    # a pool process sets up only the drops its block reaches: every drop of
+    # a range gets the arrays the whole variant's call gives it
+    cfg = replace(preset(name), trials=2, drops=12)
+    for vi, var in enumerate(_variants(cfg)):
+        whole = _drops(cfg, vi, var, range(cfg.drops))
+        for lo, hi in ((0, 5), (5, 6), (6, 12), (3, 9)):
+            for d, w in zip(_drops(cfg, vi, var, range(lo, hi)), whole[lo:hi], strict=True):
+                for a, b in zip(d, w, strict=True):
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        assert a.tobytes() == b.tobytes()
 
 
 def _exact(rows) -> list:

@@ -4,13 +4,14 @@ Each golden file holds the CSV one reduced configuration emitted when it was
 recorded. A run must reproduce every cell within a relative tolerance of
 1e-12, NaN where the golden has NaN, and every text and count field
 exactly, at one worker and at two, whose trial chunks and slices differ.
-The CSV at two workers must match the one at one worker byte for byte.
+The CSV at two and at three workers must match the one at one worker byte
+for byte.
 Rewrite the named files with ``PYTHONPATH=src python tests/test_golden.py
 NAME...`` only when a change of their numbers is intended;
 ``PYTHONPATH=src python tests/test_golden.py --sha256`` prints the SHA-256
-of every config's CSV at one and at two workers, to compare two trees, and
+of every config's CSV at one, two and three workers, to compare two trees, and
 ``--sha256 --presets`` does the same for the six full presets (about half a
-minute on two cores). ``--max-rel`` prints, per config and worker count, the
+minute and a half on two cores). ``--max-rel`` prints, per config and worker count, the
 largest relative deviation of its value cells from the golden, for analytic
 rows (``trials`` 0) and Monte Carlo rows apart: inf where a row's keys differ.
 """
@@ -107,13 +108,15 @@ def test_csv_matches_golden(name, workers):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_is_byte_identical_across_workers(name):
-    assert _csv(CONFIGS[name], 2) == _csv(CONFIGS[name], 1)
+    one = _csv(CONFIGS[name], 1)
+    assert _csv(CONFIGS[name], 2) == one
+    assert _csv(CONFIGS[name], 3) == one
 
 
 if __name__ == "__main__":
     if sys.argv[1:] in (["--sha256"], ["--sha256", "--presets"]):
         cfgs = {n: preset(n) for n in preset_names()} if "--presets" in sys.argv else CONFIGS
-        for name, workers in itertools.product(sorted(cfgs), (1, 2)):
+        for name, workers in itertools.product(sorted(cfgs), (1, 2, 3)):
             digest = hashlib.sha256(_csv(cfgs[name], workers).encode()).hexdigest()
             print(f"{name}/workers{workers} {digest}")
         sys.exit()

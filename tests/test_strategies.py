@@ -41,7 +41,7 @@ def _block_sets(plan):
 
 def _profile_of(cfg):
     # each sweep point's profile index of the honest baseline, then of each strategy
-    return _drops(cfg, 0, _variants(cfg)[0])[0].profile.tolist()
+    return _drops(cfg, 0, _variants(cfg)[0], range(cfg.drops))[0].profile.tolist()
 
 
 def test_honest_profile_is_all_ones(p_nine, cell_model):

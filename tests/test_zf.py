@@ -199,6 +199,11 @@ def test_maxmin_power_rejects_bad_inputs():
         maxmin_power(np.ones((2, 2)), 10.0, 0.0)
     with pytest.raises(DomainError):
         maxmin_power(np.ones((2, 2)), 10.0, np.inf)
+    # an array raised numpy's ValueError ("truth value ... ambiguous"), a string a TypeError
+    with pytest.raises(DomainError):
+        maxmin_power(np.ones((2, 2)), 10.0, np.array([1.0, 2.0]))
+    with pytest.raises(DomainError):
+        maxmin_power(np.ones((2, 2)), 10.0, "1")
 
 
 @settings(max_examples=100)
