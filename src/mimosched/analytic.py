@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CountError, DomainError, QuadratureError, RegimeError, SystemParams
+from .core import CountError, DomainError, QuadratureError, RegimeError, SystemParams, _is_real
 
 _TAIL = 1e-12          # quantile mass ignored on each side of the integral
 _QUAD_ORDERS = (128, 192, 384, 768, 1536)  # Gauss-Legendre order ladder
@@ -32,7 +32,19 @@ _Z_TAIL = 7.034483825301131  # standard normal 1 - _TAIL quantile: the first qua
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
+def _check_kinds(counts: dict, reals: dict) -> None:
+    # an antenna or user count is a whole number and a rate input a real one:
+    # 64.5, True and "10" are neither
+    for name, v in counts.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {v!r}")
+    for name, v in reals.items():
+        if not _is_real(v):
+            raise DomainError(f"{name} must be a real number, got {v!r}")
+
+
 def _check_rate_args(M: int, K: int, snr: float, beta: float) -> None:
+    _check_kinds({"M": M, "K": K}, {"snr": snr, "beta": beta})
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K}")
     if M <= K:
@@ -67,6 +79,7 @@ def rate_misreport_single_block(M: int, K: int, K_M: int, delta: float,
     _check_count(K_M)
     if not (0 <= K_M <= K):
         raise CountError(f"K_M must lie in [0, {K}], got {K_M}")
+    _check_kinds({}, {"delta": delta})
     if not 0 < delta < np.inf:
         raise DomainError(f"delta must be positive and finite, got {delta}")
     eff_users = K - K_M + K_M / delta
@@ -93,6 +106,7 @@ def loss_limits(M: int, K: int, K_M: int, delta: float,
     _check_count(K_M)
     if not (1 <= K_M <= K):
         raise CountError(f"limits need 1 <= K_M <= {K}, got {K_M}")
+    _check_kinds({}, {"delta": delta})
     if not 0 < delta < np.inf:
         raise DomainError(f"delta must be positive and finite, got {delta}")
     return {
@@ -254,6 +268,7 @@ def _orderstat_moments(shape: int, scale: float, n: int, ranks: np.ndarray,
 def _check_underreport(delta: float) -> None:
     # eq17 and eq21 let the misreporters sink to the last block, which only
     # underreporting does; delta = 1 is taken as the delta -> 1- limit
+    _check_kinds({}, {"delta": delta})
     if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta}")
     if delta > 1:
@@ -338,6 +353,7 @@ def rate_heterogeneous_block(M: int, K_B: int, snr: float, betas_in_block) -> fl
     Max-min power control equalizes members at
     log2(1 + snr * (M - K_B) / sum_k 1/beta_k); weak members dominate the sum.
     """
+    _check_kinds({"M": M, "K_B": K_B}, {"snr": snr})
     betas = np.asarray(betas_in_block, dtype=np.float64)
     if betas.ndim != 1 or betas.shape[0] != K_B:
         raise DomainError(f"betas_in_block must have shape ({K_B},), got {betas.shape}")

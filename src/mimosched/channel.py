@@ -65,8 +65,8 @@ def draw_channels(p: SystemParams, betas: np.ndarray, rng: Generator) -> np.ndar
     betas = np.asarray(betas, dtype=np.float64)
     if betas.shape != (p.K,):
         raise DomainError(f"betas must have shape ({p.K},), got {betas.shape}")
-    if not np.all(betas > 0):
-        raise DomainError("every large-scale gain must be positive")
+    if not np.all((betas > 0) & (betas < np.inf)):
+        raise DomainError("every large-scale gain must be positive and finite")
     # scaled in real arithmetic, with the bits of the complex product and quotient
     z = rng.standard_normal((2, p.K, p.M))
     z *= 1.0 / np.sqrt(2.0)
@@ -108,13 +108,16 @@ def draw_large_scale(p: SystemParams, m: LargeScaleModel, rng: Generator) -> np.
 def apply_misreport(magnitudes: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """The scheduler's view of (..., K) true magnitudes under F misreport profiles.
 
-    scales is (F, K), one row of multipliers per profile; returns the
-    (..., F, K) reported magnitudes scales[f, k] * magnitudes[..., k].
+    scales is (F, K), one row of multipliers per profile shared by every
+    realization, or (..., F, K), F rows for each realization; returns the
+    (..., F, K) reported magnitudes scales[..., f, k] * magnitudes[..., k].
     """
     mags = np.asarray(magnitudes, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
-    if scales.ndim != 2 or scales.shape[1:] != mags.shape[-1:]:
-        raise DomainError(f"profiles {scales.shape} must be (F, K) for magnitudes {mags.shape}")
+    if (scales.ndim < 2 or scales.shape[-1:] != mags.shape[-1:]
+            or scales.shape[:-2] not in ((), mags.shape[:-1])):
+        raise DomainError(f"profiles {scales.shape} must be (F, K) or (..., F, K) for "
+                          f"magnitudes {mags.shape}")
     if not np.all((scales > 0) & (scales < np.inf)):
         raise ScaleError("misreport scale factors must be positive and finite")
     return mags[..., None, :] * scales

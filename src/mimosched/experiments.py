@@ -292,11 +292,6 @@ def run_period(gains: np.ndarray, trial, members, scale, p: SystemParams, P=None
     return out
 
 
-# one work unit: trials lo..hi - 1 of drop ``drop`` of variant ``vi`` of
-# ``cfg``, at every sweep point of its _Variant ``var``; setup is the drop's _Drop
-_TrialChunk = collections.namedtuple("_TrialChunk", "cfg vi var setup drop lo hi")
-
-
 @functools.cache
 def _numpy_openblas():
     """numpy's OpenBLAS thread-count (get, set, pool shutdown or None), or None if not found.
@@ -441,80 +436,106 @@ def _slice_trials(p: SystemParams, profiles: int, rules) -> int:
     return max(8, 3 * 2**19 // (16 * (p.K * p.M + held)))
 
 
-def _run_chunk(u: _TrialChunk) -> np.ndarray:
+def _run_units(cfg, vi, var, drops, units) -> list:
     """Paired trials at every sweep point: the honest baseline plus every strategy, per rule.
 
-    Each trial is drawn once and its magnitudes computed once; it is grouped
-    once per distinct profile, and its (profile, rule) periods go through one
-    run_period call per slice of trials, at every distinct power at once.
-    Returns only what the cell reductions read, never every period's
-    per-user rates of every trial at once:
+    ``units`` are (variant, drop, first trial, end trial) of variant ``vi``,
+    whose plan is ``var``, in run order, and ``drops`` the ``_Drop`` of each
+    drop from the first unit's on. Their trials run in that order, in slices
+    that span units and drops. Each trial is drawn once and its magnitudes
+    computed once; it is grouped once per distinct profile of its drop, and
+    a slice's (trial, profile, rule) periods go through one run_period call,
+    at every distinct power at once. A drop with fewer distinct profiles
+    than the slice's most repeats its profile 0, the first sweep point's
+    honest one, whose periods serve only blocks that profile already has
+    and whose rates are dropped. Returns, for each unit, only what the cell
+    reductions read, never every period's per-user rates of every trial:
     - homogeneous: the (trials, powers, profiles, rules) mean rate over the
       honest users of each period's profile;
     - heterogeneous: the same axes' per-user rates, K last;
     - heterogeneous, from trial 0 of a drop past drop 0: those rates added
       trial by trial in order, as one (1, powers, profiles, rules, K) row.
     """
-    cfg, p, d = u.cfg, u.var.p, u.setup
-    rules, means = cfg.grouping_rule, cfg.scenario == "homogeneous"
-    summed = not means and u.drop > 0 and u.lo == 0
-    n_prof, n_rule = len(d.scales), len(rules)
-    scales, honest = d.scales.repeat(n_rule, axis=0), (d.scales == 1.0)[:, None]  # (F*R, K), (F, 1, K)
-    out = np.empty((u.hi - u.lo, len(u.var.powers), n_prof, n_rule)) if means else []
+    p, rules, means = var.p, cfg.grouping_rule, cfg.scenario == "homogeneous"
+    first, n_rule, n_pow = units[0][1], len(rules), len(var.powers)
+    n_prof = max(len(drops[u[1] - first].scales) for u in units)
+    prof = np.arange(n_prof)
+
+    def padded(rows, at):
+        """Each trial's (n_prof, ...) rows of its drop's (F, ...) ``rows``, padded by row 0."""
+        return np.stack([r[np.where(prof < len(r), prof, 0)] for r in rows])[at]
+
+    # each trial's (unit, drop, trial), in run order
+    runs = [(i, drop, t) for i, (_, drop, lo, hi) in enumerate(units) for t in range(lo, hi)]
+    out = [np.empty((hi - lo, n_pow, len(drops[drop - first].scales), n_rule)) if means else []
+           for _, drop, lo, hi in units]
     # the fewest slices the budget allows, as even as can be
-    step = -(-(u.hi - u.lo) // -(-(u.hi - u.lo) // _slice_trials(p, n_prof, rules)))
+    step = -(-len(runs) // -(-len(runs) // _slice_trials(p, n_prof, rules)))
     rng = RngStream(cfg.seed).generator()         # restarted at each trial's stream
-    for lo in range(u.lo, u.hi, step):
-        trials = range(lo, min(lo + step, u.hi))
-        gains = np.stack([draw_channels(p, d.betas, RngStream(
-            cfg.seed, pack_stream(0, u.vi, u.drop, t)).restart(rng)) for t in trials])  # (n, K, M)
+    for lo in range(0, len(runs), step):
+        trials = runs[lo:lo + step]
+        gains = np.stack([draw_channels(p, drops[drop - first].betas, RngStream(
+            cfg.seed, pack_stream(0, vi, drop, t)).restart(rng)) for _, drop, t in trials])
+        # the drops the slice reaches, and each trial's among them
+        span = drops[trials[0][1] - first:trials[-1][1] + 1 - first]
+        at = np.array([drop for _, drop, _ in trials]) - trials[0][1]
+        scales = padded([d.scales for d in span], at)                           # (n, F, K)
         # only magnitude and SUS grouping read the (n, F, K) reported magnitudes
         if {"channel_magnitude", "sus"} & set(rules):
-            reported = apply_misreport(channel_magnitudes(gains), d.scales)
+            reported = apply_misreport(channel_magnitudes(gains), scales)
         # every rule's plan of each trial under each profile. The large-scale
-        # plans are fixed per drop and broadcast over the trials; a trial's
-        # random plan is broadcast over its profiles
+        # plans are fixed per drop; a trial's random plan is broadcast over its profiles
         members = np.empty((len(trials), n_prof, n_rule, p.T, p.K_B), dtype=np.intp)
         for r, rule in enumerate(rules):
             if rule == "large_scale":
-                members[:, :, r] = d.ls_plans
+                members[:, :, r] = padded([d.ls_plans for d in span], at)
             elif rule == "channel_magnitude":
                 members[:, :, r] = scheduling.group_by_magnitude(reported, p)
             elif rule == "sus":
-                members[:, :, r] = scheduling.group_by_sus(reported, gains[:, None], d.scales, p,
+                members[:, :, r] = scheduling.group_by_sus(reported, gains[:, None], scales, p,
                                                            cfg.sus_alpha)
             else:
-                for n, t in enumerate(trials):
-                    RngStream(cfg.seed, pack_stream(1, u.vi, u.drop, t)).restart(rng)
+                for n, (_, drop, t) in enumerate(trials):
+                    RngStream(cfg.seed, pack_stream(1, vi, drop, t)).restart(rng)
                     members[n, :, r] = scheduling.group_randomly(p, rng)
         # periods run trial by trial, then profile by profile, then rule by rule
         try:
             rates = run_period(gains, np.repeat(np.arange(len(trials)), n_prof * n_rule),
                                members.reshape(-1, p.T, p.K_B),
-                               np.tile(scales, (len(trials), 1)), p, u.var.powers)
+                               scales.repeat(n_rule, axis=1).reshape(-1, p.K), p, var.powers)
         except SingularMatrixError as e:
             # the same object, re-raised: a failure is still counted once. One
             # raised outside the guard carries no period, so name the slice
             if hasattr(e, "period"):
                 n, f = divmod(e.period // n_rule, n_prof)
-                where = f"trial {trials[n]}"
-                point = f"sweep point {u.var.points[np.argmax((d.profile == f).any(axis=1))]}"
+                _, drop, t = trials[n]
+                where = f"drop {drop}, trial {t}"
+                profile = drops[drop - first].profile
+                point = f"sweep point {var.points[np.argmax((profile == f).any(axis=1))]}"
             else:
-                where = f"trials {lo}-{trials[-1]}"
-                point = f"sweep points {', '.join(map(str, u.var.points))}"
-            e.args += (f"variant {u.vi}, drop {u.drop}, {where}", point)
+                (_, d0, t0), (_, d1, t1) = trials[0], trials[-1]
+                where = f"drop {d0}, trial {t0} to drop {d1}, trial {t1}"
+                point = f"sweep points {', '.join(map(str, var.points))}"
+            e.args += (f"variant {vi}, {where}", point)
             raise
-        rates = rates.reshape(len(u.var.powers), len(trials), n_prof, n_rule, p.K).swapaxes(0, 1)
-        if means:
-            # one fixed-order sum over all K users, whatever the slice holds
-            with np.errstate(invalid="ignore"):
-                out[lo - u.lo:trials[-1] + 1 - u.lo] = (np.where(honest, rates, 0.0).sum(axis=-1)
-                                                        / honest.sum(axis=-1))
-        elif summed:
-            out = [functools.reduce(np.add, rates, *out)]     # trial by trial, in order
-        else:
-            out.extend(rates)
-    return out if means else np.stack(out)
+        rates = rates.reshape(n_pow, len(trials), n_prof, n_rule, p.K).swapaxes(0, 1)
+        # each unit's run of the slice's trials, with its own drop's profiles
+        n = 0
+        for i, run in itertools.groupby(trials, key=lambda trial: trial[0]):
+            _, drop, lo_u, _ = units[i]
+            d, k, t = drops[drop - first], len(list(run)), trials[n][2] - lo_u
+            part = rates[n:n + k, :, :len(d.scales)]
+            n += k
+            if means:
+                # one fixed-order sum over all K users, whatever the slice holds
+                honest = (d.scales == 1.0)[:, None]                            # (F, 1, K)
+                with np.errstate(invalid="ignore"):
+                    out[i][t:t + k] = np.where(honest, part, 0.0).sum(axis=-1) / honest.sum(axis=-1)
+            elif drop > 0 and lo_u == 0:
+                out[i] = [functools.reduce(np.add, part, *out[i])]      # trial by trial, in order
+            else:
+                out[i].extend(part)
+    return out if means else [np.stack(o) for o in out]
 
 
 def run_cell(cfg: ExperimentConfig, sweep_value, workers: int = 1) -> list:
@@ -619,7 +640,8 @@ def _reduce(cfg, var, parts, pieces) -> list:
 def _serve_block(block) -> list:
     """Serve one block of a run, (cfg, variants, units, pieces): its ``units``, (variant, drop,
     first trial, end trial) tuples in run order, ``pieces`` per drop, one variant at a time,
-    setting up only the drops they reach. Return (variant, True, rows) for each variant the
+    setting up only the drops they reach and running a variant's units in one ``_run_units``
+    call. Return (variant, True, rows) for each variant the
     block holds whole, and (variant, False, the (result, ``_Drop``) of each of its units) for
     one it holds part of."""
     cfg, variants, units, pieces = block
@@ -629,25 +651,30 @@ def _serve_block(block) -> list:
         group, var = list(group), variants[vi]
         first = group[0][1]
         drops = _drops(cfg, vi, var, range(first, group[-1][1] + 1))
-        parts = [(_run_chunk(_TrialChunk(cfg, vi, var, drops[drop - first], drop, lo, hi)),
-                  drops[drop - first]) for _, drop, lo, hi in group]
+        parts = list(zip(_run_units(cfg, vi, var, drops, group),
+                         [drops[drop - first] for _, drop, _, _ in group]))
         whole = len(parts) == size
         out.append((vi, whole, _reduce(cfg, var, parts, pieces) if whole else parts))
         del drops, parts            # a variant's set-up and results go before the next one's
     return out
 
 
-# a unit's fixed cost (its slices' grouping and bookkeeping, its drops' set-up and reduction)
-# as the channel entries whose draws cost as much: on fig7's layouts a unit cost 0.4-0.8 ms
-# beside its trials and each entry of a trial about 0.075 us (2-vCPU x86-64 host)
+# a unit's fixed cost (its drop's set-up and reduction, its share of its slices' bookkeeping)
+# as channel entries. With slices that span drops, a fig7 drop costs 0.07-0.15 ms beside its
+# trials, 750-1750 entries at 0.086-0.095 us each (2-vCPU x86-64 host). Priced at 1536, the
+# 2-worker het_pool cut fell inside its second layout and gave the pool process 6-11 % more
+# CPU than the caller, against 4-6 % less at 8192, and full fig7 split alike at both prices
 _UNIT_ENTRIES = 8192
 
 
 def _run(cfg, variants, workers, pool) -> list:
-    """The rows of each of ``variants``: one stream of every trial chunk of every variant.
+    """The rows of each of ``variants``: one stream of the work units of every variant.
 
     A unit covers trials of one drop of one variant at every sweep point, so
-    each trial is drawn, grouped and factorized once per run. The units, in
+    each trial is drawn, grouped and factorized once per run. A unit decides
+    where the pool cuts the run and how a drop's results are reduced; its
+    trials run in slices that span the units and drops of a variant in one
+    block. The units, in
     order, are cut into ``workers`` contiguous blocks, as even in cost as can
     be: this process serves block 0 and the pool's process c - 1 block c, each
     setting up the drops its own block reaches, so the pool starts before

@@ -160,6 +160,41 @@ def test_analytic_losses_reject_a_count_that_is_not_an_integer(call, k_m):
     call(np.int64(2))
 
 
+_P = SystemParams(M=64, K=32, K_B=8, T=4)
+
+
+@pytest.mark.parametrize("call, name", [
+    # each returned a number: 3.48, 9.30 and 8.29
+    (lambda: rate_accurate_single_block(64.5, 32, 10.0), "M must be an integer"),
+    (lambda: rate_accurate_single_block(64, True, 10.0), "K must be an integer"),
+    (lambda: rate_heterogeneous_block(64.5, 2, 10.0, [1, 1]), "M must be an integer"),
+    (lambda: rate_heterogeneous_block(64, 2.0, 10.0, [1, 1]), "K_B must be an integer"),
+    (lambda: rate_accurate_single_block(64, 32, 10.0, True), "beta must be a real number"),
+    # each raised a TypeError
+    (lambda: rate_accurate_single_block(64, 32, "10"), "snr must be a real number"),
+    (lambda: rate_heterogeneous_block(64, 2, "10", [1, 1]), "snr must be a real number"),
+    (lambda: loss_rr_cm(_P, 1, "0.1"), "delta must be a real number"),
+    (lambda: loss_upper_bound(_P, 1, "0.1"), "delta must be a real number"),
+    (lambda: loss_single_block(64, 32, 1, "0.1", 10.0), "delta must be a real number"),
+    (lambda: loss_limits(64, 32, 1, "0.1", 10.0), "delta must be a real number"),
+    (lambda: prop3_terms(_P, 1, 0.1, "1"), "beta must be a real number"),
+], ids=["rate_accurate_M", "rate_accurate_K", "rate_heterogeneous_M", "rate_heterogeneous_K_B",
+        "rate_accurate_beta", "rate_accurate_snr", "rate_heterogeneous_snr", "loss_rr_cm_delta",
+        "loss_upper_bound_delta", "loss_single_block_delta", "loss_limits_delta",
+        "prop3_terms_beta"])
+def test_closed_forms_reject_a_count_or_a_real_of_the_wrong_kind(call, name):
+    with pytest.raises(DomainError, match=name):
+        call()
+
+
+def test_closed_forms_take_numpy_counts_and_reals():
+    assert rate_accurate_single_block(np.int64(64), np.int32(32), np.float64(10.0)) == \
+        rate_accurate_single_block(64, 32, 10.0)
+    assert rate_heterogeneous_block(np.int64(64), np.int64(2), 10, [1, 1]) == \
+        rate_heterogeneous_block(64, 2, 10.0, [1.0, 1.0])
+    assert loss_rr_cm(_P, 1, np.float64(0.1)) == loss_rr_cm(_P, 1, 0.1)
+
+
 def _pdf(shape, scale, n, k, x):
     # the rank density the eq17 quadrature integrates, at x > 0
     vals = np.exp(_log_orderstat_pdf(shape, scale, n, np.array([k]), np.atleast_1d(x)))[0]

@@ -103,6 +103,14 @@ def test_draw_channels_rejects_nonpositive_beta():
         draw_channels(p, np.array([1.0]), RngStream(1, 0).generator())
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+def test_draw_channels_rejects_a_beta_that_is_not_finite(bad):
+    # an infinite beta drew infinite and NaN gains
+    p = SystemParams(M=16, K=2, K_B=1, T=2)
+    with pytest.raises(DomainError, match="positive and finite"):
+        draw_channels(p, np.array([bad, 1.0]), RngStream(1, 0).generator())
+
+
 def test_channel_magnitudes_shape_and_values():
     rng = np.random.default_rng(7)
     g = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
@@ -244,6 +252,22 @@ def test_apply_misreport_mismatched_users():
     # profiles come as an (F, K) stack, not one (K,) row
     with pytest.raises(DomainError):
         apply_misreport(mags, np.ones(3))
+    # a stack of profiles per realization must match the realizations
+    with pytest.raises(DomainError):
+        apply_misreport(np.ones((2, 3)), np.ones((3, 1, 3)))
+
+
+def test_apply_misreport_takes_profiles_per_realization():
+    # (n, F, K) profiles, one (F, K) stack per realization, give each
+    # realization the bits of its own call
+    p = SystemParams(M=16, K=4, K_B=2, T=2)
+    mags = np.stack([channel_magnitudes(draw_channels(p, np.ones(4), RngStream(3, t).generator()))
+                     for t in range(3)])
+    scales = np.random.default_rng(4).uniform(0.1, 2.0, (3, 2, 4))
+    got = apply_misreport(mags, scales)
+    assert got.shape == (3, 2, 4)
+    for t in range(3):
+        assert np.array_equal(got[t], apply_misreport(mags[t], scales[t]))
 
 
 def test_misreporter_magnitude_sorts_last():

@@ -343,6 +343,39 @@ def test_guard_trip_keeps_its_context_in_a_multi_cell_run(workers, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=_FORKED),
+                                     pytest.param(3, marks=_FORKED)])
+def test_guard_trip_in_the_second_drop_of_a_slice_keeps_its_context(workers, monkeypatch):
+    # the run above with a third drop, whose trial 0 also gives users 0 and 1
+    # one row: its honest plan fails at both sweep points. At 1 worker one
+    # slice holds all 9 trials of the 3 drops, and its first failing block,
+    # in (drop, trial) order, is still drop 1, trial 1's at sweep point 2
+    targets = {RngStream(42, pack_stream(0, 0, drop, t)).generator().bit_generator.state[
+        "state"]["key"].tobytes(): users for drop, t, users in ((1, 1, (2, 4)), (2, 0, (0, 1)))}
+    draw, period, slices = experiments.draw_channels, experiments.run_period, []
+
+    def degenerate_at(p, betas, rng):
+        gains = draw(p, betas, rng)
+        if (users := targets.get(rng.bit_generator.state["state"]["key"].tobytes())):
+            gains[users[1]] = gains[users[0]]
+        return gains
+
+    monkeypatch.setattr(experiments, "draw_channels", degenerate_at)
+    monkeypatch.setattr(experiments, "run_period",
+                        lambda g, *rest: slices.append(len(g)) or period(g, *rest))
+    cfg = config_from_dict({
+        "scenario": "heterogeneous", "M": 16, "T": 3, "K_B": 3,
+        "grouping_rule": "large_scale", "trials": 3, "drops": 3,
+        "sweep": "K_M", "sweep_values": [1, 2]})
+    with pytest.raises(SingularMatrixError) as err:
+        run_experiment(cfg, workers=workers)
+    assert err.value.args[0].startswith("block 0: Gram matrix condition number")
+    assert err.value.args[1:] == ("variant 0, drop 1, trial 1", "sweep point 2")
+    if workers == 1:
+        assert slices == [9]
+    assert multiprocessing.active_children() == []
+
+
 def test_guard_trip_on_a_shared_plan_names_the_first_sweep_point(monkeypatch):
     # a power sweep shares every plan of a trial across its sweep points: the
     # honest plan of drop 0, trial 2 fails at all three, and the trip names

@@ -415,10 +415,10 @@ def test_grouping_preserving_attack_is_served_on_the_honest_blocks(p_default):
 
 
 def test_each_distinct_block_is_factorized_once(monkeypatch):
-    # reduced fig7: every slice (here both trials of a drop) factorizes one
-    # Gram matrix per distinct (trial, sorted members) block of its periods,
-    # counted here with sets, and that is fewer than one per block of each
-    # distinct (trial, plan)
+    # reduced fig7: every slice (here the 6 trials of a layout's 3 drops, one
+    # slice per layout) factorizes one Gram matrix per distinct (trial, sorted
+    # members) block of its periods, counted here with sets, and that is
+    # fewer than one per block of each distinct (trial, plan)
     factorized, blocks, plan_blocks = [], [], []
     gains = zf.zf_effective_gains
     monkeypatch.setattr(zf, "zf_effective_gains",
@@ -435,7 +435,7 @@ def test_each_distinct_block_is_factorized_once(monkeypatch):
     monkeypatch.setattr(experiments, "run_period", counted)
     cfg = replace(preset("fig7"), trials=2, drops=3)
     run_experiment(cfg)
-    assert len(blocks) == len(cfg.variants) * cfg.drops
+    assert len(blocks) == 4
     assert factorized == blocks
     assert sum(blocks) < sum(plan_blocks)
 
@@ -858,25 +858,25 @@ def test_run_experiment_restores_blas_threads(p_nine, monkeypatch, blas_at_two):
     assert "scipy.linalg" in sys.modules
     before = blas_at_two
     during = []
-    real_chunk = experiments._run_chunk
+    real_units = experiments._run_units
 
-    def watched_chunk(u):
+    def watched_units(cfg, vi, var, *rest):
         during.append(_blas_threads())
-        if u.vi == 1 and 3 in u.var.points:
+        if vi == 1 and 3 in var.points:
             raise CountError("planted failure inside the run")
-        return real_chunk(u)
+        return real_units(cfg, vi, var, *rest)
 
-    monkeypatch.setattr(experiments, "_run_chunk", watched_chunk)
-    # one chunk per layout, each covering both sweep points
+    monkeypatch.setattr(experiments, "_run_units", watched_units)
+    # one runner call per layout, each covering both sweep points
     cfg = ExperimentConfig(params=p_nine, K_M=1, trials=2, seed=3,
                            sweep="K_M", sweep_values=(1, 2), variants=(None, {"T": 1, "K_B": 9}))
     run_experiment(cfg)
     assert _blas_threads() == before
-    # the second layout's chunk raises after the first chunk ran
+    # the second layout's call raises after the first layout's ran
     with pytest.raises(CountError, match="planted"):
         run_experiment(replace(cfg, sweep_values=(1, 3)))
     assert _blas_threads() == before
-    # an out-of-range sweep point fails before any chunk runs
+    # an out-of-range sweep point fails before any unit runs
     with pytest.raises(CountError, match="out of range"):
         run_experiment(replace(cfg, sweep_values=(1, 10)))
     assert _blas_threads() == before
@@ -904,8 +904,8 @@ def test_blas_pin_ignores_scipy_linalg_imported_after_a_run():
         import scipy.linalg
         for _, put in builds:
             put(2)
-        during, real_chunk = [], experiments._run_chunk
-        experiments._run_chunk = lambda u: during.append(counts()) or real_chunk(u)
+        during, real_units = [], experiments._run_units
+        experiments._run_units = lambda *a: during.append(counts()) or real_units(*a)
         run_experiment(cfg)
         print(json.dumps([during, counts()]))
     """)
@@ -1074,17 +1074,17 @@ def test_a_set_up_failing_in_a_pool_process_fails_the_run(p_nine, cell_model, mo
 @_needs_fork
 def test_a_unit_failing_in_a_pool_process_fails_the_run(p_nine, cell_model, monkeypatch,
                                                           opened_pools):
-    before, parent, real_chunk = _blas_threads(), os.getpid(), experiments._run_chunk
+    before, parent, real_units = _blas_threads(), os.getpid(), experiments._run_units
 
-    def fail_in_a_child(u):
-        if os.getpid() != parent and u.drop == 0:
-            raise CountError(f"planted unit failure in drop {u.drop}")
-        return real_chunk(u)
+    def fail_in_a_child(cfg, vi, var, drops, units):
+        if os.getpid() != parent and units[0][1] == 0:
+            raise CountError(f"planted unit failure in drop {units[0][1]}")
+        return real_units(cfg, vi, var, drops, units)
 
-    monkeypatch.setattr(experiments, "_run_chunk", fail_in_a_child)
+    monkeypatch.setattr(experiments, "_run_units", fail_in_a_child)
     # 12 units, of which the caller serves the first 6 at 2 workers and the
     # first 4 at 3: unit 6, the first half of the second layout's drop 0, is
-    # the first drop-0 unit a pool process runs
+    # the first drop-0 unit a pool process runs, first in its runner call
     for workers in (2, 3):
         with pytest.raises(CountError, match="planted unit failure in drop 0"):
             run_experiment(_het_sweep(p_nine, cell_model), workers=workers)
@@ -1095,15 +1095,86 @@ def test_a_unit_failing_in_a_pool_process_fails_the_run(p_nine, cell_model, monk
 
 @_needs_fork
 def test_a_pool_process_that_dies_fails_the_run(p_nine, cell_model, monkeypatch):
-    parent, real_chunk = os.getpid(), experiments._run_chunk
-    monkeypatch.setattr(experiments, "_run_chunk",
-                        lambda u: real_chunk(u) if os.getpid() == parent else os._exit(1))
+    parent, real_units = os.getpid(), experiments._run_units
+    monkeypatch.setattr(experiments, "_run_units",
+                        lambda *a: real_units(*a) if os.getpid() == parent else os._exit(1))
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="exited with code 1 before sending its result"):
         run_experiment(_het_sweep(p_nine, cell_model), workers=2)
     # a pipe whose one sending end is gone reads as EOF: no wait for a result
     assert time.perf_counter() - start < 1.0
     assert multiprocessing.active_children() == []
+
+
+def _repeat_the_last_profile(real_drops):
+    """``_drops`` with each odd drop's last profile repeated as one more row, which its sweep
+    points read instead: F + 1 distinct profiles on odd drops and F on even ones, with the
+    numbers of the real set-up."""
+    def drops(cfg, vi, var, span):
+        out = real_drops(cfg, vi, var, span)
+        for k, drop in enumerate(span):
+            d, last = out[k], len(out[k].scales) - 1
+            if drop % 2:
+                out[k] = d._replace(
+                    scales=np.concatenate([d.scales, d.scales[last:]]),
+                    ls_plans=None if d.ls_plans is None else np.concatenate(
+                        [d.ls_plans, d.ls_plans[last:]]),
+                    profile=np.where(d.profile == last, last + 1, d.profile))
+        return out
+    return drops
+
+
+_RAGGED = ExperimentConfig(
+    params=SystemParams(M=16, K=9, K_B=3, T=3, P=10.0), scenario="heterogeneous", large_scale=LargeScaleModel(),
+    grouping_rule=("large_scale", "channel_magnitude", "sus", "random"),
+    strategy=("grouping_changed_under", "grouping_changed_over"), sweep="K_M",
+    sweep_values=(1, 2), trials=3, drops=4, seed=11, track_users=(1, 9))
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=_needs_fork),
+                                     pytest.param(3, marks=_needs_fork)])
+def test_drops_with_different_profile_counts_share_a_slice(workers, monkeypatch):
+    # drop 0 has F = 5 distinct profiles and drop 1 six: a slice of both pads
+    # drop 0's with its profile 0 to six, under every rule, SUS included, and
+    # drops the padded rates. The CSV is the one the real set-up gives, at
+    # every worker count and in 1-trial slices, which hold one drop each
+    want = _csv_text(run_experiment(_RAGGED))
+    calls, period = [], experiments.run_period
+    monkeypatch.setattr(experiments, "run_period",
+                        lambda g, trial, *rest: calls.append((len(g), len(trial)))
+                        or period(g, trial, *rest))
+    monkeypatch.setattr(experiments, "_drops", _repeat_the_last_profile(experiments._drops))
+    assert _csv_text(run_experiment(_RAGGED, workers)) == want
+    if workers == 1:
+        # one slice of the 12 trials of 4 drops: 6 periods per (trial, rule)
+        assert calls == [(12, 12 * 6 * 4)]
+    monkeypatch.setattr(experiments, "_slice_trials", lambda *a: 1)
+    assert _csv_text(run_experiment(_RAGGED, workers)) == want
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=_needs_fork),
+                                     pytest.param(3, marks=_needs_fork)])
+def test_a_drop_split_across_slices_and_blocks_keeps_its_bytes(workers, monkeypatch,
+                                                               opened_pools):
+    # 4-trial slices of 3 drops of 5 trials: at 1 worker the slices hold
+    # trials 0-3 of drop 0, then its trial 4 and drop 1's trials 0-2, and so
+    # on. At 2 workers each drop is 3 units (2, 2 and 1 trials): the caller
+    # serves drop 0 and drop 1's first unit, the pool process the rest of
+    # drop 1 and drop 2, and the caller reduces drop 1 from both blocks
+    cfg = replace(_RAGGED, grouping_rule=("large_scale", "random"), trials=5, drops=3,
+                  strategy=("grouping_changed_under",))
+    want = _csv_text(run_experiment(cfg))
+    calls, period = [], experiments.run_period
+    monkeypatch.setattr(experiments, "run_period",
+                        lambda g, *rest: calls.append(len(g)) or period(g, *rest))
+    monkeypatch.setattr(experiments, "_slice_trials", lambda *a: 4)
+    assert _csv_text(run_experiment(cfg, workers)) == want
+    if workers == 1:
+        assert calls == [4, 4, 4, 3]
+    if workers == 2:
+        assert opened_pools[0].blocks == [_units(1, 3, 5, 2)[4:]]
+        # the caller's 7 trials: drop 0's 5 and drop 1's first 2
+        assert calls == [4, 3]
 
 
 def _worker_blas_threads(_):

@@ -10,16 +10,19 @@ Rewrite the named files with ``PYTHONPATH=src python tests/test_golden.py
 NAME...`` only when a change of their numbers is intended;
 ``PYTHONPATH=src python tests/test_golden.py --sha256`` prints the SHA-256
 of every config's CSV at one, two and three workers, to compare two trees, and
-``--sha256 --presets`` does the same for the six full presets (about half a
-minute and a half on two cores). ``--max-rel`` prints, per config and worker count, the
-largest relative deviation of its value cells from the golden, for analytic
-rows (``trials`` 0) and Monte Carlo rows apart: inf where a row's keys differ.
+``--sha256 --presets`` does the same for the six full presets (about a
+minute on two cores). ``--start-method spawn`` after either starts the pool
+processes with that method, so that its hashes can be set beside the default
+method's. ``--max-rel`` prints, per config and worker count, the largest
+relative deviation of its value cells from the golden, for analytic rows
+(``trials`` 0) and Monte Carlo rows apart: inf where a row's keys differ.
 """
 import csv
 import hashlib
 import io
 import itertools
 import math
+import multiprocessing
 import pathlib
 import sys
 from dataclasses import replace
@@ -114,6 +117,9 @@ def test_csv_is_byte_identical_across_workers(name):
 
 
 if __name__ == "__main__":
+    if sys.argv[-2:-1] == ["--start-method"] and sys.argv[1:2] == ["--sha256"]:
+        multiprocessing.set_start_method(sys.argv.pop())
+        sys.argv.pop()
     if sys.argv[1:] in (["--sha256"], ["--sha256", "--presets"]):
         cfgs = {n: preset(n) for n in preset_names()} if "--presets" in sys.argv else CONFIGS
         for name, workers in itertools.product(sorted(cfgs), (1, 2, 3)):
@@ -127,8 +133,8 @@ if __name__ == "__main__":
                   + " ".join(f"{k} {'-' if v is None else f'{v:.3g}'}" for k, v in worst.items()))
         sys.exit()
     if not sys.argv[1:] or set(sys.argv[1:]) - set(CONFIGS):
-        sys.exit(f"usage: test_golden.py --sha256 [--presets] | --max-rel | NAME...; "
-                 f"names: {' '.join(sorted(CONFIGS))}")
+        sys.exit(f"usage: test_golden.py --sha256 [--presets] [--start-method METHOD] | "
+                 f"--max-rel | NAME...; names: {' '.join(sorted(CONFIGS))}")
     GOLDEN.mkdir(exist_ok=True)
     for name in sys.argv[1:]:
         (GOLDEN / f"{name}.csv").write_text(_csv(CONFIGS[name]))
